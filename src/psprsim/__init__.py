@@ -15,6 +15,7 @@ from .datagen import (
 )
 from .engine import PowerTable, StudyPlan, prepare_auxiliaries, run_study
 from .errors import (
+    DegenerateDataError,
     FactorizationError,
     NonConvergenceError,
     NumericalError,

@@ -316,7 +316,7 @@ def run_single_replicate(
                     out = test_simes_hommel(data, fits=get_fits())
                 elif method == "MaxT":
                     out = test_maxt(data, tol=plan.maxt_tol, rng=rng,
-                                    fits=get_fits(), corr=get_corr())
+                                    fits=get_fits(), corr=get_corr(), alpha=plan.alpha)
                 elif method == "Omnibus":
                     out = test_omnibus(get_fits().p_vector, aux.calib_items)
                 elif method == "Omnibus-dom":
@@ -337,8 +337,6 @@ _WORKER: dict = {}
 
 
 def _init_worker(plan_doc: dict, aux: StudyAuxiliaries):
-    # keep linear algebra single-threaded inside workers
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
     _WORKER["plan"] = StudyPlan.from_doc(plan_doc)
     _WORKER["aux"] = aux
 

@@ -21,6 +21,10 @@ class SingularDesignError(NumericalError):
     """Rank-deficient regression design matrix."""
 
 
+class DegenerateDataError(NumericalError):
+    """Data-dependent degeneracy, such as an item with zero sandwich variance."""
+
+
 class FactorizationError(NumericalError):
     """Cholesky factorization hit a non-positive pivot."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularDesignError, ValidationError
+from .errors import DegenerateDataError, SingularDesignError, ValidationError
 from .numkit import AncovaFit, fit_ancova
 from .scales import ITEM_COLUMNS, N_ITEMS, ItemDataset
 
@@ -78,7 +78,7 @@ def sandwich_treatment_correlation(
     V = H.T @ H
     d = np.sqrt(np.diag(V))
     if np.any(d <= 0):
-        raise ValidationError("degenerate item (zero sandwich variance)")
+        raise DegenerateDataError("degenerate item (zero sandwich variance)")
     R = V / np.outer(d, d)
     np.fill_diagonal(R, 1.0)
     return R

@@ -133,6 +133,7 @@ def mvn_rect_upper(
     tol: float = 1e-4,
     rng: RngStream | None = None,
     max_points: int = 1 << 17,
+    decide_at: float | None = None,
 ) -> tuple[float, float]:
     """P(Z <= upper componentwise) for Z ~ N(0, corr).
 
@@ -140,6 +141,12 @@ def mvn_rect_upper(
     errors over the randomized shifts; the point budget doubles until the
     estimate drops below tol or the hard cap max_points is hit, in which
     case the looser estimate is simply reported.
+
+    With decide_at set, only the side of decide_at the probability lies on
+    is wanted: the doubling also stops as soon as |probability - decide_at|
+    exceeds the error estimate, which may then be larger than tol. Every
+    round draws its shifts from rng exactly as without decide_at, so the
+    estimate it stops at is the one the full-precision call passes through.
     """
     if not 0.0 < tol <= 0.01:
         raise ValidationError(f"tol must lie in (0, 0.01], got {tol}")
@@ -189,10 +196,10 @@ def mvn_rect_upper(
         means = prod.mean(axis=1)
         p = float(means.mean())
         err = 3.0 * float(means.std(ddof=1)) / np.sqrt(n_shifts)
-        if err <= tol or n_points * 2 > max_points:
-            if err > tol:
-                log.warning(
-                    "mvn_rect_upper budget cap reached (err %.2e > tol %.2e)", err, tol
-                )
+        decided = decide_at is not None and abs(p - decide_at) > err
+        if err <= tol or decided:
+            return min(max(p, 0.0), 1.0), err
+        if n_points * 2 > max_points:
+            log.warning("mvn_rect_upper budget cap reached (err %.2e > tol %.2e)", err, tol)
             return min(max(p, 0.0), 1.0), err
         log2_n += 1

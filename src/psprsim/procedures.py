@@ -20,8 +20,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .irt import GrModel, LinearLatentApprox, approx_latent, eap_scores
 from .marginal import CorrelationEstimate, MarginalFits, estimate_corr, fit_marginals, subset_corr
-from .mvnorm import mvn_rect_upper, repair_correlation
-from .numkit import RngStream, fit_ancova, normal_quantile, student_t_cdf
+from .mvnorm import mvn_rect_upper
+from .numkit import RngStream, fit_ancova, normal_cdf, normal_quantile, student_t_cdf
 from .scales import DOMAINS, N_ITEMS, ItemDataset, ScoringScheme, ensure_scheme
 
 log = logging.getLogger(__name__)
@@ -319,11 +319,19 @@ def test_maxt(
     rng: RngStream | None = None,
     fits: MarginalFits | None = None,
     corr: CorrelationEstimate | None = None,
+    alpha: float | None = None,
 ) -> TestOutcome:
     """Correlation-aware max test on transformed z-values.
 
     z_i = Phi^-1(F_t(-t_i, df)) with the marginal df, so large positive z
     means benefit; the adjusted p is 1 - P(Z <= z_max 1) under N(0, R).
+
+    Without alpha the p-value is integrated to tol. With alpha only the
+    decision p <= alpha is guaranteed: the exact Bonferroni bounds
+    p_min <= p <= min(1, m p_min) over the m items, p_min = 1 - Phi(z_max),
+    settle it without integrating (rng is then not used, and the bound on
+    alpha's side is returned), and otherwise the integration stops once its
+    error estimate excludes alpha.
     """
     data = ensure_scheme(data, scheme)
     fits, corr = _marginals(data, fits, corr, need_corr=True)
@@ -336,15 +344,26 @@ def test_maxt(
             u = min(max(student_t_cdf(-t, df), 1e-300), 1.0 - 1e-16)
             z[j] = normal_quantile(u)
     z_max = float(z.max())
-    R = repair_correlation(corr.R)
-    prob, err = mvn_rect_upper(np.full(N_ITEMS, z_max), R, tol=tol, rng=rng)
-    p = float(min(max(1.0 - prob, 0.0), 1.0))
+    diagnostics: dict = {"z_values": z}
+    p_min = float(normal_cdf(-z_max))
+    p_max = min(1.0, N_ITEMS * p_min)
+    if alpha is not None and (p_min > alpha or p_max <= alpha):
+        p = p_min if p_min > alpha else p_max
+        diagnostics.update(bound_settled=True, p_bounds=(p_min, p_max))
+    else:
+        # mvn_rect_upper validates and, if needed, repairs the correlation
+        prob, err = mvn_rect_upper(
+            np.full(N_ITEMS, z_max), corr.R, tol=tol, rng=rng,
+            decide_at=None if alpha is None else 1.0 - alpha,
+        )
+        p = float(min(max(1.0 - prob, 0.0), 1.0))
+        diagnostics["mvn_error_estimate"] = err
     return TestOutcome(
         method="MaxT",
         statistic=z_max,
         p_one_sided=p,
         per_item_p={"unadjusted": fits.p_vector},
-        diagnostics={"z_values": z, "mvn_error_estimate": err},
+        diagnostics=diagnostics,
     )
 
 

@@ -176,6 +176,54 @@ class TestFailureAccounting:
             run_scenario(plan, plan.resolve_scenarios()[0], 0, aux, workers=1)
 
 
+class TestDegenerateData:
+    def test_zero_week52_item_is_a_counted_failure(self, small_plan, aux, monkeypatch):
+        # an item whose week-52 scores are all zero fits exactly: zero
+        # residuals, zero sandwich variance for the correlation
+        import psprsim.engine as eng
+
+        real = eng._generate
+
+        def floored(plan, scenario, aux, rng):
+            data = real(plan, scenario, aux, rng)
+            data.week52[:, 0] = 0
+            return data
+
+        monkeypatch.setattr(eng, "_generate", floored)
+        scen = small_plan.resolve_scenarios()[0]
+        rejected, failed, messages = run_single_replicate(small_plan, scen, 0, 3, aux)
+        corr_methods = {"OLS", "GLS", "GLS-drop", "MaxT"}
+        expect = [m in corr_methods for m in small_plan.methods]
+        for si in range(len(small_plan.schemes)):
+            assert failed[si].astype(bool).tolist() == expect
+        assert all("zero sandwich variance" in m for m in messages)
+
+
+class TestMaxTDecisionPath:
+    def test_tables_and_full_precision_decisions(self, small_plan, aux):
+        # the engine asks MaxT for the decision at plan.alpha; its rejection
+        # counts match the full-precision p-values replicate by replicate, and
+        # the table does not depend on the worker count
+        from dataclasses import replace
+
+        import psprsim.engine as eng
+
+        plan = replace(small_plan, scenarios=["d3"], methods=["MaxT"], n_reps=120)
+        t1 = run_study(plan, aux=aux, workers=1)
+        t2 = run_study(plan, aux=aux, workers=2)
+        assert t1.to_csv_text() == t2.to_csv_text()
+        scen = plan.resolve_scenarios()[0]
+        for si, tag in enumerate(plan.schemes):
+            hits = 0
+            for rep in range(plan.n_reps):
+                base = ps.RngStream(derive_replicate_seed(plan.master_seed, 0, rep))
+                data = eng.ensure_scheme(eng._generate(plan, scen, aux, base.child(0)),
+                                         aux.schemes[tag])
+                out = ps.test_maxt(data, tol=plan.maxt_tol, rng=base.child(1 + si))
+                hits += out.p_one_sided <= plan.alpha
+            assert t1.rate("d3", tag, "MaxT") * plan.n_reps == hits
+
+
 class TestWorkerResolution:
     def test_env_var_override(self, monkeypatch):
         from psprsim.engine import WORKER_ENV_VAR, resolve_workers

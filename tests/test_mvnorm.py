@@ -155,6 +155,27 @@ class TestRectUpper:
         with pytest.raises(ValidationError):
             ps.mvn_rect_upper(np.zeros(21), np.eye(21))
 
+    def test_decide_at_stops_once_threshold_excluded(self, caplog):
+        R = exchangeable(10, 0.3)
+        upper = np.full(10, 2.5)
+        full = ps.mvn_rect_upper(upper, R, tol=1e-6, rng=ps.RngStream(8),
+                                 max_points=1 << 12)
+        assert "budget cap reached" in caplog.text
+        caplog.clear()
+        p, err = ps.mvn_rect_upper(upper, R, tol=1e-6, rng=ps.RngStream(8),
+                                   max_points=1 << 12, decide_at=0.5)
+        # the first round already excludes 0.5: an early stop, not a cap hit
+        assert err > 1e-6 and abs(p - 0.5) > err
+        assert err >= full[1] and (p > 0.5) == (full[0] > 0.5)
+        assert "budget cap reached" not in caplog.text
+
+    def test_decide_at_near_probability_runs_to_tol(self):
+        R = exchangeable(4, 0.4)
+        full = ps.mvn_rect_upper(np.ones(4), R, tol=1e-4, rng=ps.RngStream(42))
+        near = ps.mvn_rect_upper(np.ones(4), R, tol=1e-4, rng=ps.RngStream(42),
+                                 decide_at=full[0])
+        assert near == full
+
     @given(st.floats(min_value=-2.5, max_value=2.5))
     def test_probability_in_unit_interval(self, z):
         p, _ = ps.mvn_rect_upper(np.full(3, z), exchangeable(3, 0.5),

@@ -3,9 +3,12 @@ closed-testing oracles for Hommel, dominance properties, omnibus
 calibration consistency, and MaxT's Bonferroni bound."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
+from scipy.special import ndtr
 
 import psprsim as ps
 from psprsim.errors import NumericalError, ValidationError
@@ -273,6 +276,78 @@ class TestMaxT:
             expect = ps.normal_quantile(ps.student_t_cdf(-t, fits.df_marginal))
             assert z[j] == pytest.approx(expect, abs=1e-12)
         assert out.statistic == z.max()
+
+
+def _decision_dataset(reference_pool, label, n, seed):
+    params = ps.DiscretizedMvnParams.estimate(reference_pool)
+    return ps.gen_discretized_mvn(params, ps.builtin_scenarios()[label], n, ps.RngStream(seed))
+
+
+decision_data = st.tuples(
+    st.sampled_from(["d0", "d2", "d4", "d10"]),
+    st.sampled_from([40, 70]),
+    st.integers(min_value=0, max_value=2**32),
+)
+
+
+class TestMaxTDecision:
+    """test_maxt(alpha=...) settles p <= alpha from the exact bounds
+    p_min <= p <= min(1, 10 p_min) or an early-stopped integral."""
+
+    @given(case=decision_data, alpha=st.floats(min_value=1e-4, max_value=0.2))
+    def test_bound_settled_skips_integral(self, reference_pool, case, alpha):
+        data = _decision_dataset(reference_pool, *case)
+        fits = ps.fit_marginals(data)
+        corr = ps.estimate_corr(data, fits)
+        rng = ps.RngStream(case[2])
+        with mock.patch("psprsim.procedures.mvn_rect_upper",
+                        wraps=ps.mvn_rect_upper) as integral:
+            out = ps.test_maxt(data, tol=1e-3, rng=rng, fits=fits, corr=corr, alpha=alpha)
+        p_min = float(ndtr(-out.statistic))
+        p_max = min(1.0, 10 * p_min)
+        if p_min <= alpha < p_max:
+            event("band")
+            assert integral.call_count == 1
+            return
+        event("settled")
+        assert integral.call_count == 0
+        assert out.diagnostics["bound_settled"]
+        assert p_min <= out.p_one_sided <= p_max
+        assert (out.p_one_sided <= alpha) == (p_max <= alpha)
+        # the replicate's stream is left untouched
+        assert rng.gen.random() == ps.RngStream(case[2]).gen.random()
+
+    @settings(derandomize=True)
+    @given(case=decision_data, frac=st.floats(min_value=0.0, max_value=1.0,
+                                             exclude_min=True, exclude_max=True))
+    def test_band_decision_matches_full_precision(self, reference_pool, case, frac):
+        data = _decision_dataset(reference_pool, *case)
+        fits = ps.fit_marginals(data)
+        corr = ps.estimate_corr(data, fits)
+        seed = case[2]
+        full = ps.test_maxt(data, tol=1e-4, rng=ps.RngStream(seed), fits=fits, corr=corr)
+        p_min = float(ndtr(-full.statistic))
+        # an alpha strictly inside the bounds forces the integral
+        alpha = p_min * (1.0 + 9.0 * frac)
+        if not p_min < alpha < min(1.0, 10 * p_min):
+            return
+        fast = ps.test_maxt(data, tol=1e-4, rng=ps.RngStream(seed), fits=fits, corr=corr,
+                            alpha=alpha)
+        assert "bound_settled" not in fast.diagnostics
+        err_full = full.diagnostics["mvn_error_estimate"]
+        assert fast.diagnostics["mvn_error_estimate"] >= err_full
+        if abs(full.p_one_sided - alpha) > err_full:
+            assert (fast.p_one_sided <= alpha) == (full.p_one_sided <= alpha)
+
+    def test_full_precision_p_value_pinned(self, reference_pool, two_arm_dataset):
+        # without alpha (as analyze calls it) the p-value is integrated to
+        # tol; the pinned bits catch any leak of the decision path into it
+        out = ps.test_maxt(two_arm_dataset, rng=ps.RngStream(3))
+        assert out.p_one_sided == float.fromhex("0x1.f749a904b3b76p-2")
+        assert out.diagnostics["mvn_error_estimate"] <= 1e-4
+        effect = _decision_dataset(reference_pool, "d3", 70, 22)
+        out = ps.test_maxt(effect, rng=ps.RngStream(3))
+        assert out.p_one_sided == float.fromhex("0x1.f6b95958ee8c0p-7")
 
 
 class TestOmnibus:
