@@ -12,6 +12,8 @@ precomputed `fits`/`corr` to avoid refitting inside replicate loops.
 from __future__ import annotations
 
 import logging
+import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -445,32 +447,57 @@ def build_omnibus_calibration(
 
 
 def save_omnibus_calibration(calib: OmnibusCalibration, path: str | Path) -> None:
-    np.savez_compressed(
-        path,
-        format_version=CALIBRATION_FORMAT_VERSION,
-        m=calib.m,
-        transform=calib.transform,
-        reps=calib.reps,
-        seed=calib.seed,
-        sorted_partial_stats=calib.sorted_partial_stats,
-        sorted_null_stats=calib.sorted_null_stats,
-    )
+    """Write the calibration as an uncompressed .npz (".npz" is appended to a
+    path without it, as numpy does).
+
+    The tables are sorted random doubles that deflate gains little on, and
+    inflating them took most of an `analyze` call. The file is written next
+    to its target and renamed into place, so a killed or concurrent writer
+    never leaves a truncated file under the final name.
+    """
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                format_version=CALIBRATION_FORMAT_VERSION,
+                m=calib.m,
+                transform=calib.transform,
+                reps=calib.reps,
+                seed=calib.seed,
+                sorted_partial_stats=calib.sorted_partial_stats,
+                sorted_null_stats=calib.sorted_null_stats,
+            )
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_omnibus_calibration(path: str | Path) -> OmnibusCalibration:
-    with np.load(path, allow_pickle=False) as doc:
-        if int(doc["format_version"]) != CALIBRATION_FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported calibration format {doc['format_version']}"
+    """Read a calibration written by save_omnibus_calibration; files that
+    older versions wrote compressed load to the same arrays."""
+    try:
+        with np.load(path, allow_pickle=False) as doc:
+            version = int(doc["format_version"])
+            calib = OmnibusCalibration(
+                m=int(doc["m"]),
+                transform=str(doc["transform"]),
+                reps=int(doc["reps"]),
+                seed=int(doc["seed"]),
+                sorted_partial_stats=doc["sorted_partial_stats"],
+                sorted_null_stats=doc["sorted_null_stats"],
             )
-        return OmnibusCalibration(
-            m=int(doc["m"]),
-            transform=str(doc["transform"]),
-            reps=int(doc["reps"]),
-            seed=int(doc["seed"]),
-            sorted_partial_stats=doc["sorted_partial_stats"],
-            sorted_null_stats=doc["sorted_null_stats"],
-        )
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ValidationError(
+            f"{path}: unreadable omnibus calibration ({type(exc).__name__}: {exc}); "
+            "delete the file to rebuild it"
+        ) from exc
+    if version != CALIBRATION_FORMAT_VERSION:
+        raise ValidationError(f"{path}: unsupported calibration format {version}")
+    return calib
 
 
 def get_omnibus_calibration(

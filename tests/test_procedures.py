@@ -3,6 +3,7 @@ closed-testing oracles for Hommel, dominance properties, omnibus
 calibration consistency, and MaxT's Bonferroni bound."""
 
 import itertools
+import zipfile
 from unittest import mock
 
 import numpy as np
@@ -14,10 +15,14 @@ import psprsim as ps
 from psprsim.errors import NumericalError, ValidationError
 from psprsim.marginal import CorrelationEstimate
 from psprsim.procedures import (
+    CALIBRATION_FORMAT_VERSION,
     bonferroni_adjust,
+    get_omnibus_calibration,
     holm_adjust,
     hommel_adjust,
+    load_omnibus_calibration,
     modified_df,
+    save_omnibus_calibration,
     simes_global,
 )
 from psprsim.scales import N_ITEMS
@@ -377,12 +382,6 @@ class TestOmnibus:
         assert out.p_one_sided < 0.01
 
     def test_cache_round_trip(self, calib10, tmp_path):
-        from psprsim.procedures import (
-            get_omnibus_calibration,
-            load_omnibus_calibration,
-            save_omnibus_calibration,
-        )
-
         path = tmp_path / "calib.npz"
         save_omnibus_calibration(calib10, path)
         back = load_omnibus_calibration(path)
@@ -394,6 +393,59 @@ class TestOmnibus:
         c1 = get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
         c2 = get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
         assert np.array_equal(c1.sorted_null_stats, c2.sorted_null_stats)
+
+    def test_saved_calibration_is_uncompressed(self, calib10, tmp_path):
+        path = tmp_path / "calib.npz"
+        save_omnibus_calibration(calib10, path)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        assert [p.name for p in tmp_path.iterdir()] == ["calib.npz"]
+
+    def test_legacy_compressed_cache_loads_bit_identically(self, tmp_path):
+        built = get_omnibus_calibration(None, m=3, reps=1000, seed=5)
+        get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
+        (path,) = tmp_path.iterdir()
+        # the writer of earlier versions, same keys, deflated members
+        np.savez_compressed(
+            path,
+            format_version=CALIBRATION_FORMAT_VERSION,
+            m=built.m,
+            transform=built.transform,
+            reps=built.reps,
+            seed=built.seed,
+            sorted_partial_stats=built.sorted_partial_stats,
+            sorted_null_stats=built.sorted_null_stats,
+        )
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        back = get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
+        assert (back.m, back.transform, back.reps, back.seed) == (3, "reciprocal", 1000, 5)
+        for name in ("sorted_partial_stats", "sorted_null_stats"):
+            a, b = getattr(back, name), getattr(built, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_interrupted_save_leaves_no_file(self, calib10, tmp_path):
+        def dies_midway(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial member")
+            raise OSError("no space left on device")
+
+        with mock.patch.object(np, "savez", dies_midway):
+            with pytest.raises(OSError, match="no space"):
+                save_omnibus_calibration(calib10, tmp_path / "calib.npz")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("damage", ["truncate", "empty", "missing-key"])
+    def test_unreadable_cache_is_a_validation_error(self, tmp_path, damage):
+        get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
+        (path,) = tmp_path.iterdir()
+        if damage == "truncate":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        else:
+            np.savez(path, format_version=CALIBRATION_FORMAT_VERSION, m=3)
+        with pytest.raises(ValidationError, match=path.name):
+            get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
 
     def test_invariants_of_tables(self, calib10):
         assert calib10.sorted_null_stats.shape == (calib10.reps,)

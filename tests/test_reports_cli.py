@@ -4,6 +4,8 @@ command-line workflow end to end."""
 import csv
 import json
 import logging
+import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import psprsim as ps
 from psprsim.cli import main
 from psprsim.errors import ValidationError
+from psprsim.procedures import get_omnibus_calibration
 from psprsim.reports import (
     CSV_HEADER,
     DESCRIPTIVE_COLUMNS,
@@ -165,6 +168,12 @@ class TestDescriptiveTable:
                 assert r["ancova_coef"] == fit.coef_treatment
                 assert r["p_value"] == fit.p_one_sided
 
+    def test_given_fits_are_used_not_refitted(self, two_arm_dataset):
+        refitted = descriptive_table(two_arm_dataset)
+        fits = ps.fit_marginals(two_arm_dataset)
+        with mock.patch("psprsim.reports.fit_marginals", side_effect=AssertionError):
+            assert descriptive_table(two_arm_dataset, fits) == refitted
+
     def test_column_schema(self, two_arm_dataset):
         rows = descriptive_table(two_arm_dataset)
         assert len(rows) == 20
@@ -210,6 +219,26 @@ def reference_csv(tmp_path_factory):
                "--two-arm-labels", "--out", str(path)])
     assert rc == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def model_args(reference_csv, tmp_path_factory):
+    """analyze flags naming a GRM and an approximation per scheme, fitted
+    once on the reference CSV."""
+    directory = tmp_path_factory.mktemp("models")
+    args = []
+    for tag, suffix in (("original", ""), ("fda", "-fda")):
+        model, approx = directory / f"grm_{tag}.json", directory / f"approx_{tag}.json"
+        assert main(["fit-irt", str(reference_csv), "--scheme", tag, "--out", str(model)]) == 0
+        assert main(["fit-approx", str(reference_csv), "--model", str(model),
+                     "--out", str(approx)]) == 0
+        args += [f"--model{suffix}", str(model), f"--approx{suffix}", str(approx)]
+    return args
+
+
+def analyze(csv_path, out, *flags):
+    return main(["analyze", str(csv_path), "--arm-a", "dose-a", "--arm-b", "placebo",
+                 "--out", str(out), "--seed", "1", "--calibration-reps", "2000", *flags])
 
 
 class TestCli:
@@ -317,3 +346,56 @@ class TestCli:
         rc = main(["analyze", str(path), "--arm-a", "drug", "--arm-b", "placebo",
                    "--out", str(tmp_path / "y"), "--calibration-reps", "2000"])
         assert rc == 3
+
+    def test_legacy_compressed_cache_gives_identical_results(
+        self, reference_csv, model_args, tmp_path
+    ):
+        fresh, legacy = tmp_path / "fresh", tmp_path / "legacy"
+        assert analyze(reference_csv, tmp_path / "a", "--cache-dir", str(fresh), *model_args) == 0
+        legacy.mkdir()
+        for path in fresh.iterdir():
+            with np.load(path) as doc:
+                np.savez_compressed(legacy / path.name, **doc)
+            with zipfile.ZipFile(legacy / path.name) as zf:
+                assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        assert analyze(reference_csv, tmp_path / "b", "--cache-dir", str(legacy), *model_args) == 0
+        assert ((tmp_path / "a" / "analysis_results.json").read_bytes()
+                == (tmp_path / "b" / "analysis_results.json").read_bytes())
+
+    def test_truncated_cache_exit_code(self, reference_csv, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        get_omnibus_calibration(cache, m=10, reps=2000, seed=1)
+        (path,) = cache.iterdir()
+        path.write_bytes(path.read_bytes()[:1000])
+        assert analyze(reference_csv, tmp_path / "x", "--cache-dir", str(cache)) == 2
+        assert path.name in capsys.readouterr().err
+
+    def test_zero_week52_item_fails_only_sandwich_methods(
+        self, reference_csv, model_args, tmp_path
+    ):
+        with open(reference_csv, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        j = CSV_HEADER.index("item04")
+        for row in rows:
+            if row[2] == "week52":
+                row[j] = "0"
+        path = tmp_path / "zero.csv"
+        write_rows(path, rows)
+        assert analyze(path, tmp_path / "out", *model_args) == 3
+        results = json.loads((tmp_path / "out" / "analysis_results.json").read_text())
+        assert len(results["results"]) == 22
+        sandwich = {"OLS", "GLS", "GLS-drop", "MaxT"}
+        for r in results["results"]:
+            if r["method"] in sandwich:
+                assert r["p_one_sided"] is None and r["statistic"] is None
+            else:
+                assert 0.0 <= r["p_one_sided"] <= 1.0
+        failed = [n for n in results["notes"] if " failed: " in n]
+        assert sorted(failed) == sorted(
+            f"{tag}: {m} failed: DegenerateDataError: degenerate item (zero sandwich variance)"
+            for tag in ("original", "fda") for m in sandwich
+        )
+        for tag, diag in results["diagnostics"]["schemes"].items():
+            assert "gls_weights" not in diag and "gls_dropped_items" not in diag
+            assert set(diag["marginal_p"]) == set(ps.scales.ITEM_COLUMNS)
+            assert (tmp_path / "out" / f"descriptives_{tag}.csv").exists()
