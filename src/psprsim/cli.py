@@ -52,28 +52,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-NUMERICAL_FAILURES = (NumericalError, np.linalg.LinAlgError)
-
-
-def _attempt(fn, *args, **kwargs):
-    """fn(*args, **kwargs), or the numerical failure it raised."""
-    try:
-        return fn(*args, **kwargs)
-    except NUMERICAL_FAILURES as exc:
-        return exc
-
-
-def _ok(value):
-    """Re-raise a failure kept by _attempt; pass a result through."""
-    if isinstance(value, Exception):
-        raise value
-    return value
 
 
 def _cmd_analyze(args) -> int:
-    """Run the 11 procedures per scheme. A numerical failure of one method,
-    or of a fit it needs, leaves that method's row null with a note; the
-    other rows are still written and the exit code is 3."""
     arm_map = {args.arm_a: "treatment", args.arm_b: "control"}
     data0 = reports.load_trial_csv(args.csv, arm_map, drop_unmapped=True)
     schemes = ["original", "fda"] if args.scheme == "both" else [args.scheme]
@@ -83,7 +64,6 @@ def _cmd_analyze(args) -> int:
     result_rows: list[dict] = []
     notes: list[str] = []
     diag: dict = {"comparison": comparison, "schemes": {}}
-    failures = 0
     calib10 = procedures.get_omnibus_calibration(
         args.cache_dir, m=10, reps=args.calibration_reps, seed=args.seed
     )
@@ -98,83 +78,67 @@ def _cmd_analyze(args) -> int:
         if model_path:
             model = GrModel.load(model_path)
         else:
-            model = _attempt(fit_grm, data)
+            model = fit_grm(data)
             self_fitted = True
         if approx_path:
             approx = LinearLatentApprox.load(approx_path)
         else:
             # weighted-sum surrogate derived from the active model's EAP
             # scores on the analyzed data
-            approx = _attempt(lambda: fit_linear_latent_approx(
-                data, eap_scores(_ok(model), data.flatten_visits())
-            ))
+            approx = fit_linear_latent_approx(
+                data, eap_scores(model, data.flatten_visits())
+            )
             self_fitted = True
         if self_fitted:
             log.warning("%s scheme: %s", tag, SELF_FIT_CAVEAT)
             notes.append(f"{tag}: {SELF_FIT_CAVEAT}")
 
-        fits = _attempt(fit_marginals, data)
-        corr = _attempt(lambda: estimate_corr(data, _ok(fits)))
+        fits = fit_marginals(data)
+        corr = estimate_corr(data, fits)
         rng = RngStream(args.seed)
-        calls = {
-            "SumS": lambda: procedures.test_sum_score(data),
-            "IRT": lambda: procedures.test_irt(data, external_model=_ok(model)),
-            "LM": lambda: procedures.test_lm_approx(data, approx=_ok(approx)),
-            "OLS": lambda: procedures.test_obrien(
-                data, variant="OLS", fits=_ok(fits), corr=_ok(corr)),
-            "GLS": lambda: procedures.test_obrien(
-                data, variant="GLS", fits=_ok(fits), corr=_ok(corr)),
-            "GLS-drop": lambda: procedures.test_obrien(
-                data, variant="GLS-drop", fits=_ok(fits), corr=_ok(corr)),
-            "Bonf": lambda: procedures.test_bonferroni(data, fits=_ok(fits)),
-            "MaxT": lambda: procedures.test_maxt(
-                data, tol=args.maxt_tol, rng=rng, fits=_ok(fits), corr=_ok(corr)),
-            "Simes": lambda: procedures.test_simes_hommel(data, fits=_ok(fits)),
-            "Omnibus": lambda: procedures.test_omnibus(_ok(fits).p_vector, calib10),
-            "Omnibus-dom": lambda: procedures.test_omnibus_domains(data, calib=calib3),
+        outcomes = {
+            "SumS": procedures.test_sum_score(data),
+            "IRT": procedures.test_irt(data, external_model=model),
+            "LM": procedures.test_lm_approx(data, approx=approx),
+            "OLS": procedures.test_obrien(data, variant="OLS", fits=fits, corr=corr),
+            "GLS": procedures.test_obrien(data, variant="GLS", fits=fits, corr=corr),
+            "GLS-drop": procedures.test_obrien(data, variant="GLS-drop", fits=fits, corr=corr),
+            "Bonf": procedures.test_bonferroni(data, fits=fits),
+            "MaxT": procedures.test_maxt(data, tol=args.maxt_tol, rng=rng, fits=fits, corr=corr),
+            "Simes": procedures.test_simes_hommel(data, fits=fits),
+            "Omnibus": procedures.test_omnibus(fits.p_vector, calib10),
+            "Omnibus-dom": procedures.test_omnibus_domains(data, calib=calib3),
         }
-        outcomes = {}
         for method in METHODS:
-            o = outcomes[method] = _attempt(calls[method])
-            failed = isinstance(o, Exception)
-            if failed:
-                failures += 1
-                notes.append(f"{tag}: {method} failed: {type(o).__name__}: {o}")
+            o = outcomes[method]
             result_rows.append(
                 {
                     "comparison": comparison,
                     "scheme": tag,
                     "method": method,
-                    "statistic": None if failed else o.statistic,
-                    "p_one_sided": None if failed else o.p_one_sided,
+                    "statistic": o.statistic,
+                    "p_one_sided": o.p_one_sided,
                 }
             )
-        scheme_diag = {
+        gls = outcomes["GLS"]
+        diag["schemes"][tag] = {
             "n_treatment": int(data.arm.sum()),
             "n_control": int(data.n_subjects - data.arm.sum()),
-        }
-        gls, gls_drop = outcomes["GLS"], outcomes["GLS-drop"]
-        if not isinstance(gls, Exception):
-            scheme_diag["gls_weights"] = dict(zip(ITEM_COLUMNS, gls.weights.tolist()))
-        if not isinstance(gls_drop, Exception):
-            scheme_diag["gls_dropped_items"] = gls_drop.dropped_items
-        if not isinstance(approx, Exception):
-            scheme_diag["lm_weights"] = dict(zip(ITEM_COLUMNS, approx.weights.tolist()))
-            scheme_diag["lm_normalized_weights"] = dict(
+            "gls_weights": dict(zip(ITEM_COLUMNS, gls.weights.tolist())),
+            "gls_dropped_items": outcomes["GLS-drop"].dropped_items,
+            "lm_weights": dict(zip(ITEM_COLUMNS, approx.weights.tolist())),
+            "lm_normalized_weights": dict(
                 zip(ITEM_COLUMNS, approx.normalized_weights.tolist())
-            )
-            scheme_diag["lm_r_squared"] = approx.r_squared
-        if isinstance(fits, Exception):
-            notes.append(f"{tag}: descriptives_{tag}.csv not written (marginal fits failed)")
-        else:
-            scheme_diag["marginal_p"] = dict(zip(ITEM_COLUMNS, fits.p_vector.tolist()))
-            desc = reports.descriptive_table(data, fits)
-            reports.emit_report(
-                reports.TableDoc.from_dicts(desc, list(reports.DESCRIPTIVE_COLUMNS)),
-                "csv",
-                out / f"descriptives_{tag}.csv",
-            )
-        diag["schemes"][tag] = scheme_diag
+            ),
+            "lm_r_squared": approx.r_squared,
+            "marginal_p": dict(zip(ITEM_COLUMNS, fits.p_vector.tolist())),
+        }
+        desc = reports.descriptive_table(data, fits)
+        reports.emit_report(
+            reports.TableDoc.from_dicts(desc, list(reports.DESCRIPTIVE_COLUMNS)),
+            "csv",
+            out / f"descriptives_{tag}.csv",
+        )
 
     header = ["comparison", "scheme", "method", "statistic", "p_one_sided"]
     doc = reports.TableDoc.from_dicts(result_rows, header)
@@ -182,11 +146,7 @@ def _cmd_analyze(args) -> int:
     reports.emit_report(doc, "plain-table", out / "analysis_table.txt")
     full = {"results": result_rows, "notes": notes, "diagnostics": diag}
     (out / "analysis_results.json").write_text(json.dumps(full, indent=2), encoding="utf-8")
-    print(f"wrote {out / 'analysis_results.json'} ({len(result_rows) - failures} p-values)")
-    if failures:
-        print(f"numerical failure: {failures} of {len(result_rows)} methods failed; "
-              "see the notes in analysis_results.json", file=sys.stderr)
-        return 3
+    print(f"wrote {out / 'analysis_results.json'} ({len(result_rows)} p-values)")
     return 0
 
 
@@ -312,7 +272,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_FAILURES as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -450,10 +450,11 @@ def save_omnibus_calibration(calib: OmnibusCalibration, path: str | Path) -> Non
     """Write the calibration as an uncompressed .npz (".npz" is appended to a
     path without it, as numpy does).
 
-    The tables are sorted random doubles that deflate gains little on, and
+    The tables are sorted random doubles on which deflate gains little, and
     inflating them took most of an `analyze` call. The file is written next
-    to its target and renamed into place, so a killed or concurrent writer
-    never leaves a truncated file under the final name.
+    to its target, flushed to disk and renamed into place, so neither a
+    killed or concurrent writer nor a crash of the machine leaves a
+    truncated file under the final name.
     """
     path = Path(path)
     if path.suffix != ".npz":
@@ -471,6 +472,8 @@ def save_omnibus_calibration(calib: OmnibusCalibration, path: str | Path) -> Non
                 sorted_partial_stats=calib.sorted_partial_stats,
                 sorted_null_stats=calib.sorted_null_stats,
             )
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .marginal import MarginalFits, fit_marginals
+from .marginal import MarginalFits
 from .scales import ITEM_COLUMNS, ITEM_LABELS, N_ITEMS, ItemDataset, original_scheme
 
 log = logging.getLogger(__name__)
@@ -187,16 +187,14 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(np.mean(x)), sd / np.sqrt(n)
 
 
-def descriptive_table(data: ItemDataset, fits: MarginalFits | None = None) -> list[dict]:
+def descriptive_table(data: ItemDataset, fits: MarginalFits) -> list[dict]:
     """Per item x arm summary rows plus the marginal ANCOVA columns.
 
     Standard errors are sample sd / sqrt(n); the difference column is the
     within-subject week52 - baseline change. ANCOVA columns appear on
-    treatment rows only (the comparison against control). Pass the
-    marginal fits of `data` when they are at hand; otherwise they are fitted.
+    treatment rows only (the comparison against control), taken from
+    `fits`, the marginal fits of `data`.
     """
-    if fits is None:
-        fits = fit_marginals(data)
     rows = []
     for j in range(N_ITEMS):
         for arm_value, arm_name in ((1, "treatment"), (0, "control")):

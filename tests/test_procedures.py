@@ -3,6 +3,7 @@ closed-testing oracles for Hommel, dominance properties, omnibus
 calibration consistency, and MaxT's Bonferroni bound."""
 
 import itertools
+import os
 import zipfile
 from unittest import mock
 
@@ -433,6 +434,18 @@ class TestOmnibus:
             with pytest.raises(OSError, match="no space"):
                 save_omnibus_calibration(calib10, tmp_path / "calib.npz")
         assert list(tmp_path.iterdir()) == []
+
+    def test_save_syncs_the_whole_file_before_renaming(self, calib10, tmp_path):
+        path = tmp_path / "calib.npz"
+        synced = []
+
+        def fsync(fd):
+            assert not path.exists()
+            synced.append(os.fstat(fd).st_size)
+
+        with mock.patch("psprsim.procedures.os.fsync", side_effect=fsync):
+            save_omnibus_calibration(calib10, path)
+        assert synced == [path.stat().st_size]
 
     @pytest.mark.parametrize("damage", ["truncate", "empty", "missing-key"])
     def test_unreadable_cache_is_a_validation_error(self, tmp_path, damage):

