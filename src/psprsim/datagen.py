@@ -7,7 +7,8 @@ of their RngStream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -86,18 +87,29 @@ def builtin_scenarios() -> dict[str, EffectScenario]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscretizedMvnParams:
-    """20-dim mean/covariance: baseline items 1-10 then week-52 items 11-20."""
+    """20-dim mean/covariance: baseline items 1-10 then week-52 items 11-20.
+
+    Immutable: the arrays are read-only copies, and the covariance is
+    factored once here (``spec``), not on every generated replicate.
+    """
 
     mean20: np.ndarray
     cov20: np.ndarray
+    spec: MvnSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.mean20 = np.asarray(self.mean20, dtype=float)
-        self.cov20 = np.asarray(self.cov20, dtype=float)
-        if self.mean20.shape != (2 * N_ITEMS,) or self.cov20.shape != (2 * N_ITEMS, 2 * N_ITEMS):
+        mean20 = np.array(self.mean20, dtype=float)
+        cov20 = np.array(self.cov20, dtype=float)
+        if mean20.shape != (2 * N_ITEMS,) or cov20.shape != (2 * N_ITEMS, 2 * N_ITEMS):
             raise ValidationError("discretized-MVN parameters must be 20-dimensional")
+        spec = MvnSpec(mean20, cov20)
+        for a in (mean20, cov20, spec.factor()):
+            a.flags.writeable = False
+        object.__setattr__(self, "mean20", mean20)
+        object.__setattr__(self, "cov20", cov20)
+        object.__setattr__(self, "spec", spec)
 
     @classmethod
     def estimate(cls, pool: ItemDataset) -> "DiscretizedMvnParams":
@@ -110,8 +122,13 @@ def _discretize(x: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(x), SCORE_MIN, SCORE_MAX).astype(np.int64)
 
 
+@lru_cache(maxsize=16)
 def _make_ids(n: int, prefix: str = "S") -> np.ndarray:
-    return np.array([f"{prefix}{i:05d}" for i in range(2 * n)])
+    """Ids of 2n generated subjects, built once per (n, prefix) and shared
+    read-only by every replicate of that size."""
+    ids = np.array([f"{prefix}{i:05d}" for i in range(2 * n)])
+    ids.flags.writeable = False
+    return ids
 
 
 def gen_discretized_mvn(
@@ -124,11 +141,9 @@ def gen_discretized_mvn(
     if n < 2:
         raise ValidationError(f"need n >= 2 per group, got {n}")
     shift = np.concatenate([np.zeros(N_ITEMS), scenario.d])
-    control_spec = MvnSpec(params.mean20, params.cov20)
-    control = sample_mvn(control_spec, n, rng)
-    treat_spec = MvnSpec(params.mean20 - shift, params.cov20)
-    treat_spec._factor = control_spec.factor()  # same covariance, factor once
-    treated = sample_mvn(treat_spec, n, rng)
+    control = sample_mvn(params.spec, n, rng)
+    # same covariance and factor, shifted mean
+    treated = sample_mvn(replace(params.spec, mean=params.mean20 - shift), n, rng)
     scores = _discretize(np.vstack([control, treated]))
     return ItemDataset(
         ids=_make_ids(n),
@@ -341,8 +356,7 @@ def build_synthetic_reference(
     of the pool (bootstrap resampling, model fitting) ignores them."""
     config = config or ReferenceConfig()
     rng = rng or RngStream(0)
-    params = config.mvn_params()
-    spec = MvnSpec(params.mean20, params.cov20)
+    spec = config.mvn_params().spec
     lo, hi = config.severity_band
     chunks: list[np.ndarray] = []
     total = 0

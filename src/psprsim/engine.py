@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,23 @@ def derive_replicate_seeds(master: int, scenario_id: int, reps: np.ndarray) -> n
         )
         z += np.uint64(_GOLDEN) * (np.asarray(reps, dtype=np.uint64) + np.uint64(1))
     return mix64_array(z)
+
+
+def _check_fields(doc, cls, where: str) -> None:
+    """Reject a document that is not an object, or whose keys are not the
+    dataclass's fields, before it reaches the constructor."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValidationError(f"unknown {where} fields {unknown}; known: {sorted(known)}")
+    missing = sorted(
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in doc
+    )
+    if missing:
+        raise ValidationError(f"{where} is missing required fields {missing}")
 
 
 @dataclass
@@ -130,10 +147,12 @@ class StudyPlan:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "StudyPlan":
+        _check_fields(doc, cls, "plan")
         doc = dict(doc)
         pop = doc.pop("irt_population", None)
         plan = cls(**doc)
         if pop is not None:
+            _check_fields(pop, IrtPopulationParams, "irt_population")
             plan = replace(plan, irt_population=IrtPopulationParams(**pop))
         return plan
 
@@ -376,7 +395,12 @@ def resolve_workers(workers: int | None = None) -> int:
         return max(1, int(workers))
     env = os.environ.get(WORKER_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValidationError(
+                f"{WORKER_ENV_VAR} must be an integer worker count, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -445,6 +469,7 @@ def run_study(
     cache_dir: str | Path | None = None,
 ) -> PowerTable:
     """Run every scenario in the plan; rows come back in stable sorted order."""
+    workers = resolve_workers(workers)  # a bad worker count fails before the fit phase
     if aux is None:
         aux = prepare_auxiliaries(plan, cache_dir=cache_dir)
     table = PowerTable()

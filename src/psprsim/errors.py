@@ -18,7 +18,15 @@ class NumericalError(PsprsimError, RuntimeError):
 
 
 class SingularDesignError(NumericalError):
-    """Rank-deficient regression design matrix."""
+    """Rank-deficient regression design matrix.
+
+    Carries the index of the first singular column of a column block (0 for
+    a single fit) so callers can name the offending endpoint.
+    """
+
+    def __init__(self, message: str, column: int):
+        super().__init__(message)
+        self.column = column
 
 
 class DegenerateDataError(NumericalError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, SingularDesignError, ValidationError
-from .numkit import AncovaFit, fit_ancova
+from .numkit import AncovaFit, ancova_design, fit_ancova
 from .scales import ITEM_COLUMNS, N_ITEMS, ItemDataset
 
 SANDWICH_CORRECTION = "HC0"  # plain cross-products, no df adjustment
@@ -45,15 +45,14 @@ class CorrelationEstimate:
 
 
 def fit_marginals(data: ItemDataset) -> MarginalFits:
-    """Fit the per-item week52 ~ baseline + treatment ANCOVAs."""
-    fits: list[AncovaFit] = []
-    for j in range(N_ITEMS):
-        try:
-            fits.append(fit_ancova(data.week52[:, j], data.baseline[:, j], data.arm))
-        except SingularDesignError as exc:
-            raise SingularDesignError(
-                f"singular ANCOVA design for item {ITEM_COLUMNS[j]}: {exc}"
-            ) from exc
+    """Fit the per-item week52 ~ baseline + treatment ANCOVAs (one block)."""
+    try:
+        fits = fit_ancova(data.week52, data.baseline, data.arm)
+    except SingularDesignError as exc:
+        raise SingularDesignError(
+            f"singular ANCOVA design for item {ITEM_COLUMNS[exc.column]}: {exc}",
+            column=exc.column,
+        ) from exc
     t = np.array([f.t_value for f in fits])
     return MarginalFits(per_item=fits, t_vector=t, df_marginal=float(fits[0].df))
 
@@ -67,14 +66,14 @@ def sandwich_treatment_correlation(
     Works on float matrices so known-truth continuous oracles can exercise
     the estimator directly.
     """
-    n, m = residuals.shape
-    ones = np.ones(n)
-    e_treat = np.array([0.0, 0.0, 1.0])
-    H = np.empty((n, m))
-    for j in range(m):
-        X = np.column_stack([ones, baseline[:, j].astype(float), arm.astype(float)])
-        a = np.linalg.solve(X.T @ X, e_treat)
-        H[:, j] = (X @ a) * residuals[:, j]
+    m = residuals.shape[1]
+    # the (X_j'X_j) a_j = e_treat solves of all items as one stacked call;
+    # each item goes through the kernels a per-item loop would use
+    X = ancova_design(baseline, arm)
+    e_treat = np.zeros((m, 3, 1))
+    e_treat[:, 2] = 1.0
+    a = np.linalg.solve(X.transpose(0, 2, 1) @ X, e_treat)
+    H = np.ascontiguousarray(((X @ a)[:, :, 0] * residuals.T).T)
     V = H.T @ H
     d = np.sqrt(np.diag(V))
     if np.any(d <= 0):

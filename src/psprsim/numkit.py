@@ -13,6 +13,7 @@ a key, never by sharing generator state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,66 +127,100 @@ class AncovaFit:
     design_columns = ("intercept", "baseline", "treatment")
 
 
-def fit_ancova(outcome, baseline, arm) -> AncovaFit:
+def ancova_design(baseline: np.ndarray, arm: np.ndarray) -> np.ndarray:
+    """Stacked (m, n, 3) designs [intercept, baseline, treatment], one per
+    column of the (n, m) baseline block."""
+    n = baseline.shape[0]
+    X = np.empty((baseline.size // n, n, 3))
+    X[:, :, 0] = 1.0
+    X[:, :, 1] = baseline.reshape(n, -1).T
+    X[:, :, 2] = arm
+    return X
+
+
+def fit_ancova(outcome, baseline, arm) -> AncovaFit | list[AncovaFit]:
     """ANCOVA of outcome on baseline and a binary treatment indicator.
 
     Least squares via QR for conditioning. The treatment coefficient's t test
     (df = n - 3) gives the one-sided p-value under the benefit-negative
     convention.
+
+    ``outcome`` and ``baseline`` are either length-n vectors, giving one fit,
+    or (n, m) column blocks sharing ``arm``, giving a list of m fits. A block
+    runs as stacked LAPACK/BLAS calls on an (m, n, 3) design, each column
+    through the same QR, solve, matrix-vector and dot kernels as a vector
+    input, so column j equals the fit of that column alone bit for bit. A
+    rank-deficient column raises SingularDesignError carrying its index.
     """
     y = np.asarray(outcome, dtype=float)
     b = np.asarray(baseline, dtype=float)
     g = np.asarray(arm, dtype=float)
-    n = y.shape[0]
-    if b.shape[0] != n or g.shape[0] != n:
+    if y.ndim not in (1, 2) or b.shape != y.shape:
         raise ValidationError(
-            f"length mismatch: outcome {n}, baseline {b.shape[0]}, arm {g.shape[0]}"
+            f"outcome and baseline must be matching vectors or (n, m) blocks, "
+            f"got shapes {y.shape} and {b.shape}"
         )
+    n = y.shape[0]
+    if g.shape != (n,):
+        raise ValidationError(f"length mismatch: outcome {n}, arm {g.shape}")
     if n < 4:
         raise ValidationError(f"ANCOVA needs at least 4 subjects, got {n}")
-    uniq = np.unique(g)
-    if not np.all(np.isin(uniq, (0.0, 1.0))):
+    treated = g == 1.0
+    if not np.all(treated | (g == 0.0)):
         raise ValidationError("arm must be coded 0 (control) / 1 (treatment)")
-    if uniq.size < 2:
+    if treated.all() or not treated.any():
         raise ValidationError("both arms must be present")
 
-    X = np.column_stack([np.ones(n), b, g])
+    # one contiguous row per column: BLAS then sees every column as it sees a
+    # contiguous vector input, whatever the caller's layout
+    Y = np.ascontiguousarray(y.reshape(n, -1).T)
+    m = Y.shape[0]
+    X = ancova_design(b, g)
     Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    if np.any(diag < 1e-10 * max(diag.max(), 1.0)):
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    singular = np.any(diag < 1e-10 * np.maximum(diag.max(axis=1), 1.0)[:, None], axis=1)
+    if singular.any():
         raise SingularDesignError(
-            "ANCOVA design matrix is rank deficient (constant baseline?)"
+            "ANCOVA design matrix is rank deficient (constant baseline?)",
+            column=int(np.argmax(singular)),
         )
-    coef = np.linalg.solve(R, Q.T @ y)
-    resid = y - X @ coef
-    rss = float(resid @ resid)
+    # one gufunc call solves R coef = Q'y and, for (X'X)^-1 = R^-1 R^-T (only
+    # its treatment diagonal entry is needed), R' r = e_treat; each 3x3
+    # system is still its own LAPACK gesv
+    rhs = np.zeros((2 * m, 3, 1))
+    rhs[:m] = Q.transpose(0, 2, 1) @ Y[:, :, None]
+    rhs[m:, 2] = 1.0
+    sol = np.linalg.solve(np.concatenate([R, R.transpose(0, 2, 1)]), rhs)
+    coef, rinv_row = sol[:m], sol[m:]
+    resid = Y - (X @ coef)[:, :, 0]
+    rss = (resid[:, None, :] @ resid[:, :, None]).ravel().tolist()
+    yy = (Y[:, None, :] @ Y[:, :, None]).ravel().tolist()
+    var_unit = (rinv_row.transpose(0, 2, 1) @ rinv_row).ravel().tolist()
     df = n - 3
-    coef_t = float(coef[2])
-    scale = 1.0 + float(y @ y)
-    if rss <= 1e-20 * scale:
-        # perfect fit: zero residuals force se = 0; a (numerically) zero
-        # coefficient is then an exact null result, a nonzero one is
-        # infinitely significant
-        se = 0.0
-        t = 0.0 if abs(coef_t) <= 1e-8 * np.sqrt(scale) else float(np.sign(coef_t)) * np.inf
-    else:
-        sigma2 = rss / df
-        # (X'X)^-1 = R^-1 R^-T; only the treatment diagonal entry is needed
-        rinv_row = np.linalg.solve(R.T, np.eye(3)[:, 2])
-        var_unit = float(rinv_row @ rinv_row)
-        se = float(np.sqrt(sigma2 * var_unit))
-        t = coef_t / se
-    if np.isinf(t):
-        p = 0.0 if t < 0 else 1.0
-    else:
-        p = student_t_cdf(t, df)
-    return AncovaFit(
-        coef_treatment=coef_t,
-        se=se,
-        t_value=t,
-        df=float(df),
-        p_one_sided=p,
-        residuals=resid,
-        coef_intercept=float(coef[0]),
-        coef_baseline=float(coef[1]),
-    )
+    fits = []
+    for j, (c0, c1, coef_t) in enumerate(coef[:, :, 0].tolist()):
+        scale = 1.0 + yy[j]
+        if rss[j] <= 1e-20 * scale:
+            # perfect fit: zero residuals force se = 0; a (numerically) zero
+            # coefficient is then an exact null result, a nonzero one is
+            # infinitely significant
+            se = 0.0
+            t = 0.0 if abs(coef_t) <= 1e-8 * math.sqrt(scale) else math.copysign(math.inf, coef_t)
+        else:
+            se = math.sqrt(rss[j] / df * var_unit[j])
+            t = coef_t / se
+        if math.isinf(t):
+            p = 0.0 if t < 0 else 1.0
+        else:
+            p = student_t_cdf(t, df)
+        fits.append(AncovaFit(
+            coef_treatment=coef_t,
+            se=se,
+            t_value=t,
+            df=float(df),
+            p_one_sided=p,
+            residuals=resid[j],
+            coef_intercept=c0,
+            coef_baseline=c1,
+        ))
+    return fits[0] if y.ndim == 1 else fits

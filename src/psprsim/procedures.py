@@ -541,13 +541,10 @@ def test_omnibus(pvalues, calib: OmnibusCalibration) -> TestOutcome:
 
 def domain_pvalues(data: ItemDataset) -> np.ndarray:
     """One ANCOVA p-value per domain sum score (History, Bulbar, Gait/Midline)."""
-    p = np.empty(len(DOMAINS))
-    for i, idx in enumerate(DOMAINS.values()):
-        cols = list(idx)
-        base = data.baseline[:, cols].sum(axis=1).astype(float)
-        week = data.week52[:, cols].sum(axis=1).astype(float)
-        p[i] = fit_ancova(week, base, data.arm).p_one_sided
-    return p
+    cols = [list(idx) for idx in DOMAINS.values()]
+    base = np.column_stack([data.baseline[:, c].sum(axis=1) for c in cols]).astype(float)
+    week = np.column_stack([data.week52[:, c].sum(axis=1) for c in cols]).astype(float)
+    return np.array([f.p_one_sided for f in fit_ancova(week, base, data.arm)])
 
 
 def test_omnibus_domains(

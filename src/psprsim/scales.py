@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -56,13 +57,17 @@ FDA = "fda"
 
 @dataclass(frozen=True)
 class ScoringScheme:
-    """Per-item monotone surjective maps from raw levels onto collapsed ones."""
+    """Per-item monotone surjective maps from raw levels onto collapsed ones.
+
+    Immutable (the maps are a read-only copy), so one instance can be shared
+    by every dataset and replicate.
+    """
 
     name: str
     collapse_maps: np.ndarray  # (N_ITEMS, RAW_LEVELS) int
 
     def __post_init__(self):
-        maps = np.asarray(self.collapse_maps, dtype=np.int64)
+        maps = np.array(self.collapse_maps, dtype=np.int64)
         if maps.shape != (N_ITEMS, RAW_LEVELS):
             raise ValidationError(
                 f"collapse maps must be {N_ITEMS}x{RAW_LEVELS}, got {maps.shape}"
@@ -76,6 +81,7 @@ class ScoringScheme:
                     f"{ITEM_COLUMNS[i]}: map must be monotone and onto "
                     f"(steps of 0 or 1), got {row.tolist()}"
                 )
+        maps.flags.writeable = False
         object.__setattr__(self, "collapse_maps", maps)
 
     @property
@@ -87,6 +93,7 @@ class ScoringScheme:
         return bool(np.all(self.collapse_maps == np.arange(RAW_LEVELS)))
 
 
+@lru_cache(maxsize=None)
 def original_scheme() -> ScoringScheme:
     maps = np.tile(np.arange(RAW_LEVELS), (N_ITEMS, 1))
     return ScoringScheme(ORIGINAL, maps)
@@ -109,8 +116,10 @@ def _scheme_from_doc(doc: dict, source: str) -> ScoringScheme:
     return ScoringScheme(name, maps)
 
 
+@lru_cache(maxsize=None)
 def fda_scheme() -> ScoringScheme:
-    """The bundled default FDA collapse maps (see configs/fda_collapse.json).
+    """The bundled default FDA collapse maps (see configs/fda_collapse.json),
+    read once per process.
 
     The exact recommended collapse table is not public; the bundled default
     is NON-AUTHORITATIVE and meant to be replaced by a site-specific config.

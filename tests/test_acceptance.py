@@ -25,6 +25,9 @@ from psprsim.procedures import (
     simes_global,
 )
 
+# minutes of simulation: deselect with `pytest -m "not slow"` for a quick loop
+pytestmark = pytest.mark.slow
+
 ALPHA = 0.025
 MASTER = 20_260_811
 

@@ -78,6 +78,46 @@ class TestSchemes:
         assert counts.min() >= 2 and counts.max() == 5
 
 
+class TestSharedReadOnly:
+    """Schemes, generated ids and the MVN factor are built once and shared,
+    so writing into them must fail instead of corrupting later replicates."""
+
+    def test_shared_schemes_are_cached_and_read_only(self):
+        for tag in ("original", "fda"):
+            scheme = get_scheme(tag)
+            assert get_scheme(tag) is scheme
+            with pytest.raises(ValueError):
+                scheme.collapse_maps[0, 0] = 1
+
+    def test_scheme_does_not_freeze_callers_maps(self):
+        maps = np.tile(np.arange(5, dtype=np.int64), (N_ITEMS, 1))
+        ps.ScoringScheme("mine", maps)
+        maps[0, 1] = 0  # the caller's array stays writable
+        assert maps.flags.writeable
+
+    def test_generated_ids_shared_and_read_only(self, reference_pool, grm_model):
+        params = ps.DiscretizedMvnParams.estimate(reference_pool)
+        scen = ps.builtin_scenarios()
+        a = ps.gen_discretized_mvn(params, scen["d0"], 20, ps.RngStream(1))
+        b = ps.gen_discretized_mvn(params, scen["d3"], 20, ps.RngStream(2))
+        assert a.ids is b.ids
+        boot = ps.gen_bootstrap(reference_pool, scen["d1"], 20, ps.RngStream(3))
+        irt = ps.gen_irt_longitudinal(ps.IrtPopulationParams(), grm_model, 0.6, 20,
+                                      ps.RngStream(4))
+        for data, first in ((a, "S00000"), (boot, "B00000"), (irt, "I00000")):
+            assert data.ids[0] == first and len(data.ids) == 40
+            with pytest.raises(ValueError):
+                data.ids[0] = "X"
+
+    def test_mvn_params_factor_once_and_read_only(self, reference_pool):
+        params = ps.DiscretizedMvnParams.estimate(reference_pool)
+        F = params.spec.factor()
+        assert np.array_equal(F, ps.cholesky(params.cov20))
+        for a in (params.mean20, params.cov20, F):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
 class TestDiscretizedMvn:
     def test_rounding_and_trimming_rule(self):
         assert np.array_equal(_discretize(np.array([3.6, 4.7, -0.3])), [4, 4, 0])

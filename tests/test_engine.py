@@ -82,6 +82,18 @@ class TestStudyPlan:
         with pytest.raises(ValidationError):
             StudyPlan(generator="mvn", scenarios=["d99"]).resolve_scenarios()
 
+    def test_unknown_fields_rejected(self):
+        with pytest.raises(ValidationError, match="n_rep"):
+            StudyPlan.from_doc({"generator": "mvn", "n_rep": 100})
+        with pytest.raises(ValidationError, match="slope_men"):
+            StudyPlan.from_doc({"generator": "irt", "irt_population": {"slope_men": 0.5}})
+        with pytest.raises(ValidationError, match="JSON object"):
+            StudyPlan.from_doc(["mvn"])
+        with pytest.raises(ValidationError, match="irt_population must be a JSON object"):
+            StudyPlan.from_doc({"generator": "irt", "irt_population": 3})
+        with pytest.raises(ValidationError, match="generator"):
+            StudyPlan.from_doc({"n_reps": 100})
+
     def test_inline_scenarios(self):
         plan = StudyPlan(
             generator="mvn",
@@ -233,6 +245,13 @@ class TestWorkerResolution:
         assert resolve_workers(5) == 5  # explicit argument wins
         monkeypatch.delenv(WORKER_ENV_VAR)
         assert resolve_workers(None) >= 1
+
+    def test_non_integer_env_var_rejected(self, monkeypatch):
+        from psprsim.engine import WORKER_ENV_VAR, resolve_workers
+
+        monkeypatch.setenv(WORKER_ENV_VAR, "two")
+        with pytest.raises(ValidationError, match=WORKER_ENV_VAR):
+            resolve_workers(None)
 
 
 class TestGeneratorDispatch:

@@ -28,6 +28,48 @@ def random_dataset(n=60, seed=0):
     return make_dataset(baseline, week52, arm)
 
 
+PINNED_T_HEX = [
+    "0x1.2525fe421daacp+0", "-0x1.4f818c80aa44fp-3", "0x1.240f3b5e7561ap-1",
+    "-0x1.69a3a9ab6368ap-1", "0x1.daeec4536ca5cp-3", "-0x1.0f338777450c5p+0",
+    "0x1.57da134baa6e5p+0", "-0x1.024318fc3deedp-1", "-0x1.81952f5552dbdp-5",
+    "-0x1.e39186a746d5ap-3",
+]
+PINNED_R_HEX = [
+    "0x1.06b337f568260p-1", "0x1.2d95e9edc56b3p-1", "0x1.c95be406ef523p-2",
+    "0x1.ffd6ea4bf0870p-2", "0x1.04d423cb7cbddp-1", "0x1.0dcdcc9ae57bbp-1",
+    "0x1.ff3c86c45a75ep-2", "0x1.de91574f93babp-2", "0x1.2735d92be13c9p-1",
+    "0x1.1e02949e51339p-1", "0x1.dedf88b5264d2p-2", "0x1.e0bfa13e35359p-2",
+    "0x1.28ab6a3b0bb48p-1", "0x1.07432efad2b47p-1", "0x1.09fcf6140b766p-1",
+    "0x1.04cd9780df872p-1", "0x1.0af653d98cde2p-1", "0x1.04dc452d483f0p-1",
+    "0x1.17df6fee03dbfp-1", "0x1.11ce33fc18755p-1", "0x1.2125a2feebabdp-1",
+    "0x1.1999d2b2be946p-1", "0x1.3e833f427da52p-1", "0x1.305e7506d7f31p-1",
+    "0x1.1e77f12004c6fp-1", "0x1.dc7ef521b3d86p-2", "0x1.1f0af452fdb2bp-1",
+    "0x1.f3bb63daf1de5p-2", "0x1.140e78bb4ca74p-1", "0x1.0073834abafe4p-1",
+    "0x1.090ea5575ca25p-1", "0x1.1ea87c5b67872p-1", "0x1.07f9b41f4d9c8p-1",
+    "0x1.e0e403656a293p-2", "0x1.2760cf5d88954p-1", "0x1.fe2ed176ac7a7p-2",
+    "0x1.072ccf3d4402cp-1", "0x1.21fa8034a6f48p-1", "0x1.53d54d9a3dd4cp-1",
+    "0x1.2b23a7251b7d0p-1", "0x1.31602f4b9aff9p-1", "0x1.359c5fcd274f8p-1",
+    "0x1.14011a000f2b5p-1", "0x1.39dee21f52403p-1", "0x1.2e6058a8656b5p-1",
+]
+
+
+def per_item_sandwich(baseline, arm, residuals):
+    """Reference: the sandwich correlation built one item at a time."""
+    n, m = residuals.shape
+    ones = np.ones(n)
+    e_treat = np.array([0.0, 0.0, 1.0])
+    H = np.empty((n, m))
+    for j in range(m):
+        X = np.column_stack([ones, baseline[:, j].astype(float), arm.astype(float)])
+        a = np.linalg.solve(X.T @ X, e_treat)
+        H[:, j] = (X @ a) * residuals[:, j]
+    V = H.T @ H
+    d = np.sqrt(np.diag(V))
+    R = V / np.outer(d, d)
+    np.fill_diagonal(R, 1.0)
+    return R
+
+
 class TestFitMarginals:
     def test_no_change_gives_zero_t(self):
         rng = np.random.default_rng(1)
@@ -55,6 +97,24 @@ class TestFitMarginals:
         with pytest.raises(SingularDesignError, match="item26"):
             ps.fit_marginals(bad)
 
+    def test_first_of_two_singular_items_named(self):
+        data = random_dataset(seed=4)
+        baseline = data.baseline.copy()
+        baseline[:, 3] = 1  # item12
+        baseline[:, 7] = 2  # item26
+        bad = make_dataset(baseline, data.week52, data.arm)
+        with pytest.raises(SingularDesignError, match="item12") as info:
+            ps.fit_marginals(bad)
+        assert info.value.column == 3
+
+    def test_pinned_bits(self, two_arm_dataset):
+        # float-hex bits of the per-item t-values and the sandwich
+        # correlation's upper triangle, as the per-item fitting loop gave them
+        fits = ps.fit_marginals(two_arm_dataset)
+        assert [t.hex() for t in fits.t_vector] == PINNED_T_HEX
+        R = ps.estimate_corr(two_arm_dataset, fits).R
+        assert [r.hex() for r in R[np.triu_indices(N_ITEMS, 1)]] == PINNED_R_HEX
+
     def test_arm_symmetric_duplicate_is_exact_zero(self):
         rng = np.random.default_rng(5)
         n = 30
@@ -71,6 +131,23 @@ class TestFitMarginals:
 
 
 class TestEstimateCorr:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_matches_per_item_loop(self, seed):
+        data = random_dataset(n=40 + 7 * seed, seed=100 + seed)
+        fits = ps.fit_marginals(data)
+        residuals = np.column_stack([f.residuals for f in fits.per_item])
+        R = sandwich_treatment_correlation(data.baseline, data.arm, residuals)
+        assert np.array_equal(R, per_item_sandwich(data.baseline, data.arm, residuals))
+
+    def test_stacked_matches_per_item_loop_on_floats(self):
+        rng = np.random.default_rng(13)
+        n, m = 90, 5
+        arm = (np.arange(n) % 2).astype(float)
+        baseline = rng.normal(0, 1, size=(n, m))
+        residuals = rng.normal(0, 1, size=(n, m))
+        R = sandwich_treatment_correlation(baseline, arm, residuals)
+        assert np.array_equal(R, per_item_sandwich(baseline, arm, residuals))
+
     def test_duplicated_item_perfectly_correlated(self):
         data = random_dataset(seed=6)
         baseline = data.baseline.copy()

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
 import psprsim as ps
@@ -98,6 +99,78 @@ class TestFitAncova:
             y = 0.5 * b + rng.normal(0, 1, n)
             pvals[i] = ps.fit_ancova(y, b, g).p_one_sided
         assert stats.kstest(pvals, "uniform").pvalue > 0.001
+
+
+def _fit_fields(fit):
+    return (fit.coef_treatment, fit.se, fit.t_value, fit.df, fit.p_one_sided,
+            fit.coef_intercept, fit.coef_baseline)
+
+
+@st.composite
+def ancova_blocks(draw):
+    """(outcome, baseline, arm) blocks with n >= 4, 1..16 columns, integer
+    scores or floats, some outcome columns constant (perfect fits)."""
+    n = draw(st.integers(4, 40))
+    m = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        elements = st.integers(0, 4).map(float)
+    else:
+        elements = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    baseline = draw(hnp.arrays(np.float64, (n, m), elements=elements))
+    outcome = draw(hnp.arrays(np.float64, (n, m), elements=elements))
+    constant = draw(hnp.arrays(np.bool_, m))
+    outcome[:, constant] = 2.0
+    arm = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1)))
+    assume(0 < arm.sum() < n)
+    return outcome, baseline, arm
+
+
+class TestFitAncovaBlocks:
+    @given(ancova_blocks())
+    def test_column_equals_single_fit_bit_for_bit(self, block):
+        outcome, baseline, arm = block
+        try:
+            fits = ps.fit_ancova(outcome, baseline, arm)
+        except SingularDesignError as exc:
+            # the columns before the named one fit, the named one is singular
+            for j in range(exc.column):
+                ps.fit_ancova(outcome[:, j], baseline[:, j], arm)
+            with pytest.raises(SingularDesignError):
+                ps.fit_ancova(outcome[:, exc.column], baseline[:, exc.column], arm)
+            return
+        assert len(fits) == outcome.shape[1]
+        for j, fit in enumerate(fits):
+            single = ps.fit_ancova(outcome[:, j], baseline[:, j], arm)
+            assert np.array_equal(_fit_fields(fit), _fit_fields(single), equal_nan=True)
+            assert np.array_equal(fit.residuals, single.residuals)
+
+    def test_vector_input_gives_one_fit(self):
+        y = np.array([1.0, 2, 3, 4, 2, 3])
+        fit = ps.fit_ancova(y, y, np.array([0, 0, 0, 1, 1, 1]))
+        assert isinstance(fit, ps.AncovaFit)
+        block = ps.fit_ancova(y[:, None], y[:, None], np.array([0, 0, 0, 1, 1, 1]))
+        assert len(block) == 1 and _fit_fields(block[0]) == _fit_fields(fit)
+
+    def test_first_singular_column_named(self):
+        rng = np.random.default_rng(4)
+        arm = np.r_[np.zeros(10), np.ones(10)]
+        baseline = rng.normal(size=(20, 6))
+        baseline[:, 2] = 1.0
+        baseline[:, 5] = -3.0
+        with pytest.raises(SingularDesignError) as info:
+            ps.fit_ancova(rng.normal(size=(20, 6)), baseline, arm)
+        assert info.value.column == 2
+
+    def test_block_shape_mismatch_rejected(self):
+        arm = np.r_[0, 0, 0, 1, 1, 1]
+        with pytest.raises(ValidationError):
+            ps.fit_ancova(np.zeros((6, 3)), np.zeros((6, 2)), arm)
+        with pytest.raises(ValidationError):
+            ps.fit_ancova(np.zeros((6, 3)), np.zeros(6), arm)
+        with pytest.raises(ValidationError):
+            ps.fit_ancova(np.zeros((6, 3, 1)), np.zeros((6, 3, 1)), arm)
+        with pytest.raises(ValidationError):
+            ps.fit_ancova(np.zeros((6, 3)), np.zeros((6, 3)), arm[:5])
 
 
 class TestStudentT:

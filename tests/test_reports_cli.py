@@ -320,6 +320,26 @@ class TestCli:
         assert text.startswith("generator,scenario,scheme,method")
         assert len(text.strip().splitlines()) == 3  # header + 2 rows
 
+    def test_plan_with_unknown_field_exit_code(self, tmp_path, capsys):
+        for doc, name in (({"generator": "mvn", "n_rep": 100}, "n_rep"),
+                          ({"generator": "irt", "irt_population": {"rho": 0.5}}, "rho"),
+                          (["mvn"], "JSON object")):
+            plan_path = tmp_path / "plan.json"
+            plan_path.write_text(json.dumps(doc))
+            rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert name in capsys.readouterr().err
+
+    def test_non_integer_worker_env_exit_code(self, tmp_path, monkeypatch, capsys):
+        plan = ps.StudyPlan(generator="mvn", scenarios=["d0"], schemes=["original"],
+                            methods=["SumS"], n_reps=100, calibration_reps=1000)
+        plan_path = tmp_path / "plan.json"
+        plan.save(plan_path)
+        monkeypatch.setenv("PSPRSIM_WORKERS", "two")
+        rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "PSPRSIM_WORKERS" in capsys.readouterr().err
+
     def test_validation_exit_code(self, reference_csv, tmp_path):
         rc = main(["analyze", str(reference_csv), "--arm-a", "nope", "--arm-b", "placebo",
                    "--out", str(tmp_path / "x"), "--calibration-reps", "2000"])
