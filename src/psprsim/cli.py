@@ -15,13 +15,12 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import engine, procedures, reports
 from .datagen import ReferenceConfig, build_synthetic_reference
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .irt import GrModel, LinearLatentApprox, eap_scores, fit_grm, fit_linear_latent_approx
-from .marginal import estimate_corr, fit_marginals
+# unused here, but perfbench/tracing.py patches these names
+from .marginal import estimate_corr, fit_marginals  # noqa: F401
 from .numkit import RngStream
 from .scales import ITEM_COLUMNS, apply_rescoring, ensure_scheme, get_scheme, load_scheme
 from .procedures import METHODS
@@ -50,8 +49,6 @@ def _cmd_simulate(args) -> int:
     plan.save(out / "plan_echo.json")
     print(f"wrote {out / 'power_table.csv'} ({len(table.rows)} rows)")
     return 0
-
-
 
 
 def _cmd_analyze(args) -> int:
@@ -93,38 +90,22 @@ def _cmd_analyze(args) -> int:
             log.warning("%s scheme: %s", tag, SELF_FIT_CAVEAT)
             notes.append(f"{tag}: {SELF_FIT_CAVEAT}")
 
-        fits = fit_marginals(data)
-        corr = estimate_corr(data, fits)
-        rng = RngStream(args.seed)
-        outcomes = {
-            "SumS": procedures.test_sum_score(data),
-            "IRT": procedures.test_irt(data, external_model=model),
-            "LM": procedures.test_lm_approx(data, approx=approx),
-            "OLS": procedures.test_obrien(data, variant="OLS", fits=fits, corr=corr),
-            "GLS": procedures.test_obrien(data, variant="GLS", fits=fits, corr=corr),
-            "GLS-drop": procedures.test_obrien(data, variant="GLS-drop", fits=fits, corr=corr),
-            "Bonf": procedures.test_bonferroni(data, fits=fits),
-            "MaxT": procedures.test_maxt(data, tol=args.maxt_tol, rng=rng, fits=fits, corr=corr),
-            "Simes": procedures.test_simes_hommel(data, fits=fits),
-            "Omnibus": procedures.test_omnibus(fits.p_vector, calib10),
-            "Omnibus-dom": procedures.test_omnibus_domains(data, calib=calib3),
-        }
-        for method in METHODS:
-            o = outcomes[method]
-            result_rows.append(
-                {
-                    "comparison": comparison,
-                    "scheme": tag,
-                    "method": method,
-                    "statistic": o.statistic,
-                    "p_one_sided": o.p_one_sided,
-                }
-            )
-        gls = outcomes["GLS"]
+        ctx = engine.MethodContext(
+            data=data, grm=model, approx=approx, calib_items=calib10, calib_domains=calib3,
+            maxt_tol=args.maxt_tol, rng=RngStream(args.seed),
+        )
+        outcomes = {}
+        for method, o in zip(METHODS, engine.run_methods(ctx, METHODS)):
+            if isinstance(o, Exception):
+                raise o
+            outcomes[method] = o
+            result_rows.append({"comparison": comparison, "scheme": tag, "method": method,
+                                "statistic": o.statistic, "p_one_sided": o.p_one_sided})
+        fits = ctx.fits
         diag["schemes"][tag] = {
             "n_treatment": int(data.arm.sum()),
             "n_control": int(data.n_subjects - data.arm.sum()),
-            "gls_weights": dict(zip(ITEM_COLUMNS, gls.weights.tolist())),
+            "gls_weights": dict(zip(ITEM_COLUMNS, outcomes["GLS"].weights.tolist())),
             "gls_dropped_items": outcomes["GLS-drop"].dropped_items,
             "lm_weights": dict(zip(ITEM_COLUMNS, approx.weights.tolist())),
             "lm_normalized_weights": dict(
@@ -272,7 +253,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except engine.METHOD_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -12,6 +12,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .datagen import (
 )
 from .errors import NumericalError, ValidationError
 from .irt import GrModel, LinearLatentApprox, eap_scores, fit_grm, fit_linear_latent_approx
-from .marginal import estimate_corr, fit_marginals
+from .marginal import CorrelationEstimate, MarginalFits, estimate_corr, fit_marginals
 from .numkit import RngStream, mix64, mix64_array, _GOLDEN, _MASK64
 from .procedures import (
     METHODS,
@@ -49,10 +50,6 @@ from .scales import DOMAINS, ItemDataset, ScoringScheme, ensure_scheme, get_sche
 
 WORKER_ENV_VAR = "PSPRSIM_WORKERS"
 GENERATORS = ("mvn", "bootstrap", "irt")
-
-_FITS_METHODS = frozenset({"OLS", "GLS", "GLS-drop", "Bonf", "Simes", "Omnibus", "MaxT"})
-_CORR_METHODS = frozenset({"OLS", "GLS", "GLS-drop", "MaxT"})
-
 
 def derive_replicate_seed(master: int, scenario_id: int, rep: int) -> int:
     """Collision-resistant 64-bit seed for one replicate (splitmix64 chain)."""
@@ -284,6 +281,63 @@ def _generate(plan: StudyPlan, scenario: EffectScenario, aux: StudyAuxiliaries,
                                 scenario.rho, plan.n_per_group, rng)
 
 
+# Lambdas, so that each call looks up the test_* functions in this module's
+# globals, where perfbench/tracing.py and the tests patch them.
+METHOD_TABLE = {
+    "SumS": lambda c: test_sum_score(c.data),
+    "IRT": lambda c: test_irt(c.data, external_model=c.grm),
+    "LM": lambda c: test_lm_approx(c.data, approx=c.approx),
+    "OLS": lambda c: test_obrien(c.data, variant="OLS", fits=c.fits, corr=c.corr),
+    "GLS": lambda c: test_obrien(c.data, variant="GLS", fits=c.fits, corr=c.corr),
+    "GLS-drop": lambda c: test_obrien(c.data, variant="GLS-drop", fits=c.fits, corr=c.corr),
+    "Bonf": lambda c: test_bonferroni(c.data, fits=c.fits),
+    "MaxT": lambda c: test_maxt(c.data, tol=c.maxt_tol, rng=c.rng, fits=c.fits,
+                                corr=c.corr, alpha=c.alpha),
+    "Simes": lambda c: test_simes_hommel(c.data, fits=c.fits),
+    "Omnibus": lambda c: test_omnibus(c.fits.p_vector, c.calib_items),
+    "Omnibus-dom": lambda c: test_omnibus_domains(c.data, calib=c.calib_domains),
+}
+
+# what a method may raise on degenerate data: a counted failure, never a rejection
+METHOD_ERRORS = (NumericalError, np.linalg.LinAlgError)
+
+
+@dataclass
+class MethodContext:
+    """What the procedures read for one dataset in one scoring scheme. alpha
+    is simulate's decision level for MaxT, None (analyze) a full-precision p;
+    the marginal fits and their correlation are computed on first use."""
+
+    data: ItemDataset
+    grm: GrModel
+    approx: LinearLatentApprox
+    calib_items: OmnibusCalibration
+    calib_domains: OmnibusCalibration
+    maxt_tol: float
+    rng: RngStream
+    alpha: float | None = None
+
+    @cached_property
+    def fits(self) -> MarginalFits:
+        return fit_marginals(self.data)
+
+    @cached_property
+    def corr(self) -> CorrelationEstimate:
+        return estimate_corr(self.data, self.fits)
+
+
+def run_methods(ctx: MethodContext, methods) -> list:
+    """Each method's TestOutcome, or the METHOD_ERRORS exception it raised,
+    in the order of `methods`."""
+    out = []
+    for method in methods:
+        try:
+            out.append(METHOD_TABLE[method](ctx))
+        except METHOD_ERRORS as exc:
+            out.append(exc)
+    return out
+
+
 def run_single_replicate(
     plan: StudyPlan,
     scenario: EffectScenario,
@@ -304,51 +358,19 @@ def run_single_replicate(
     failed = np.zeros((n_s, n_m), dtype=np.int8)
     messages: list[str] = []
     for si, tag in enumerate(plan.schemes):
-        data = ensure_scheme(data0, aux.schemes[tag])
-        rng = base.child(1 + si)
-        cache: dict[str, object] = {}
-
-        def get_fits():
-            if "fits" not in cache:
-                cache["fits"] = fit_marginals(data)
-            return cache["fits"]
-
-        def get_corr():
-            if "corr" not in cache:
-                cache["corr"] = estimate_corr(data, get_fits())
-            return cache["corr"]
-
-        for mi, method in enumerate(plan.methods):
-            try:
-                if method == "SumS":
-                    out = test_sum_score(data)
-                elif method == "IRT":
-                    out = test_irt(data, external_model=aux.grm[tag])
-                elif method == "LM":
-                    out = test_lm_approx(data, approx=aux.approx[tag])
-                elif method in ("OLS", "GLS", "GLS-drop"):
-                    out = test_obrien(data, variant=method,
-                                      fits=get_fits(), corr=get_corr())
-                elif method == "Bonf":
-                    out = test_bonferroni(data, fits=get_fits())
-                elif method == "Simes":
-                    out = test_simes_hommel(data, fits=get_fits())
-                elif method == "MaxT":
-                    out = test_maxt(data, tol=plan.maxt_tol, rng=rng,
-                                    fits=get_fits(), corr=get_corr(), alpha=plan.alpha)
-                elif method == "Omnibus":
-                    out = test_omnibus(get_fits().p_vector, aux.calib_items)
-                elif method == "Omnibus-dom":
-                    out = test_omnibus_domains(data, calib=aux.calib_domains)
-                else:  # pragma: no cover - plan validation rejects these
-                    raise ValidationError(f"unknown method {method!r}")
-            except (NumericalError, np.linalg.LinAlgError) as exc:
-                # conservative: failures never count as rejections
+        ctx = MethodContext(
+            data=ensure_scheme(data0, aux.schemes[tag]), grm=aux.grm[tag],
+            approx=aux.approx[tag], calib_items=aux.calib_items,
+            calib_domains=aux.calib_domains, maxt_tol=plan.maxt_tol,
+            rng=base.child(1 + si), alpha=plan.alpha,
+        )
+        for mi, (method, out) in enumerate(zip(plan.methods, run_methods(ctx, plan.methods))):
+            if isinstance(out, Exception):
                 failed[si, mi] = 1
                 if len(messages) < 20:
-                    messages.append(f"{method}/{tag}/rep={rep}: {exc}")
-                continue
-            rejected[si, mi] = 1 if out.p_one_sided <= plan.alpha else 0
+                    messages.append(f"{method}/{tag}/rep={rep}: {out}")
+            else:
+                rejected[si, mi] = 1 if out.p_one_sided <= plan.alpha else 0
     return rejected, failed, messages
 
 

@@ -1,6 +1,9 @@
 """Engine tests: seed derivation statistics, plan round trips, failure
 accounting, and the worker-count / re-run determinism contract."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from psprsim.engine import (
     run_study,
 )
 from psprsim.errors import NumericalError, ValidationError
+from psprsim.procedures import METHODS
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +156,38 @@ class TestDeterminism:
         t1 = run_study(small_plan, aux=aux, workers=2)
         t2 = run_study(small_plan, aux=aux, workers=2)
         assert t1.to_csv_text() == t2.to_csv_text()
+
+
+class TestMethodTable:
+    def test_one_entry_per_method_in_order(self):
+        import psprsim.engine as eng
+
+        assert tuple(eng.METHOD_TABLE) == METHODS
+
+    def test_tracer_call_sites_exist_and_are_restored(self, small_plan, aux):
+        # perfbench/tracing.py wraps functions at the module attributes their
+        # callers look up; a refactor that drops one of those names must fail
+        # here, and every patched attribute must be restored afterwards
+        from psprsim import cli, engine, irt, marginal, procedures, reports
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        modules = dict(engine=engine, cli=cli, procedures=procedures,
+                       marginal=marginal, reports=reports, irt=irt)
+        owners = [*modules.values(), irt.GrModel, irt.LinearLatentApprox]
+        before = [dict(vars(owner)) for owner in owners]
+        tracer = tracing.Tracer()
+        with tracer.installed(modules):
+            assert engine.test_sum_score is not before[0]["test_sum_score"]
+            engine.run_single_replicate(small_plan, small_plan.resolve_scenarios()[0], 0, 3, aux)
+        for owner, attrs in zip(owners, before):
+            assert {k: v for k, v in vars(owner).items() if k in attrs} == attrs, owner
+        names = set(tracer.names)
+        assert {f"procedures.{m}" for m in METHODS} <= names
+        assert {"marginal.fit_marginals", "marginal.estimate_corr",
+                "numkit.fit_ancova"} <= names
 
 
 class TestFailureAccounting:
