@@ -377,16 +377,15 @@ def run_single_replicate(
 _WORKER: dict = {}
 
 
-def _init_worker(plan_doc: dict, aux: StudyAuxiliaries):
-    _WORKER["plan"] = StudyPlan.from_doc(plan_doc)
+def _init_worker(plan: StudyPlan, aux: StudyAuxiliaries):
+    _WORKER["plan"] = plan
     _WORKER["aux"] = aux
 
 
 def _run_chunk(args):
-    scenario_doc, scenario_id, start, stop = args
+    scenario, scenario_id, start, stop = args
     plan: StudyPlan = _WORKER["plan"]
     aux: StudyAuxiliaries = _WORKER["aux"]
-    scenario = _scenario_from_doc(scenario_doc)
     n_s, n_m = len(plan.schemes), len(plan.methods)
     rej = np.zeros((n_s, n_m), dtype=np.int64)
     fail = np.zeros((n_s, n_m), dtype=np.int64)
@@ -398,18 +397,6 @@ def _run_chunk(args):
         if len(msgs) < 20:
             msgs.extend(m[: 20 - len(msgs)])
     return rej, fail, msgs
-
-
-def _scenario_doc(s: EffectScenario) -> dict:
-    if s.kind == "item-shift":
-        return {"kind": s.kind, "label": s.label, "d": s.d.tolist()}
-    return {"kind": s.kind, "label": s.label, "rho": s.rho}
-
-
-def _scenario_from_doc(doc: dict) -> EffectScenario:
-    if doc["kind"] == "item-shift":
-        return EffectScenario("item-shift", doc["label"], d=np.asarray(doc["d"]))
-    return EffectScenario("slope-ratio", doc["label"], rho=doc["rho"])
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -439,20 +426,18 @@ def run_scenario(
     rej = np.zeros((n_s, n_m), dtype=np.int64)
     fail = np.zeros((n_s, n_m), dtype=np.int64)
     msgs: list[str] = []
-    sdoc = _scenario_doc(scenario)
     if workers == 1:
-        _init_worker(plan.to_doc(), aux)
-        r, f, m = _run_chunk((sdoc, scenario_id, 0, plan.n_reps))
-        rej, fail, msgs = r, f, m
+        _init_worker(plan, aux)
+        rej, fail, msgs = _run_chunk((scenario, scenario_id, 0, plan.n_reps))
     else:
         chunk = max(1, -(-plan.n_reps // (workers * 4)))
         tasks = [
-            (sdoc, scenario_id, start, min(start + chunk, plan.n_reps))
+            (scenario, scenario_id, start, min(start + chunk, plan.n_reps))
             for start in range(0, plan.n_reps, chunk)
         ]
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker,
-            initargs=(plan.to_doc(), aux)
+            initargs=(plan, aux)
         ) as pool:
             for r, f, m in pool.map(_run_chunk, tasks):
                 rej += r
