@@ -60,6 +60,7 @@ def _cmd_analyze(args) -> int:
     comparison = f"{args.arm_a}-vs-{args.arm_b}"
     result_rows: list[dict] = []
     notes: list[str] = []
+    failures = 0
     diag: dict = {"comparison": comparison, "schemes": {}}
     calib10 = procedures.get_omnibus_calibration(
         args.cache_dir, m=10, reps=args.calibration_reps, seed=args.seed
@@ -97,22 +98,30 @@ def _cmd_analyze(args) -> int:
         outcomes = {}
         for method, o in zip(METHODS, engine.run_methods(ctx, METHODS)):
             if isinstance(o, Exception):
-                raise o
+                notes.append(f"{tag}/{method}: {o}")
+                failures += 1
+                o = None
             outcomes[method] = o
             result_rows.append({"comparison": comparison, "scheme": tag, "method": method,
-                                "statistic": o.statistic, "p_one_sided": o.p_one_sided})
-        fits = ctx.fits
+                                "statistic": None if o is None else o.statistic,
+                                "p_one_sided": None if o is None else o.p_one_sided})
+        gls, gls_drop = outcomes["GLS"], outcomes["GLS-drop"]
+        try:
+            fits = ctx.fits
+        except engine.METHOD_ERRORS:
+            fits = None
         diag["schemes"][tag] = {
             "n_treatment": int(data.arm.sum()),
             "n_control": int(data.n_subjects - data.arm.sum()),
-            "gls_weights": dict(zip(ITEM_COLUMNS, outcomes["GLS"].weights.tolist())),
-            "gls_dropped_items": outcomes["GLS-drop"].dropped_items,
+            "gls_weights": None if gls is None else dict(zip(ITEM_COLUMNS, gls.weights.tolist())),
+            "gls_dropped_items": None if gls_drop is None else gls_drop.dropped_items,
             "lm_weights": dict(zip(ITEM_COLUMNS, approx.weights.tolist())),
             "lm_normalized_weights": dict(
                 zip(ITEM_COLUMNS, approx.normalized_weights.tolist())
             ),
             "lm_r_squared": approx.r_squared,
-            "marginal_p": dict(zip(ITEM_COLUMNS, fits.p_vector.tolist())),
+            "marginal_p": (None if fits is None
+                           else dict(zip(ITEM_COLUMNS, fits.p_vector.tolist()))),
         }
         desc = reports.descriptive_table(data, fits)
         reports.emit_report(
@@ -128,6 +137,10 @@ def _cmd_analyze(args) -> int:
     full = {"results": result_rows, "notes": notes, "diagnostics": diag}
     (out / "analysis_results.json").write_text(json.dumps(full, indent=2), encoding="utf-8")
     print(f"wrote {out / 'analysis_results.json'} ({len(result_rows)} p-values)")
+    if failures:
+        print(f"numerical failure: {failures} of {len(result_rows)} methods failed; "
+              "their p-values are null, see the notes", file=sys.stderr)
+        return 3
     return 0
 
 

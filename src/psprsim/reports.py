@@ -187,13 +187,14 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(np.mean(x)), sd / np.sqrt(n)
 
 
-def descriptive_table(data: ItemDataset, fits: MarginalFits) -> list[dict]:
+def descriptive_table(data: ItemDataset, fits: MarginalFits | None) -> list[dict]:
     """Per item x arm summary rows plus the marginal ANCOVA columns.
 
     Standard errors are sample sd / sqrt(n); the difference column is the
     within-subject week52 - baseline change. ANCOVA columns appear on
     treatment rows only (the comparison against control), taken from
-    `fits`, the marginal fits of `data`.
+    `fits`, the marginal fits of `data`; they are null everywhere when
+    `fits` is None (the fits failed).
     """
     rows = []
     for j in range(N_ITEMS):
@@ -204,6 +205,7 @@ def descriptive_table(data: ItemDataset, fits: MarginalFits) -> list[dict]:
             bm, bs = _mean_se(base)
             wm, ws = _mean_se(week)
             dm, ds = _mean_se(week - base)
+            fit = fits.per_item[j] if fits is not None and arm_value == 1 else None
             row = {
                 "item": ITEM_COLUMNS[j],
                 "label": ITEM_LABELS[j],
@@ -215,9 +217,9 @@ def descriptive_table(data: ItemDataset, fits: MarginalFits) -> list[dict]:
                 "week52_se": ws,
                 "diff_mean": dm,
                 "diff_se": ds,
-                "ancova_coef": fits.per_item[j].coef_treatment if arm_value == 1 else None,
-                "ancova_se": fits.per_item[j].se if arm_value == 1 else None,
-                "p_value": fits.per_item[j].p_one_sided if arm_value == 1 else None,
+                "ancova_coef": None if fit is None else fit.coef_treatment,
+                "ancova_se": None if fit is None else fit.se,
+                "p_value": None if fit is None else fit.p_one_sided,
             }
             rows.append(row)
     return rows

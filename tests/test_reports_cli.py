@@ -167,6 +167,13 @@ class TestDescriptiveTable:
                 assert r["ancova_coef"] == fit.coef_treatment
                 assert r["p_value"] == fit.p_one_sided
 
+    def test_failed_fits_give_null_ancova_columns(self, two_arm_dataset):
+        rows = descriptive_table(two_arm_dataset, None)
+        assert len(rows) == 20
+        for r in rows:
+            assert r["ancova_coef"] is r["ancova_se"] is r["p_value"] is None
+            assert r["baseline_se"] > 0
+
     def test_column_schema(self, two_arm_dataset):
         rows = descriptive_table(two_arm_dataset, ps.fit_marginals(two_arm_dataset))
         assert len(rows) == 20
@@ -359,6 +366,36 @@ class TestCli:
         rc = main(["analyze", str(path), "--arm-a", "drug", "--arm-b", "placebo",
                    "--out", str(tmp_path / "y"), "--calibration-reps", "2000"])
         assert rc == 3
+
+    def test_failed_methods_give_null_rows_and_exit_code(
+        self, reference_csv, model_args, tmp_path, capsys
+    ):
+        # item04 all zero at week 52 fits exactly: its zero sandwich variance
+        # fails the four methods that use the correlation, and only those
+        data, labels = load_trial_csv(reference_csv, return_labels=True)
+        data.week52[:, 3] = 0
+        path = tmp_path / "floored.csv"
+        write_trial_csv(data, path, labels=labels)
+        out = tmp_path / "out"
+        assert analyze(path, out, *model_args) == 3
+        assert "8 of 22 methods failed" in capsys.readouterr().err
+        results = json.loads((out / "analysis_results.json").read_text())
+        rows = results["results"]
+        assert len(rows) == 22
+        corr_methods = {"OLS", "GLS", "GLS-drop", "MaxT"}
+        for r in rows:
+            if r["method"] in corr_methods:
+                assert r["statistic"] is None and r["p_one_sided"] is None
+                assert any(n.startswith(f"{r['scheme']}/{r['method']}: ")
+                           for n in results["notes"])
+            else:
+                assert 0.0 <= r["p_one_sided"] <= 1.0
+        for tag in ("original", "fda"):
+            diag = results["diagnostics"]["schemes"][tag]
+            assert diag["gls_weights"] is None and diag["gls_dropped_items"] is None
+            assert len(diag["marginal_p"]) == 10  # the fits themselves succeeded
+            assert (out / f"descriptives_{tag}.csv").exists()
+        assert len((out / "analysis_results.csv").read_text().splitlines()) == 23
 
     def test_legacy_compressed_cache_gives_identical_results(
         self, reference_csv, model_args, tmp_path
