@@ -9,6 +9,7 @@ byte-identical regardless of worker count or execution order.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -85,6 +86,15 @@ def _check_fields(doc, cls, where: str) -> None:
         raise ValidationError(f"{where} is missing required fields {missing}")
 
 
+# what a plan field of each declared type accepts; bool is not an integer here
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+}
+
+
 @dataclass
 class StudyPlan:
     """Everything needed to reproduce one study run."""
@@ -105,6 +115,12 @@ class StudyPlan:
     irt_population: IrtPopulationParams = field(default_factory=IrtPopulationParams)
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's text
+            expected = _FIELD_TYPES.get(f.type)
+            value = getattr(self, f.name)
+            if expected is not None and not expected[1](value):
+                raise ValidationError(f"plan field {f.name!r} must be {expected[0]}, "
+                                      f"got {value!r}")
         if self.generator not in GENERATORS:
             raise ValidationError(f"unknown generator {self.generator!r}")
         if self.n_reps < 100:
@@ -188,17 +204,17 @@ class PowerTable:
     def sorted(self) -> "PowerTable":
         return PowerTable(sorted(self.rows, key=PowerRow.SORT_KEY))
 
-    def rate(self, scenario: str, scheme: str, method: str) -> float:
+    def _row(self, scenario: str, scheme: str, method: str) -> PowerRow:
         for r in self.rows:
             if (r.scenario, r.scheme, r.method) == (scenario, scheme, method):
-                return r.rejection_rate
+                return r
         raise KeyError((scenario, scheme, method))
 
+    def rate(self, scenario: str, scheme: str, method: str) -> float:
+        return self._row(scenario, scheme, method).rejection_rate
+
     def se(self, scenario: str, scheme: str, method: str) -> float:
-        for r in self.rows:
-            if (r.scenario, r.scheme, r.method) == (scenario, scheme, method):
-                return r.mc_se
-        raise KeyError((scenario, scheme, method))
+        return self._row(scenario, scheme, method).mc_se
 
     def to_csv_text(self) -> str:
         lines = [self.HEADER]

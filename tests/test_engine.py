@@ -131,6 +131,14 @@ class TestPowerTable:
         with pytest.raises(KeyError):
             table.rate("d9", "original", "SumS")
 
+    def test_rate_and_se_share_one_lookup(self):
+        table = PowerTable([PowerRow("mvn", "d0", "original", "SumS", 0.025, 0.0049, 1000),
+                            PowerRow("mvn", "d0", "fda", "SumS", 0.03, 0.0054, 1000)])
+        assert table.rate("d0", "fda", "SumS") == 0.03
+        assert table.se("d0", "fda", "SumS") == 0.0054
+        with pytest.raises(KeyError):
+            table.se("d0", "fda", "Bonf")
+
     def test_csv_and_json_emission(self, tmp_path):
         table = PowerTable([PowerRow("mvn", "d0", "original", "SumS", 0.025, 0.0049, 1000)])
         table.save_csv(tmp_path / "t.csv")

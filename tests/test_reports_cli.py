@@ -337,6 +337,18 @@ class TestCli:
             assert rc == 2
             assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_reps", "100"), ("n_reps", True), ("calibration_reps", 1000.0),
+        ("alpha", "0.025"), ("maxt_tol", None), ("scenarios", "d0"),
+        ("schemes", "original"), ("methods", "SumS"), ("bootstrap_replace", 1),
+    ])
+    def test_plan_field_type_exit_code(self, tmp_path, capsys, name, value):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"generator": "mvn", name: value}))
+        rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"plan field {name!r}" in capsys.readouterr().err
+
     def test_non_integer_worker_env_exit_code(self, tmp_path, monkeypatch, capsys):
         plan = ps.StudyPlan(generator="mvn", scenarios=["d0"], schemes=["original"],
                             methods=["SumS"], n_reps=100, calibration_reps=1000)
