@@ -298,20 +298,20 @@ def _generate(plan: StudyPlan, scenario: EffectScenario, aux: StudyAuxiliaries,
 
 
 # Lambdas, so that each call looks up the test_* functions in this module's
-# globals, where perfbench/tracing.py and the tests patch them.
+# globals, where perfbench/tracing.py and the tests patch them. The tracer
+# names the OLS/GLS/GLS-drop spans from the variant keyword.
 METHOD_TABLE = {
     "SumS": lambda c: test_sum_score(c.data),
-    "IRT": lambda c: test_irt(c.data, external_model=c.grm),
-    "LM": lambda c: test_lm_approx(c.data, approx=c.approx),
-    "OLS": lambda c: test_obrien(c.data, variant="OLS", fits=c.fits, corr=c.corr),
-    "GLS": lambda c: test_obrien(c.data, variant="GLS", fits=c.fits, corr=c.corr),
-    "GLS-drop": lambda c: test_obrien(c.data, variant="GLS-drop", fits=c.fits, corr=c.corr),
-    "Bonf": lambda c: test_bonferroni(c.data, fits=c.fits),
-    "MaxT": lambda c: test_maxt(c.data, tol=c.maxt_tol, rng=c.rng, fits=c.fits,
-                                corr=c.corr, alpha=c.alpha),
-    "Simes": lambda c: test_simes_hommel(c.data, fits=c.fits),
+    "IRT": lambda c: test_irt(c.data, c.grm),
+    "LM": lambda c: test_lm_approx(c.data, c.approx),
+    "OLS": lambda c: test_obrien(c.fits, c.corr, variant="OLS"),
+    "GLS": lambda c: test_obrien(c.fits, c.corr, variant="GLS"),
+    "GLS-drop": lambda c: test_obrien(c.fits, c.corr, variant="GLS-drop"),
+    "Bonf": lambda c: test_bonferroni(c.fits),
+    "MaxT": lambda c: test_maxt(c.fits, c.corr, c.maxt_tol, c.rng, c.alpha),
+    "Simes": lambda c: test_simes_hommel(c.fits),
     "Omnibus": lambda c: test_omnibus(c.fits.p_vector, c.calib_items),
-    "Omnibus-dom": lambda c: test_omnibus_domains(c.data, calib=c.calib_domains),
+    "Omnibus-dom": lambda c: test_omnibus_domains(c.data, c.calib_domains),
 }
 
 # what a method may raise on degenerate data: a counted failure, never a rejection

@@ -35,6 +35,10 @@ class MarginalFits:
     def p_vector(self) -> np.ndarray:
         return np.array([f.p_one_sided for f in self.per_item])
 
+    @property
+    def n_subjects(self) -> int:
+        return self.per_item[0].residuals.shape[0]
+
 
 @dataclass
 class CorrelationEstimate:
@@ -86,7 +90,7 @@ def sandwich_treatment_correlation(
 def estimate_corr(data: ItemDataset, fits: MarginalFits) -> CorrelationEstimate:
     """Sandwich correlation of the treatment coefficients across items."""
     n = data.n_subjects
-    if len(fits.per_item) != N_ITEMS or fits.per_item[0].residuals.shape[0] != n:
+    if len(fits.per_item) != N_ITEMS or fits.n_subjects != n:
         raise ValidationError("fits were not computed on this dataset")
     residuals = np.column_stack([f.residuals for f in fits.per_item])
     return CorrelationEstimate(

@@ -1,12 +1,15 @@
 """The eleven testing procedures.
 
-Every procedure maps an ItemDataset (plus auxiliaries) to a TestOutcome with
-a one-sided p-value under the benefit-negative convention: treatment coded
-1, lower item scores beneficial, so evidence of benefit is negative t.
+Every procedure maps exactly what it reads to a TestOutcome with a one-sided
+p-value under the benefit-negative convention: treatment coded 1, lower item
+scores beneficial, so evidence of benefit is negative t.
 
-Procedures over per-item statistics (OLS/GLS/Bonf/Simes/Omnibus/MaxT) share
-the marginal ANCOVA fits and the stacked-sandwich correlation; pass
-precomputed `fits`/`corr` to avoid refitting inside replicate loops.
+SumS, IRT, LM and Omnibus-dom read an ItemDataset (IRT and LM also a model
+fitted in the same scheme); OLS/GLS/GLS-drop, Bonf, Simes and MaxT read the
+marginal ANCOVA fits (and the stacked-sandwich correlation); Omnibus reads
+the per-item p-values. Rescoring the data and computing the fits and their
+correlation is the caller's step: engine.MethodContext does both, once per
+dataset and scheme.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .irt import GrModel, LinearLatentApprox, approx_latent, eap_scores
-from .marginal import CorrelationEstimate, MarginalFits, estimate_corr, fit_marginals, subset_corr
+from .marginal import CorrelationEstimate, MarginalFits, subset_corr
 from .mvnorm import mvn_rect_upper
 from .numkit import RngStream, fit_ancova, normal_cdf, normal_quantile, student_t_cdf
-from .scales import DOMAINS, N_ITEMS, ItemDataset, ScoringScheme, ensure_scheme
+from .scales import DOMAINS, N_ITEMS, ItemDataset
 
 log = logging.getLogger(__name__)
 
@@ -113,85 +116,49 @@ def simes_global(p: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# marginal machinery shared by the multi-item procedures
-# ---------------------------------------------------------------------------
-
-
-def _marginals(data: ItemDataset, fits: MarginalFits | None,
-               corr: CorrelationEstimate | None, need_corr: bool):
-    if fits is None:
-        fits = fit_marginals(data)
-    if need_corr and corr is None:
-        corr = estimate_corr(data, fits)
-    return fits, corr
-
-
-# ---------------------------------------------------------------------------
 # univariate endpoint tests
 # ---------------------------------------------------------------------------
 
 
-def test_sum_score(data: ItemDataset, scheme: ScoringScheme | str | None = None) -> TestOutcome:
-    """ANCOVA on the plain item sum score."""
-    data = ensure_scheme(data, scheme)
-    base, week = data.sum_scores()
-    fit = fit_ancova(week.astype(float), base.astype(float), data.arm)
+def _ancova_outcome(method: str, week: np.ndarray, base: np.ndarray,
+                    arm: np.ndarray) -> TestOutcome:
+    fit = fit_ancova(week, base, arm)
     return TestOutcome(
-        method="SumS",
+        method=method,
         statistic=fit.t_value,
         p_one_sided=fit.p_one_sided,
         diagnostics={"coef": fit.coef_treatment, "se": fit.se, "df": fit.df},
     )
 
 
-def test_irt(
-    data: ItemDataset,
-    scheme: ScoringScheme | str | None = None,
-    external_model: GrModel | None = None,
-) -> TestOutcome:
-    """ANCOVA on EAP latent-trait estimates from a pre-fitted model."""
-    data = ensure_scheme(data, scheme)
-    if external_model is None:
-        raise ValidationError("the IRT-based test needs a fitted graded-response model")
-    if external_model.scheme != data.scheme.name:
+def _check_fitted_scheme(what: str, fitted: str, data: ItemDataset) -> None:
+    """A model or approximation only scores data in the scheme it was fitted on."""
+    if fitted != data.scheme.name:
         raise ValidationError(
-            f"model was fitted on scheme {external_model.scheme!r}, "
-            f"data uses {data.scheme.name!r}"
+            f"{what} was fitted on scheme {fitted!r}, data uses {data.scheme.name!r}"
         )
+
+
+def test_sum_score(data: ItemDataset) -> TestOutcome:
+    """ANCOVA on the plain item sum score."""
+    base, week = data.sum_scores()
+    return _ancova_outcome("SumS", week.astype(float), base.astype(float), data.arm)
+
+
+def test_irt(data: ItemDataset, external_model: GrModel) -> TestOutcome:
+    """ANCOVA on EAP latent-trait estimates from a pre-fitted model."""
+    _check_fitted_scheme("model", external_model.scheme, data)
     theta_base = eap_scores(external_model, data.baseline)
     theta_week = eap_scores(external_model, data.week52)
-    fit = fit_ancova(theta_week, theta_base, data.arm)
-    return TestOutcome(
-        method="IRT",
-        statistic=fit.t_value,
-        p_one_sided=fit.p_one_sided,
-        diagnostics={"coef": fit.coef_treatment, "se": fit.se, "df": fit.df},
-    )
+    return _ancova_outcome("IRT", theta_week, theta_base, data.arm)
 
 
-def test_lm_approx(
-    data: ItemDataset,
-    scheme: ScoringScheme | str | None = None,
-    approx: LinearLatentApprox | None = None,
-) -> TestOutcome:
+def test_lm_approx(data: ItemDataset, approx: LinearLatentApprox) -> TestOutcome:
     """ANCOVA on the weighted-sum latent surrogate."""
-    data = ensure_scheme(data, scheme)
-    if approx is None:
-        raise ValidationError("the weighted-sum test needs a fitted linear approximation")
-    if approx.scheme != data.scheme.name:
-        raise ValidationError(
-            f"approximation was fitted on scheme {approx.scheme!r}, "
-            f"data uses {data.scheme.name!r}"
-        )
+    _check_fitted_scheme("approximation", approx.scheme, data)
     z_base = approx_latent(approx, data.baseline)
     z_week = approx_latent(approx, data.week52)
-    fit = fit_ancova(z_week, z_base, data.arm)
-    return TestOutcome(
-        method="LM",
-        statistic=fit.t_value,
-        p_one_sided=fit.p_one_sided,
-        diagnostics={"coef": fit.coef_treatment, "se": fit.se, "df": fit.df},
-    )
+    return _ancova_outcome("LM", z_week, z_base, data.arm)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +166,8 @@ def test_lm_approx(
 # ---------------------------------------------------------------------------
 
 
-def test_obrien(
-    data: ItemDataset,
-    scheme: ScoringScheme | str | None = None,
-    variant: str = "OLS",
-    fits: MarginalFits | None = None,
-    corr: CorrelationEstimate | None = None,
-) -> TestOutcome:
+def test_obrien(fits: MarginalFits, corr: CorrelationEstimate,
+                variant: str = "OLS") -> TestOutcome:
     """Directional global tests on the vector of per-item t-statistics.
 
     OLS: equal weights, statistic 1't / sqrt(1'R1). GLS: weights R^-1 1.
@@ -215,10 +177,8 @@ def test_obrien(
     """
     if variant not in ("OLS", "GLS", "GLS-drop"):
         raise ValidationError(f"unknown variant {variant!r}")
-    data = ensure_scheme(data, scheme)
-    fits, corr = _marginals(data, fits, corr, need_corr=True)
     t = fits.t_vector
-    n_group = data.n_subjects / 2.0
+    n_group = fits.n_subjects / 2.0
     diagnostics: dict = {}
     dropped: list[int] | None = None
 
@@ -275,14 +235,8 @@ def test_obrien(
 # ---------------------------------------------------------------------------
 
 
-def test_bonferroni(
-    data: ItemDataset,
-    scheme: ScoringScheme | str | None = None,
-    fits: MarginalFits | None = None,
-) -> TestOutcome:
+def test_bonferroni(fits: MarginalFits) -> TestOutcome:
     """Global min-p Bonferroni test plus Bonferroni/Holm per-item p-values."""
-    data = ensure_scheme(data, scheme)
-    fits, _ = _marginals(data, fits, None, need_corr=False)
     p = fits.p_vector
     return TestOutcome(
         method="Bonf",
@@ -296,14 +250,8 @@ def test_bonferroni(
     )
 
 
-def test_simes_hommel(
-    data: ItemDataset,
-    scheme: ScoringScheme | str | None = None,
-    fits: MarginalFits | None = None,
-) -> TestOutcome:
+def test_simes_hommel(fits: MarginalFits) -> TestOutcome:
     """Simes global test; Hommel closed-testing per-item p-values."""
-    data = ensure_scheme(data, scheme)
-    fits, _ = _marginals(data, fits, None, need_corr=False)
     p = fits.p_vector
     g = simes_global(p)
     return TestOutcome(
@@ -315,12 +263,10 @@ def test_simes_hommel(
 
 
 def test_maxt(
-    data: ItemDataset,
-    scheme: ScoringScheme | str | None = None,
+    fits: MarginalFits,
+    corr: CorrelationEstimate,
     tol: float = 1e-4,
     rng: RngStream | None = None,
-    fits: MarginalFits | None = None,
-    corr: CorrelationEstimate | None = None,
     alpha: float | None = None,
 ) -> TestOutcome:
     """Correlation-aware max test on transformed z-values.
@@ -335,8 +281,6 @@ def test_maxt(
     alpha's side is returned), and otherwise the integration stops once its
     error estimate excludes alpha.
     """
-    data = ensure_scheme(data, scheme)
-    fits, corr = _marginals(data, fits, corr, need_corr=True)
     df = fits.df_marginal
     z = np.empty(N_ITEMS)
     for j, t in enumerate(fits.t_vector):
@@ -547,15 +491,9 @@ def domain_pvalues(data: ItemDataset) -> np.ndarray:
     return np.array([f.p_one_sided for f in fit_ancova(week, base, data.arm)])
 
 
-def test_omnibus_domains(
-    data: ItemDataset,
-    scheme: ScoringScheme | str | None = None,
-    calib: OmnibusCalibration | None = None,
-) -> TestOutcome:
-    """Sum-score ANCOVA within each domain; omnibus combination across them."""
-    data = ensure_scheme(data, scheme)
-    if calib is None or calib.m != len(DOMAINS):
-        raise ValidationError("needs an omnibus calibration with m = 3")
+def test_omnibus_domains(data: ItemDataset, calib: OmnibusCalibration) -> TestOutcome:
+    """Sum-score ANCOVA within each domain; omnibus combination across them
+    (test_omnibus rejects a calibration whose m is not the domain count)."""
     p = domain_pvalues(data)
     out = test_omnibus(p, calib)
     out.method = "Omnibus-dom"

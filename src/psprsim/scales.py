@@ -207,10 +207,8 @@ def apply_rescoring(data: ItemDataset, scheme: ScoringScheme) -> ItemDataset:
     )
 
 
-def ensure_scheme(data: ItemDataset, scheme: ScoringScheme | str | None) -> ItemDataset:
+def ensure_scheme(data: ItemDataset, scheme: ScoringScheme | str) -> ItemDataset:
     """Return the dataset rescored into `scheme` (no-op when already there)."""
-    if scheme is None:
-        return data
     if isinstance(scheme, str):
         scheme = get_scheme(scheme)
     if data.scheme.name == scheme.name:

@@ -197,6 +197,50 @@ class TestMethodTable:
         assert {"marginal.fit_marginals", "marginal.estimate_corr",
                 "numkit.fit_ancova"} <= names
 
+    # every method's full-precision p-value on one d3 dataset in both schemes;
+    # GLS-drop drops an item in both, so each code path is pinned
+    PINNED_P = {
+        ("original", "SumS"): "0x1.154bddab8deb1p-7",
+        ("original", "IRT"): "0x1.571d150456a6dp-7",
+        ("original", "LM"): "0x1.462ff81551752p-5",
+        ("original", "OLS"): "0x1.2d802d3ed5314p-7",
+        ("original", "GLS"): "0x1.738e90b047a70p-8",
+        ("original", "GLS-drop"): "0x1.e048dc0d350e1p-8",
+        ("original", "Bonf"): "0x1.596a27d5a5e7bp-5",
+        ("original", "MaxT"): "0x1.e44ea588b5240p-6",
+        ("original", "Simes"): "0x1.bd63bb14b2bccp-6",
+        ("original", "Omnibus"): "0x1.1d064bdcfc77dp-6",
+        ("original", "Omnibus-dom"): "0x1.89232ad8885eap-7",
+        ("fda", "SumS"): "0x1.4d3961e76417dp-7",
+        ("fda", "IRT"): "0x1.706dd3e8fa8e4p-7",
+        ("fda", "LM"): "0x1.e9a7998ead7d1p-2",
+        ("fda", "OLS"): "0x1.aa11046fe7ab4p-7",
+        ("fda", "GLS"): "0x1.267d2a0811da3p-5",
+        ("fda", "GLS-drop"): "0x1.295499286bf02p-5",
+        ("fda", "Bonf"): "0x1.2e12bf3a8f54fp-7",
+        ("fda", "MaxT"): "0x1.11069e89cad40p-7",
+        ("fda", "Simes"): "0x1.2e12bf3a8f54fp-7",
+        ("fda", "Omnibus"): "0x1.33f525d448b08p-7",
+        ("fda", "Omnibus-dom"): "0x1.4e2ab1380d83ap-7",
+    }
+
+    def test_p_values_pinned(self, small_plan, aux):
+        import psprsim.engine as eng
+
+        base = ps.RngStream(derive_replicate_seed(small_plan.master_seed, 0, 16))
+        data0 = eng._generate(small_plan, ps.builtin_scenarios()["d3"], aux, base.child(0))
+        got = {}
+        for si, tag in enumerate(small_plan.schemes):
+            ctx = eng.MethodContext(
+                data=eng.ensure_scheme(data0, aux.schemes[tag]), grm=aux.grm[tag],
+                approx=aux.approx[tag], calib_items=aux.calib_items,
+                calib_domains=aux.calib_domains, maxt_tol=small_plan.maxt_tol,
+                rng=base.child(1 + si),
+            )
+            for method, out in zip(METHODS, eng.run_methods(ctx, METHODS)):
+                got[tag, method] = float(out.p_one_sided).hex()
+        assert got == self.PINNED_P
+
 
 class TestFailureAccounting:
     def test_rare_failures_count_as_nonrejection(self, small_plan, aux, monkeypatch):
@@ -205,11 +249,11 @@ class TestFailureAccounting:
         real = eng.test_sum_score
         calls = {"n": 0}
 
-        def flaky(data, scheme=None):
+        def flaky(data):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise NumericalError("synthetic failure")
-            return real(data, scheme)
+            return real(data)
 
         monkeypatch.setattr(eng, "test_sum_score", flaky)
         from dataclasses import replace
@@ -221,7 +265,7 @@ class TestFailureAccounting:
     def test_failure_rate_over_one_percent_fails_run(self, small_plan, aux, monkeypatch):
         import psprsim.engine as eng
 
-        def broken(data, scheme=None):
+        def broken(data):
             raise NumericalError("always down")
 
         monkeypatch.setattr(eng, "test_sum_score", broken)
@@ -275,7 +319,9 @@ class TestMaxTDecisionPath:
                 base = ps.RngStream(derive_replicate_seed(plan.master_seed, 0, rep))
                 data = eng.ensure_scheme(eng._generate(plan, scen, aux, base.child(0)),
                                          aux.schemes[tag])
-                out = ps.test_maxt(data, tol=plan.maxt_tol, rng=base.child(1 + si))
+                fits = ps.fit_marginals(data)
+                out = ps.test_maxt(fits, ps.estimate_corr(data, fits), tol=plan.maxt_tol,
+                                   rng=base.child(1 + si))
                 hits += out.p_one_sided <= plan.alpha
             assert t1.rate("d3", tag, "MaxT") * plan.n_reps == hits
 

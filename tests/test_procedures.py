@@ -38,6 +38,13 @@ def effect_dataset(reference_pool):
     return ps.gen_discretized_mvn(params, scen, 70, ps.RngStream(2))
 
 
+def marginals(data):
+    """The per-item fits and their correlation, as the engine's context
+    computes them for the multi-item procedures."""
+    fits = ps.fit_marginals(data)
+    return fits, ps.estimate_corr(data, fits)
+
+
 class TestModifiedDf:
     def test_paper_value(self):
         assert modified_df(70, 10) == pytest.approx(69.185, abs=1e-12)
@@ -114,43 +121,19 @@ class TestSumScore:
         out2 = ps.test_sum_score(permuted)
         assert out1.p_one_sided == out2.p_one_sided
 
-    def test_scheme_consistency_bit_identical(self, effect_dataset):
-        pre = ps.apply_rescoring(effect_dataset, ps.fda_scheme())
-        pairs = [
-            (ps.test_sum_score(effect_dataset, scheme="fda"), ps.test_sum_score(pre)),
-            (ps.test_bonferroni(effect_dataset, scheme="fda"), ps.test_bonferroni(pre)),
-            (
-                ps.test_obrien(effect_dataset, scheme="fda", variant="OLS"),
-                ps.test_obrien(pre, variant="OLS"),
-            ),
-            (
-                ps.test_maxt(effect_dataset, scheme="fda", rng=ps.RngStream(9)),
-                ps.test_maxt(pre, rng=ps.RngStream(9)),
-            ),
-        ]
-        for via_arg, via_data in pairs:
-            assert via_arg.p_one_sided == via_data.p_one_sided
-            assert via_arg.statistic == via_data.statistic
-
 
 class TestIrtAndLmTests:
     def test_symmetric_arms_half(self, grm_model, latent_approx):
         data = arm_symmetric_dataset()
-        irt_p = ps.test_irt(data, external_model=grm_model).p_one_sided
-        lm_p = ps.test_lm_approx(data, approx=latent_approx).p_one_sided
+        irt_p = ps.test_irt(data, grm_model).p_one_sided
+        lm_p = ps.test_lm_approx(data, latent_approx).p_one_sided
         assert irt_p == pytest.approx(0.5, abs=1e-12)
         assert lm_p == pytest.approx(0.5, abs=1e-12)
 
     def test_scheme_mismatch_rejected(self, grm_model, effect_dataset):
         fda_data = ps.apply_rescoring(effect_dataset, ps.fda_scheme())
         with pytest.raises(ValidationError):
-            ps.test_irt(fda_data, external_model=grm_model)
-
-    def test_missing_model_rejected(self, effect_dataset):
-        with pytest.raises(ValidationError):
-            ps.test_irt(effect_dataset)
-        with pytest.raises(ValidationError):
-            ps.test_lm_approx(effect_dataset)
+            ps.test_irt(fda_data, grm_model)
 
     def test_equal_weights_order_matches_sum_score(self, effect_dataset):
         approx = ps.LinearLatentApprox(
@@ -163,7 +146,7 @@ class TestIrtAndLmTests:
             assert z[sums == s_lo].max() < z[sums == s_hi].min()
 
     def test_detects_effect(self, grm_model, latent_approx, effect_dataset):
-        out = ps.test_irt(effect_dataset, external_model=grm_model)
+        out = ps.test_irt(effect_dataset, grm_model)
         assert out.p_one_sided < 0.5
 
 
@@ -173,13 +156,13 @@ class TestObrien:
         R = np.full((10, 10), 0.4)
         np.fill_diagonal(R, 1.0)
         corr = CorrelationEstimate(R=R)
-        ols = ps.test_obrien(effect_dataset, variant="OLS", fits=fits, corr=corr)
-        gls = ps.test_obrien(effect_dataset, variant="GLS", fits=fits, corr=corr)
+        ols = ps.test_obrien(fits, corr, variant="OLS")
+        gls = ps.test_obrien(fits, corr, variant="GLS")
         assert gls.statistic == pytest.approx(ols.statistic, abs=1e-10)
         assert gls.p_one_sided == pytest.approx(ols.p_one_sided, abs=1e-10)
 
     def test_modified_df_used(self, effect_dataset):
-        out = ps.test_obrien(effect_dataset, variant="OLS")
+        out = ps.test_obrien(*marginals(effect_dataset), variant="OLS")
         assert out.diagnostics["df_modified"] == pytest.approx(modified_df(70, 10))
         assert out.p_one_sided == pytest.approx(
             ps.student_t_cdf(out.statistic, modified_df(70, 10)), abs=1e-15
@@ -190,8 +173,8 @@ class TestObrien:
         R = np.full((10, 10), 0.3)
         np.fill_diagonal(R, 1.0)
         corr = CorrelationEstimate(R=R)
-        drop = ps.test_obrien(effect_dataset, variant="GLS-drop", fits=fits, corr=corr)
-        gls = ps.test_obrien(effect_dataset, variant="GLS", fits=fits, corr=corr)
+        drop = ps.test_obrien(fits, corr, variant="GLS-drop")
+        gls = ps.test_obrien(fits, corr, variant="GLS")
         assert drop.dropped_items is None
         assert drop.diagnostics["no_negative_weight"] is True
         assert drop.statistic == gls.statistic
@@ -206,7 +189,7 @@ class TestObrien:
         w = np.linalg.solve(R, np.ones(10))
         assert w.min() < 0  # scenario setup really has a negative weight
         corr = CorrelationEstimate(R=R)
-        drop = ps.test_obrien(effect_dataset, variant="GLS-drop", fits=fits, corr=corr)
+        drop = ps.test_obrien(fits, corr, variant="GLS-drop")
         assert drop.dropped_items == [int(np.argmin(w))]
         assert drop.diagnostics["m_active"] == 9
         assert drop.diagnostics["df_modified"] == pytest.approx(modified_df(70, 9))
@@ -217,28 +200,28 @@ class TestObrien:
         R = np.ones((10, 10))
         corr = CorrelationEstimate(R=R)
         with pytest.raises((NumericalError, np.linalg.LinAlgError)):
-            ps.test_obrien(effect_dataset, variant="GLS", fits=fits, corr=corr)
+            ps.test_obrien(fits, corr, variant="GLS")
 
     def test_unknown_variant(self, effect_dataset):
         with pytest.raises(ValidationError):
-            ps.test_obrien(effect_dataset, variant="WLS")
+            ps.test_obrien(*marginals(effect_dataset), variant="WLS")
 
 
 class TestBonferroniSimes:
     def test_all_half_pvalues(self):
         data = arm_symmetric_dataset()
-        out = ps.test_bonferroni(data)
+        out = ps.test_bonferroni(ps.fit_marginals(data))
         assert out.p_one_sided == 1.0
-        simes = ps.test_simes_hommel(data)
+        simes = ps.test_simes_hommel(ps.fit_marginals(data))
         assert simes.p_one_sided == pytest.approx(0.5)
 
     def test_per_item_vectors(self, effect_dataset):
-        out = ps.test_bonferroni(effect_dataset)
+        out = ps.test_bonferroni(ps.fit_marginals(effect_dataset))
         p = out.per_item_p["unadjusted"]
         assert np.array_equal(out.per_item_p["bonferroni"], bonferroni_adjust(p))
         assert np.array_equal(out.per_item_p["holm"], holm_adjust(p))
         assert out.p_one_sided == pytest.approx(min(1.0, 10 * p.min()))
-        simes = ps.test_simes_hommel(effect_dataset)
+        simes = ps.test_simes_hommel(ps.fit_marginals(effect_dataset))
         assert np.array_equal(simes.per_item_p["hommel"], hommel_adjust(p))
         assert simes.p_one_sided == pytest.approx(simes_global(p))
         assert simes.p_one_sided <= out.p_one_sided + 1e-12
@@ -247,7 +230,7 @@ class TestBonferroniSimes:
 class TestMaxT:
     def test_symmetric_arms_near_one(self, calib10):
         data = arm_symmetric_dataset()
-        out = ps.test_maxt(data, rng=ps.RngStream(3))
+        out = ps.test_maxt(*marginals(data), rng=ps.RngStream(3))
         assert out.statistic == pytest.approx(0.0, abs=1e-9)
         assert 0.99 <= out.p_one_sided <= 1.0
 
@@ -267,7 +250,7 @@ class TestMaxT:
             data = ps.gen_discretized_mvn(
                 params, scen[labels[i % 4]], 40, ps.RngStream(5000 + i)
             )
-            out = ps.test_maxt(data, tol=1e-3, rng=ps.RngStream(i))
+            out = ps.test_maxt(*marginals(data), tol=1e-3, rng=ps.RngStream(i))
             bound = min(1.0, 10 * (1 - float(ndtr(out.statistic))))
             err = out.diagnostics["mvn_error_estimate"]
             assert out.p_one_sided <= bound + err + 1e-12
@@ -275,8 +258,8 @@ class TestMaxT:
         assert count == 250
 
     def test_uses_marginal_df_transform(self, effect_dataset):
-        fits = ps.fit_marginals(effect_dataset)
-        out = ps.test_maxt(effect_dataset, rng=ps.RngStream(6), fits=fits)
+        fits, corr = marginals(effect_dataset)
+        out = ps.test_maxt(fits, corr, rng=ps.RngStream(6))
         z = out.diagnostics["z_values"]
         for j, t in enumerate(fits.t_vector):
             expect = ps.normal_quantile(ps.student_t_cdf(-t, fits.df_marginal))
@@ -308,7 +291,7 @@ class TestMaxTDecision:
         rng = ps.RngStream(case[2])
         with mock.patch("psprsim.procedures.mvn_rect_upper",
                         wraps=ps.mvn_rect_upper) as integral:
-            out = ps.test_maxt(data, tol=1e-3, rng=rng, fits=fits, corr=corr, alpha=alpha)
+            out = ps.test_maxt(fits, corr, tol=1e-3, rng=rng, alpha=alpha)
         p_min = float(ndtr(-out.statistic))
         p_max = min(1.0, 10 * p_min)
         if p_min <= alpha < p_max:
@@ -331,13 +314,13 @@ class TestMaxTDecision:
         fits = ps.fit_marginals(data)
         corr = ps.estimate_corr(data, fits)
         seed = case[2]
-        full = ps.test_maxt(data, tol=1e-4, rng=ps.RngStream(seed), fits=fits, corr=corr)
+        full = ps.test_maxt(fits, corr, tol=1e-4, rng=ps.RngStream(seed))
         p_min = float(ndtr(-full.statistic))
         # an alpha strictly inside the bounds forces the integral
         alpha = p_min * (1.0 + 9.0 * frac)
         if not p_min < alpha < min(1.0, 10 * p_min):
             return
-        fast = ps.test_maxt(data, tol=1e-4, rng=ps.RngStream(seed), fits=fits, corr=corr,
+        fast = ps.test_maxt(fits, corr, tol=1e-4, rng=ps.RngStream(seed),
                             alpha=alpha)
         assert "bound_settled" not in fast.diagnostics
         err_full = full.diagnostics["mvn_error_estimate"]
@@ -348,11 +331,11 @@ class TestMaxTDecision:
     def test_full_precision_p_value_pinned(self, reference_pool, two_arm_dataset):
         # without alpha (as analyze calls it) the p-value is integrated to
         # tol; the pinned bits catch any leak of the decision path into it
-        out = ps.test_maxt(two_arm_dataset, rng=ps.RngStream(3))
+        out = ps.test_maxt(*marginals(two_arm_dataset), rng=ps.RngStream(3))
         assert out.p_one_sided == float.fromhex("0x1.f749a904b3b76p-2")
         assert out.diagnostics["mvn_error_estimate"] <= 1e-4
         effect = _decision_dataset(reference_pool, "d3", 70, 22)
-        out = ps.test_maxt(effect, rng=ps.RngStream(3))
+        out = ps.test_maxt(*marginals(effect), rng=ps.RngStream(3))
         assert out.p_one_sided == float.fromhex("0x1.f6b95958ee8c0p-7")
 
 
@@ -469,7 +452,7 @@ class TestOmnibus:
 class TestOmnibusDomains:
     def test_symmetric_arms_lookup(self, calib3):
         data = arm_symmetric_dataset()
-        out = ps.test_omnibus_domains(data, calib=calib3)
+        out = ps.test_omnibus_domains(data, calib3)
         assert np.allclose(out.per_item_p["domain"], 0.5)
         expected = calib3.global_p(calib3.combined_statistic(np.full(3, 0.5)))
         assert out.p_one_sided == expected
@@ -477,7 +460,7 @@ class TestOmnibusDomains:
     def test_wrong_calibration_size(self, calib10):
         data = arm_symmetric_dataset()
         with pytest.raises(ValidationError):
-            ps.test_omnibus_domains(data, calib=calib10)
+            ps.test_omnibus_domains(data, calib10)
 
     def test_single_domain_effect_beats_bonferroni(self, reference_pool, calib3):
         # history-domain-only effect (d4): the domain omnibus should win;
@@ -488,9 +471,9 @@ class TestOmnibusDomains:
         wins_dom = wins_bonf = 0
         for i in range(300):
             data = ps.gen_discretized_mvn(params, scen, 25, ps.RngStream(7000 + i))
-            if ps.test_omnibus_domains(data, calib=calib3).p_one_sided <= 0.025:
+            if ps.test_omnibus_domains(data, calib3).p_one_sided <= 0.025:
                 wins_dom += 1
-            if ps.test_bonferroni(data).p_one_sided <= 0.025:
+            if ps.test_bonferroni(ps.fit_marginals(data)).p_one_sided <= 0.025:
                 wins_bonf += 1
         assert wins_dom > wins_bonf
 
@@ -502,16 +485,16 @@ class TestOutcomeContract:
         corr = ps.estimate_corr(effect_dataset, fits)
         outcomes = [
             ps.test_sum_score(effect_dataset),
-            ps.test_irt(effect_dataset, external_model=grm_model),
-            ps.test_lm_approx(effect_dataset, approx=latent_approx),
-            ps.test_obrien(effect_dataset, variant="OLS", fits=fits, corr=corr),
-            ps.test_obrien(effect_dataset, variant="GLS", fits=fits, corr=corr),
-            ps.test_obrien(effect_dataset, variant="GLS-drop", fits=fits, corr=corr),
-            ps.test_bonferroni(effect_dataset, fits=fits),
-            ps.test_simes_hommel(effect_dataset, fits=fits),
-            ps.test_maxt(effect_dataset, rng=ps.RngStream(8), fits=fits, corr=corr),
+            ps.test_irt(effect_dataset, grm_model),
+            ps.test_lm_approx(effect_dataset, latent_approx),
+            ps.test_obrien(fits, corr, variant="OLS"),
+            ps.test_obrien(fits, corr, variant="GLS"),
+            ps.test_obrien(fits, corr, variant="GLS-drop"),
+            ps.test_bonferroni(fits),
+            ps.test_simes_hommel(fits),
+            ps.test_maxt(fits, corr, rng=ps.RngStream(8)),
             ps.test_omnibus(fits.p_vector, calib10),
-            ps.test_omnibus_domains(effect_dataset, calib=calib3),
+            ps.test_omnibus_domains(effect_dataset, calib3),
         ]
         assert len(outcomes) == len(ps.METHODS)
         for out in outcomes:
