@@ -70,8 +70,9 @@ def derive_replicate_seeds(master: int, scenario_id: int, reps: np.ndarray) -> n
 
 
 def _check_fields(doc, cls, where: str) -> None:
-    """Reject a document that is not an object, or whose keys are not the
-    dataclass's fields, before it reaches the constructor."""
+    """Reject a document that is not an object, whose keys are not the
+    dataclass's fields, or whose values are not of the fields' declared
+    types, before it reaches the constructor."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{where} must be a JSON object, got {type(doc).__name__}")
     known = {f.name for f in fields(cls)}
@@ -84,15 +85,55 @@ def _check_fields(doc, cls, where: str) -> None:
     )
     if missing:
         raise ValidationError(f"{where} is missing required fields {missing}")
+    _check_types(doc, cls, where)
 
 
-# what a plan field of each declared type accepts; bool is not an integer here
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# what a plan field of each declared type accepts; bool is not a number here
 _FIELD_TYPES = {
     "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-    "float": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
     "list": ("a list", lambda v: isinstance(v, list)),
+    "list[float]": ("a list of numbers",
+                    lambda v: isinstance(v, list) and all(map(_is_number, v))),
 }
+
+
+def _check_types(values: dict, cls, where: str) -> None:
+    """Reject a value that is not of its field's declared type; f.type is the
+    annotation's text, and fields of other types are left to the constructor."""
+    for f in fields(cls):
+        expected = _FIELD_TYPES.get(f.type)
+        if expected is not None and f.name in values and not expected[1](values[f.name]):
+            raise ValidationError(f"{where} field {f.name!r} must be {expected[0]}, "
+                                  f"got {values[f.name]!r}")
+
+
+def _reject_repeats(name: str, values: list) -> None:
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValidationError(f"plan field {name!r} repeats {repeated}")
+
+
+@dataclass
+class _InlineShift:
+    """An inline item-shift scenario entry of a plan."""
+
+    label: str
+    d: list[float]
+
+
+@dataclass
+class _InlineRatio:
+    """An inline slope-ratio scenario entry of a plan."""
+
+    label: str
+    rho: float
 
 
 @dataclass
@@ -115,12 +156,7 @@ class StudyPlan:
     irt_population: IrtPopulationParams = field(default_factory=IrtPopulationParams)
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is the annotation's text
-            expected = _FIELD_TYPES.get(f.type)
-            value = getattr(self, f.name)
-            if expected is not None and not expected[1](value):
-                raise ValidationError(f"plan field {f.name!r} must be {expected[0]}, "
-                                      f"got {value!r}")
+        _check_types(vars(self), StudyPlan, "plan")
         if self.generator not in GENERATORS:
             raise ValidationError(f"unknown generator {self.generator!r}")
         if self.n_reps < 100:
@@ -132,6 +168,10 @@ class StudyPlan:
             raise ValidationError(f"unknown methods {bad}; known: {list(METHODS)}")
         for s in self.schemes:
             get_scheme(s)
+        _reject_repeats("schemes", self.schemes)
+        _reject_repeats("methods", self.methods)
+        # a bad scenario fails here, before any caller starts the fit phase
+        _reject_repeats("scenarios", [s.label for s in self.resolve_scenarios()])
 
     def resolve_scenarios(self) -> list[EffectScenario]:
         known = builtin_scenarios()
@@ -144,9 +184,11 @@ class StudyPlan:
                     )
                 out.append(known[entry])
             elif isinstance(entry, dict) and "d" in entry:
+                _check_fields(entry, _InlineShift, "inline scenario")
                 out.append(EffectScenario("item-shift", entry["label"],
                                           d=np.asarray(entry["d"], dtype=float)))
             elif isinstance(entry, dict) and "rho" in entry:
+                _check_fields(entry, _InlineRatio, "inline scenario")
                 out.append(EffectScenario("slope-ratio", entry["label"],
                                           rho=float(entry["rho"])))
             else:

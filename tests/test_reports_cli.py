@@ -337,17 +337,52 @@ class TestCli:
             assert rc == 2
             assert name in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name, value", [
-        ("n_reps", "100"), ("n_reps", True), ("calibration_reps", 1000.0),
-        ("alpha", "0.025"), ("maxt_tol", None), ("scenarios", "d0"),
-        ("schemes", "original"), ("methods", "SumS"), ("bootstrap_replace", 1),
+    @pytest.mark.parametrize("name, value, message", [
+        *(pytest.param(name, value, f"plan field {name!r}", id=f"{name}-{value}")
+          for name, value in [
+            ("n_reps", "100"), ("n_reps", True), ("calibration_reps", 1000.0),
+            ("alpha", "0.025"), ("maxt_tol", None), ("scenarios", "d0"),
+            ("schemes", "original"), ("methods", "SumS"), ("bootstrap_replace", 1),
+        ]),
+        # nested objects go through the same key and type checks
+        pytest.param("scenarios", [{"label": "x", "d": "abc"}], "inline scenario field 'd'",
+                     id="scenarios-inline-d"),
+        pytest.param("scenarios", [{"d": [0.1] * 10}], "missing required fields ['label']",
+                     id="scenarios-inline-no-label"),
+        pytest.param("irt_population", {"slope_sd": "0.3"}, "irt_population field 'slope_sd'",
+                     id="irt_population-slope_sd"),
     ])
-    def test_plan_field_type_exit_code(self, tmp_path, capsys, name, value):
+    def test_plan_field_type_exit_code(self, tmp_path, capsys, name, value, message):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"generator": "mvn", name: value}))
         rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert f"plan field {name!r}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [
+        ("scenarios", ["d0", "d0"]), ("scenarios", ["d1", {"label": "d1", "d": [0.1] * 10}]),
+        ("schemes", ["fda", "fda"]), ("methods", ["SumS", "Bonf", "SumS"]),
+    ])
+    def test_repeated_plan_entry_exit_code(self, tmp_path, capsys, name, value):
+        # a repeated entry would write rows with the same key and different rates
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"generator": "mvn", name: value}))
+        rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"plan field {name!r} repeats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenarios", [["d99"], [{"label": "x", "rho": "0.5"}]])
+    def test_bad_scenario_fails_before_fit_phase(self, tmp_path, monkeypatch, capsys,
+                                                 scenarios):
+        def fit_phase(*args, **kwargs):
+            raise AssertionError("the fit phase started")
+
+        monkeypatch.setattr(ps.engine, "prepare_auxiliaries", fit_phase)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"generator": "mvn", "scenarios": scenarios}))
+        rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "scenario" in capsys.readouterr().err
 
     def test_non_integer_worker_env_exit_code(self, tmp_path, monkeypatch, capsys):
         plan = ps.StudyPlan(generator="mvn", scenarios=["d0"], schemes=["original"],
