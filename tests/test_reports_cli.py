@@ -351,6 +351,12 @@ class TestCli:
                      id="scenarios-inline-no-label"),
         pytest.param("irt_population", {"slope_sd": "0.3"}, "irt_population field 'slope_sd'",
                      id="irt_population-slope_sd"),
+        # a repeated entry would write rows with the same key and different rates
+        *(pytest.param(name, value, f"plan field {name!r} repeats", id=f"{name}-repeated-{i}")
+          for i, (name, value) in enumerate([
+            ("scenarios", ["d0", "d0"]), ("scenarios", ["d1", {"label": "d1", "d": [0.1] * 10}]),
+            ("schemes", ["fda", "fda"]), ("methods", ["SumS", "Bonf", "SumS"]),
+        ])),
     ])
     def test_plan_field_type_exit_code(self, tmp_path, capsys, name, value, message):
         plan_path = tmp_path / "plan.json"
@@ -358,18 +364,6 @@ class TestCli:
         rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name, value", [
-        ("scenarios", ["d0", "d0"]), ("scenarios", ["d1", {"label": "d1", "d": [0.1] * 10}]),
-        ("schemes", ["fda", "fda"]), ("methods", ["SumS", "Bonf", "SumS"]),
-    ])
-    def test_repeated_plan_entry_exit_code(self, tmp_path, capsys, name, value):
-        # a repeated entry would write rows with the same key and different rates
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps({"generator": "mvn", name: value}))
-        rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert f"plan field {name!r} repeats" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenarios", [["d99"], [{"label": "x", "rho": "0.5"}]])
     def test_bad_scenario_fails_before_fit_phase(self, tmp_path, monkeypatch, capsys,
