@@ -121,7 +121,7 @@ def _cmd_analyze(args) -> int:
             ),
             "lm_r_squared": approx.r_squared,
             "marginal_p": (None if fits is None
-                           else dict(zip(ITEM_COLUMNS, fits.p_vector.tolist()))),
+                           else dict(zip(ITEM_COLUMNS, fits.p.tolist()))),
         }
         desc = reports.descriptive_table(data, fits)
         reports.emit_report(

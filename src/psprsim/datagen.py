@@ -46,11 +46,6 @@ class EffectScenario:
         else:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
 
-    def is_null(self) -> bool:
-        if self.kind == "item-shift":
-            return bool(np.all(self.d == 0.0))
-        return self.rho == 1.0
-
 
 def _shift(label: str, pattern: dict[str, float] | float) -> EffectScenario:
     d = np.zeros(N_ITEMS)

@@ -12,7 +12,7 @@ import json
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -31,8 +31,8 @@ from .datagen import (
 )
 from .errors import NumericalError, ValidationError
 from .irt import GrModel, LinearLatentApprox, eap_scores, fit_grm, fit_linear_latent_approx
-from .marginal import CorrelationEstimate, MarginalFits, estimate_corr, fit_marginals
-from .numkit import RngStream, mix64, mix64_array, _GOLDEN, _MASK64
+from .marginal import CorrelationEstimate, estimate_corr, fit_marginals
+from .numkit import AncovaFit, RngStream, mix64, mix64_array, _GOLDEN, _MASK64
 from .procedures import (
     METHODS,
     OmnibusCalibration,
@@ -50,7 +50,8 @@ from .procedures import (
 from .scales import DOMAINS, ItemDataset, ScoringScheme, ensure_scheme, get_scheme
 
 WORKER_ENV_VAR = "PSPRSIM_WORKERS"
-GENERATORS = ("mvn", "bootstrap", "irt")
+# each generator and the scenario kind it applies
+GENERATORS = {"mvn": "item-shift", "bootstrap": "item-shift", "irt": "slope-ratio"}
 
 def derive_replicate_seed(master: int, scenario_id: int, rep: int) -> int:
     """Collision-resistant 64-bit seed for one replicate (splitmix64 chain)."""
@@ -171,7 +172,14 @@ class StudyPlan:
         _reject_repeats("schemes", self.schemes)
         _reject_repeats("methods", self.methods)
         # a bad scenario fails here, before any caller starts the fit phase
-        _reject_repeats("scenarios", [s.label for s in self.resolve_scenarios()])
+        scenarios = self.resolve_scenarios()
+        _reject_repeats("scenarios", [s.label for s in scenarios])
+        kind = GENERATORS[self.generator]
+        wrong = [s.label for s in scenarios if s.kind != kind]
+        if wrong:
+            raise ValidationError(
+                f"the {self.generator} generator needs {kind} scenarios, got {wrong}"
+            )
 
     def resolve_scenarios(self) -> list[EffectScenario]:
         known = builtin_scenarios()
@@ -204,12 +212,10 @@ class StudyPlan:
     def from_doc(cls, doc: dict) -> "StudyPlan":
         _check_fields(doc, cls, "plan")
         doc = dict(doc)
-        pop = doc.pop("irt_population", None)
-        plan = cls(**doc)
-        if pop is not None:
-            _check_fields(pop, IrtPopulationParams, "irt_population")
-            plan = replace(plan, irt_population=IrtPopulationParams(**pop))
-        return plan
+        if "irt_population" in doc:
+            _check_fields(doc["irt_population"], IrtPopulationParams, "irt_population")
+            doc["irt_population"] = IrtPopulationParams(**doc["irt_population"])
+        return cls(**doc)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_doc(), indent=2), encoding="utf-8")
@@ -331,10 +337,6 @@ def _generate(plan: StudyPlan, scenario: EffectScenario, aux: StudyAuxiliaries,
     if plan.generator == "bootstrap":
         return gen_bootstrap(aux.pool, scenario, plan.n_per_group, rng,
                              replace=plan.bootstrap_replace)
-    if scenario.kind != "slope-ratio":
-        raise ValidationError(
-            f"the IRT generator needs a slope-ratio scenario, got {scenario.label!r}"
-        )
     return gen_irt_longitudinal(plan.irt_population, aux.grm["original"],
                                 scenario.rho, plan.n_per_group, rng)
 
@@ -352,7 +354,7 @@ METHOD_TABLE = {
     "Bonf": lambda c: test_bonferroni(c.fits),
     "MaxT": lambda c: test_maxt(c.fits, c.corr, c.maxt_tol, c.rng, c.alpha),
     "Simes": lambda c: test_simes_hommel(c.fits),
-    "Omnibus": lambda c: test_omnibus(c.fits.p_vector, c.calib_items),
+    "Omnibus": lambda c: test_omnibus(c.fits.p, c.calib_items),
     "Omnibus-dom": lambda c: test_omnibus_domains(c.data, c.calib_domains),
 }
 
@@ -376,7 +378,7 @@ class MethodContext:
     alpha: float | None = None
 
     @cached_property
-    def fits(self) -> MarginalFits:
+    def fits(self) -> AncovaFit:
         return fit_marginals(self.data)
 
     @cached_property

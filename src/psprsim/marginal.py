@@ -24,23 +24,6 @@ SANDWICH_CORRECTION = "HC0"  # plain cross-products, no df adjustment
 
 
 @dataclass
-class MarginalFits:
-    """One ANCOVA per item on a common subject set."""
-
-    per_item: list[AncovaFit]
-    t_vector: np.ndarray
-    df_marginal: float
-
-    @property
-    def p_vector(self) -> np.ndarray:
-        return np.array([f.p_one_sided for f in self.per_item])
-
-    @property
-    def n_subjects(self) -> int:
-        return self.per_item[0].residuals.shape[0]
-
-
-@dataclass
 class CorrelationEstimate:
     """Correlation of the stacked treatment-coefficient estimators."""
 
@@ -48,17 +31,15 @@ class CorrelationEstimate:
     method: str = "stacked-score sandwich"
 
 
-def fit_marginals(data: ItemDataset) -> MarginalFits:
+def fit_marginals(data: ItemDataset) -> AncovaFit:
     """Fit the per-item week52 ~ baseline + treatment ANCOVAs (one block)."""
     try:
-        fits = fit_ancova(data.week52, data.baseline, data.arm)
+        return fit_ancova(data.week52, data.baseline, data.arm)
     except SingularDesignError as exc:
         raise SingularDesignError(
             f"singular ANCOVA design for item {ITEM_COLUMNS[exc.column]}: {exc}",
             column=exc.column,
         ) from exc
-    t = np.array([f.t_value for f in fits])
-    return MarginalFits(per_item=fits, t_vector=t, df_marginal=float(fits[0].df))
 
 
 def sandwich_treatment_correlation(
@@ -87,14 +68,12 @@ def sandwich_treatment_correlation(
     return R
 
 
-def estimate_corr(data: ItemDataset, fits: MarginalFits) -> CorrelationEstimate:
+def estimate_corr(data: ItemDataset, fits: AncovaFit) -> CorrelationEstimate:
     """Sandwich correlation of the treatment coefficients across items."""
-    n = data.n_subjects
-    if len(fits.per_item) != N_ITEMS or fits.n_subjects != n:
+    if fits.residuals.shape != (N_ITEMS, data.n_subjects):
         raise ValidationError("fits were not computed on this dataset")
-    residuals = np.column_stack([f.residuals for f in fits.per_item])
     return CorrelationEstimate(
-        R=sandwich_treatment_correlation(data.baseline, data.arm, residuals)
+        R=sandwich_treatment_correlation(data.baseline, data.arm, fits.residuals.T)
     )
 
 

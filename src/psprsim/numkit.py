@@ -13,7 +13,6 @@ a key, never by sharing generator state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,22 +108,19 @@ def cholesky(S: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AncovaFit:
-    """Result of the outcome ~ 1 + baseline + treatment least-squares fit.
+    """Results of the outcome ~ 1 + baseline + treatment least-squares fits of
+    m columns sharing one arm, as arrays over the columns.
 
     One-sided convention: treatment coded 1, control 0, lower scores are
-    beneficial, so negative t means benefit and p_one_sided = F_t(t, df).
+    beneficial, so negative t means benefit and p = F_t(t, df).
     """
 
-    coef_treatment: float
-    se: float
-    t_value: float
+    coef: np.ndarray  # (m, 3): intercept, baseline, treatment
+    se: np.ndarray  # (m,) standard error of the treatment coefficient
+    t: np.ndarray  # (m,)
+    p: np.ndarray  # (m,) one-sided
     df: float
-    p_one_sided: float
-    residuals: np.ndarray = field(repr=False)
-    coef_intercept: float = 0.0
-    coef_baseline: float = 0.0
-
-    design_columns = ("intercept", "baseline", "treatment")
+    residuals: np.ndarray = field(repr=False)  # (m, n)
 
 
 def ancova_design(baseline: np.ndarray, arm: np.ndarray) -> np.ndarray:
@@ -138,19 +134,19 @@ def ancova_design(baseline: np.ndarray, arm: np.ndarray) -> np.ndarray:
     return X
 
 
-def fit_ancova(outcome, baseline, arm) -> AncovaFit | list[AncovaFit]:
+def fit_ancova(outcome, baseline, arm) -> AncovaFit:
     """ANCOVA of outcome on baseline and a binary treatment indicator.
 
     Least squares via QR for conditioning. The treatment coefficient's t test
     (df = n - 3) gives the one-sided p-value under the benefit-negative
     convention.
 
-    ``outcome`` and ``baseline`` are either length-n vectors, giving one fit,
-    or (n, m) column blocks sharing ``arm``, giving a list of m fits. A block
-    runs as stacked LAPACK/BLAS calls on an (m, n, 3) design, each column
-    through the same QR, solve, matrix-vector and dot kernels as a vector
-    input, so column j equals the fit of that column alone bit for bit. A
-    rank-deficient column raises SingularDesignError carrying its index.
+    ``outcome`` and ``baseline`` are (n, m) column blocks sharing ``arm``; a
+    length-n vector is the m = 1 block. A block runs as stacked LAPACK/BLAS
+    calls on an (m, n, 3) design, each column through the same QR, solve,
+    matrix-vector and dot kernels as a vector input, so column j equals the
+    fit of that column alone bit for bit. A rank-deficient column raises
+    SingularDesignError carrying its index.
     """
     y = np.asarray(outcome, dtype=float)
     b = np.asarray(baseline, dtype=float)
@@ -193,34 +189,18 @@ def fit_ancova(outcome, baseline, arm) -> AncovaFit | list[AncovaFit]:
     sol = np.linalg.solve(np.concatenate([R, R.transpose(0, 2, 1)]), rhs)
     coef, rinv_row = sol[:m], sol[m:]
     resid = Y - (X @ coef)[:, :, 0]
-    rss = (resid[:, None, :] @ resid[:, :, None]).ravel().tolist()
-    yy = (Y[:, None, :] @ Y[:, :, None]).ravel().tolist()
-    var_unit = (rinv_row.transpose(0, 2, 1) @ rinv_row).ravel().tolist()
+    rss = (resid[:, None, :] @ resid[:, :, None]).ravel()
+    scale = 1.0 + (Y[:, None, :] @ Y[:, :, None]).ravel()
+    var_unit = (rinv_row.transpose(0, 2, 1) @ rinv_row).ravel()
     df = n - 3
-    fits = []
-    for j, (c0, c1, coef_t) in enumerate(coef[:, :, 0].tolist()):
-        scale = 1.0 + yy[j]
-        if rss[j] <= 1e-20 * scale:
-            # perfect fit: zero residuals force se = 0; a (numerically) zero
-            # coefficient is then an exact null result, a nonzero one is
-            # infinitely significant
-            se = 0.0
-            t = 0.0 if abs(coef_t) <= 1e-8 * math.sqrt(scale) else math.copysign(math.inf, coef_t)
-        else:
-            se = math.sqrt(rss[j] / df * var_unit[j])
-            t = coef_t / se
-        if math.isinf(t):
-            p = 0.0 if t < 0 else 1.0
-        else:
-            p = student_t_cdf(t, df)
-        fits.append(AncovaFit(
-            coef_treatment=coef_t,
-            se=se,
-            t_value=t,
-            df=float(df),
-            p_one_sided=p,
-            residuals=resid[j],
-            coef_intercept=c0,
-            coef_baseline=c1,
-        ))
-    return fits[0] if y.ndim == 1 else fits
+    coef_t = coef[:, 2, 0]
+    # perfect fit: zero residuals force se = 0; a (numerically) zero
+    # coefficient is then an exact null result (t = 0, p = 1/2), a nonzero
+    # one is infinitely significant (t = +-inf, which stdtr maps to p = 1, 0)
+    perfect = rss <= 1e-20 * scale
+    se = np.sqrt(rss / df * var_unit)
+    se[perfect] = 0.0
+    t = np.divide(coef_t, se, out=np.copysign(np.inf, coef_t), where=~perfect)
+    t[perfect & (np.abs(coef_t) <= 1e-8 * np.sqrt(scale))] = 0.0
+    return AncovaFit(coef=coef[:, :, 0], se=se, t=t, p=special.stdtr(df, t), df=float(df),
+                     residuals=resid)

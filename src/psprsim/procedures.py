@@ -14,22 +14,20 @@ dataset and scheme.
 
 from __future__ import annotations
 
-import logging
 import os
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from .errors import NumericalError, ValidationError
 from .irt import GrModel, LinearLatentApprox, approx_latent, eap_scores
-from .marginal import CorrelationEstimate, MarginalFits, subset_corr
+from .marginal import CorrelationEstimate, subset_corr
 from .mvnorm import mvn_rect_upper
-from .numkit import RngStream, fit_ancova, normal_cdf, normal_quantile, student_t_cdf
+from .numkit import AncovaFit, RngStream, fit_ancova, normal_cdf, student_t_cdf
 from .scales import DOMAINS, N_ITEMS, ItemDataset
-
-log = logging.getLogger(__name__)
 
 METHODS = (
     "SumS",
@@ -54,7 +52,6 @@ class TestOutcome:
     method: str
     statistic: float
     p_one_sided: float
-    per_item_p: dict[str, np.ndarray] | None = None
     weights: np.ndarray | None = None
     dropped_items: list[int] | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -125,9 +122,9 @@ def _ancova_outcome(method: str, week: np.ndarray, base: np.ndarray,
     fit = fit_ancova(week, base, arm)
     return TestOutcome(
         method=method,
-        statistic=fit.t_value,
-        p_one_sided=fit.p_one_sided,
-        diagnostics={"coef": fit.coef_treatment, "se": fit.se, "df": fit.df},
+        statistic=float(fit.t[0]),
+        p_one_sided=float(fit.p[0]),
+        diagnostics={"coef": float(fit.coef[0, 2]), "se": float(fit.se[0]), "df": fit.df},
     )
 
 
@@ -166,7 +163,7 @@ def test_lm_approx(data: ItemDataset, approx: LinearLatentApprox) -> TestOutcome
 # ---------------------------------------------------------------------------
 
 
-def test_obrien(fits: MarginalFits, corr: CorrelationEstimate,
+def test_obrien(fits: AncovaFit, corr: CorrelationEstimate,
                 variant: str = "OLS") -> TestOutcome:
     """Directional global tests on the vector of per-item t-statistics.
 
@@ -177,8 +174,8 @@ def test_obrien(fits: MarginalFits, corr: CorrelationEstimate,
     """
     if variant not in ("OLS", "GLS", "GLS-drop"):
         raise ValidationError(f"unknown variant {variant!r}")
-    t = fits.t_vector
-    n_group = fits.n_subjects / 2.0
+    t = fits.t
+    n_group = fits.residuals.shape[1] / 2.0
     diagnostics: dict = {}
     dropped: list[int] | None = None
 
@@ -235,35 +232,26 @@ def test_obrien(fits: MarginalFits, corr: CorrelationEstimate,
 # ---------------------------------------------------------------------------
 
 
-def test_bonferroni(fits: MarginalFits) -> TestOutcome:
-    """Global min-p Bonferroni test plus Bonferroni/Holm per-item p-values."""
-    p = fits.p_vector
+def test_bonferroni(fits: AncovaFit) -> TestOutcome:
+    """Global min-p Bonferroni test (per-item adjusted p-values are
+    bonferroni_adjust and holm_adjust of fits.p)."""
+    p = fits.p
     return TestOutcome(
         method="Bonf",
         statistic=float(p.min()),
         p_one_sided=float(min(1.0, p.size * p.min())),
-        per_item_p={
-            "unadjusted": p,
-            "bonferroni": bonferroni_adjust(p),
-            "holm": holm_adjust(p),
-        },
     )
 
 
-def test_simes_hommel(fits: MarginalFits) -> TestOutcome:
-    """Simes global test; Hommel closed-testing per-item p-values."""
-    p = fits.p_vector
-    g = simes_global(p)
-    return TestOutcome(
-        method="Simes",
-        statistic=g,
-        p_one_sided=g,
-        per_item_p={"unadjusted": p, "hommel": hommel_adjust(p)},
-    )
+def test_simes_hommel(fits: AncovaFit) -> TestOutcome:
+    """Simes global test, the global step of Hommel's closed testing (its
+    per-item adjusted p-values are hommel_adjust of fits.p)."""
+    g = simes_global(fits.p)
+    return TestOutcome(method="Simes", statistic=g, p_one_sided=g)
 
 
 def test_maxt(
-    fits: MarginalFits,
+    fits: AncovaFit,
     corr: CorrelationEstimate,
     tol: float = 1e-4,
     rng: RngStream | None = None,
@@ -281,14 +269,10 @@ def test_maxt(
     alpha's side is returned), and otherwise the integration stops once its
     error estimate excludes alpha.
     """
-    df = fits.df_marginal
-    z = np.empty(N_ITEMS)
-    for j, t in enumerate(fits.t_vector):
-        if np.isinf(t):
-            z[j] = -t  # infinitely beneficial t maps to +inf z
-        else:
-            u = min(max(student_t_cdf(-t, df), 1e-300), 1.0 - 1e-16)
-            z[j] = normal_quantile(u)
+    t = fits.t
+    u = np.clip(special.stdtr(fits.df, -t), 1e-300, 1.0 - 1e-16)
+    # an infinitely beneficial t maps to +inf z, which the clip would cap
+    z = np.where(np.isinf(t), -t, special.ndtri(u))
     z_max = float(z.max())
     diagnostics: dict = {"z_values": z}
     p_min = float(normal_cdf(-z_max))
@@ -308,7 +292,6 @@ def test_maxt(
         method="MaxT",
         statistic=z_max,
         p_one_sided=p,
-        per_item_p={"unadjusted": fits.p_vector},
         diagnostics=diagnostics,
     )
 
@@ -374,7 +357,6 @@ def build_omnibus_calibration(
     S = np.cumsum(_TRANSFORMS[transform](u), axis=1)  # (reps, m)
     sorted_partial = np.sort(S, axis=0).T.copy()  # (m, reps)
     # each calibration replicate's own combined statistic, same convention
-    T = np.empty(reps)
     marg = np.empty((reps, m))
     for s in range(m):
         idx = np.searchsorted(sorted_partial[s], S[:, s], side="left")
@@ -479,7 +461,6 @@ def test_omnibus(pvalues, calib: OmnibusCalibration) -> TestOutcome:
         method="Omnibus",
         statistic=combined,
         p_one_sided=calib.global_p(combined),
-        per_item_p={"unadjusted": p},
     )
 
 
@@ -488,7 +469,7 @@ def domain_pvalues(data: ItemDataset) -> np.ndarray:
     cols = [list(idx) for idx in DOMAINS.values()]
     base = np.column_stack([data.baseline[:, c].sum(axis=1) for c in cols]).astype(float)
     week = np.column_stack([data.week52[:, c].sum(axis=1) for c in cols]).astype(float)
-    return np.array([f.p_one_sided for f in fit_ancova(week, base, data.arm)])
+    return fit_ancova(week, base, data.arm).p
 
 
 def test_omnibus_domains(data: ItemDataset, calib: OmnibusCalibration) -> TestOutcome:
@@ -497,5 +478,4 @@ def test_omnibus_domains(data: ItemDataset, calib: OmnibusCalibration) -> TestOu
     p = domain_pvalues(data)
     out = test_omnibus(p, calib)
     out.method = "Omnibus-dom"
-    out.per_item_p = {"domain": p}
     return out

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .marginal import MarginalFits
+from .numkit import AncovaFit
 from .scales import ITEM_COLUMNS, ITEM_LABELS, N_ITEMS, ItemDataset, original_scheme
 
 log = logging.getLogger(__name__)
@@ -187,7 +187,7 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(np.mean(x)), sd / np.sqrt(n)
 
 
-def descriptive_table(data: ItemDataset, fits: MarginalFits | None) -> list[dict]:
+def descriptive_table(data: ItemDataset, fits: AncovaFit | None) -> list[dict]:
     """Per item x arm summary rows plus the marginal ANCOVA columns.
 
     Standard errors are sample sd / sqrt(n); the difference column is the
@@ -196,6 +196,8 @@ def descriptive_table(data: ItemDataset, fits: MarginalFits | None) -> list[dict
     `fits`, the marginal fits of `data`; they are null everywhere when
     `fits` is None (the fits failed).
     """
+    if fits is not None:
+        coef, se, p = fits.coef[:, 2].tolist(), fits.se.tolist(), fits.p.tolist()
     rows = []
     for j in range(N_ITEMS):
         for arm_value, arm_name in ((1, "treatment"), (0, "control")):
@@ -205,7 +207,7 @@ def descriptive_table(data: ItemDataset, fits: MarginalFits | None) -> list[dict
             bm, bs = _mean_se(base)
             wm, ws = _mean_se(week)
             dm, ds = _mean_se(week - base)
-            fit = fits.per_item[j] if fits is not None and arm_value == 1 else None
+            fitted = fits is not None and arm_value == 1
             row = {
                 "item": ITEM_COLUMNS[j],
                 "label": ITEM_LABELS[j],
@@ -217,9 +219,9 @@ def descriptive_table(data: ItemDataset, fits: MarginalFits | None) -> list[dict
                 "week52_se": ws,
                 "diff_mean": dm,
                 "diff_se": ds,
-                "ancova_coef": None if fit is None else fit.coef_treatment,
-                "ancova_se": None if fit is None else fit.se,
-                "p_value": None if fit is None else fit.p_one_sided,
+                "ancova_coef": coef[j] if fitted else None,
+                "ancova_se": se[j] if fitted else None,
+                "p_value": p[j] if fitted else None,
             }
             rows.append(row)
     return rows

@@ -216,8 +216,8 @@ class TestCriterion7OracleSuites:
         X = np.column_stack([np.ones(n), b, g])
         coef = np.linalg.solve(X.T @ X, X.T @ y)
         fit = ps.fit_ancova(y, b, g)
-        ok = abs(fit.coef_treatment - coef[2]) < 1e-10
-        report("7a ANCOVA oracle", ok, f"delta {abs(fit.coef_treatment - coef[2]):.2e}")
+        ok = abs(fit.coef[0, 2] - coef[2]) < 1e-10
+        report("7a ANCOVA oracle", ok, f"delta {abs(fit.coef[0, 2] - coef[2]):.2e}")
 
     def test_eap_dense_grid(self, aux):
         model = aux.grm["original"]

@@ -99,19 +99,22 @@ class TestStudyPlan:
             StudyPlan.from_doc({"n_reps": 100})
 
     def test_inline_scenarios(self):
-        plan = StudyPlan(
-            generator="mvn",
-            scenarios=[{"label": "custom", "d": [0.1] * 10}, {"label": "r", "rho": 0.5}],
-        )
-        scen = plan.resolve_scenarios()
-        assert scen[0].kind == "item-shift" and scen[1].rho == 0.5
+        # one plan per kind: a generator applies only its own scenario kind
+        shift = StudyPlan(generator="mvn", scenarios=[{"label": "custom", "d": [0.1] * 10}])
+        ratio = StudyPlan(generator="irt", scenarios=[{"label": "r", "rho": 0.5}])
+        assert shift.resolve_scenarios()[0].kind == "item-shift"
+        assert ratio.resolve_scenarios()[0].rho == 0.5
 
-    def test_generator_scenario_mismatch(self, aux, small_plan):
+    def test_generator_scenario_mismatch(self, small_plan):
+        # caught when the plan is built, before any fit phase
         from dataclasses import replace
 
-        plan = replace(small_plan, scenarios=["rho=0.55"])
-        with pytest.raises(ValidationError):
-            run_study(plan, aux=aux, workers=1)
+        with pytest.raises(ValidationError, match="item-shift scenarios"):
+            replace(small_plan, scenarios=["rho=0.55"])
+        with pytest.raises(ValidationError, match="item-shift scenarios"):
+            replace(small_plan, generator="bootstrap", scenarios=["d0", "rho=0.55"])
+        with pytest.raises(ValidationError, match=r"slope-ratio scenarios, got \['d1'\]"):
+            replace(small_plan, generator="irt", scenarios=["d1"])
 
 
 class TestPowerTable:
@@ -164,6 +167,26 @@ class TestDeterminism:
         t1 = run_study(small_plan, aux=aux, workers=2)
         t2 = run_study(small_plan, aux=aux, workers=2)
         assert t1.to_csv_text() == t2.to_csv_text()
+
+
+class TestPinnedTables:
+    # sha256 of power_table.csv for 100 replicates per generator, computed
+    # when fit_ancova still returned one object per column
+    PINNED_SHA256 = {
+        ("mvn", "d3"): "ff2d1e9010ae79c9b85477ccf3daf67f8618ae4c787d29f0f001dd8e664c76fd",
+        ("bootstrap", "d3"): "01bbd9cc16b7c0b4ddf31c851e11219519f5e42ccb0ced694abbe0801a644a3f",
+        ("irt", "rho=0.6"): "9231c9ead765b18f7eac4d3c1ba2d036ae0fd33d687c0f5d1d6792a05d5775ab",
+    }
+
+    @pytest.mark.parametrize("generator, scenario", list(PINNED_SHA256))
+    def test_power_table_bytes_pinned(self, small_plan, aux, generator, scenario):
+        import hashlib
+        from dataclasses import replace
+
+        plan = replace(small_plan, generator=generator, scenarios=[scenario], n_reps=100)
+        text = run_study(plan, aux=aux, workers=1).to_csv_text()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.PINNED_SHA256[generator, scenario]
 
 
 class TestMethodTable:

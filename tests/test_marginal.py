@@ -77,17 +77,16 @@ class TestFitMarginals:
         data = make_dataset(baseline, baseline.copy(),
                             np.r_[np.zeros(20, dtype=np.int8), np.ones(20, dtype=np.int8)])
         fits = ps.fit_marginals(data)
-        assert np.array_equal(fits.t_vector, np.zeros(N_ITEMS))
+        assert np.array_equal(fits.t, np.zeros(N_ITEMS))
 
     def test_matches_single_endpoint_refit(self):
         data = random_dataset(seed=3)
         fits = ps.fit_marginals(data)
         for j in range(N_ITEMS):
             ref = ps.fit_ancova(data.week52[:, j], data.baseline[:, j], data.arm)
-            assert fits.per_item[j].t_value == ref.t_value
-            assert fits.per_item[j].coef_treatment == ref.coef_treatment
-            assert fits.t_vector[j] == ref.t_value
-        assert fits.df_marginal == data.n_subjects - 3
+            assert fits.t[j] == ref.t[0]
+            assert fits.coef[j, 2] == ref.coef[0, 2]
+        assert fits.df == data.n_subjects - 3
 
     def test_singular_item_named(self):
         data = random_dataset(seed=4)
@@ -111,7 +110,7 @@ class TestFitMarginals:
         # float-hex bits of the per-item t-values and the sandwich
         # correlation's upper triangle, as the per-item fitting loop gave them
         fits = ps.fit_marginals(two_arm_dataset)
-        assert [t.hex() for t in fits.t_vector] == PINNED_T_HEX
+        assert [t.hex() for t in fits.t] == PINNED_T_HEX
         R = ps.estimate_corr(two_arm_dataset, fits).R
         assert [r.hex() for r in R[np.triu_indices(N_ITEMS, 1)]] == PINNED_R_HEX
 
@@ -127,7 +126,7 @@ class TestFitMarginals:
         )
         fits = ps.fit_marginals(data)
         # zero up to floating-point least-squares round-off
-        assert np.abs(fits.t_vector).max() < 1e-10
+        assert np.abs(fits.t).max() < 1e-10
 
 
 class TestEstimateCorr:
@@ -135,7 +134,7 @@ class TestEstimateCorr:
     def test_stacked_matches_per_item_loop(self, seed):
         data = random_dataset(n=40 + 7 * seed, seed=100 + seed)
         fits = ps.fit_marginals(data)
-        residuals = np.column_stack([f.residuals for f in fits.per_item])
+        residuals = fits.residuals.T
         R = sandwich_treatment_correlation(data.baseline, data.arm, residuals)
         assert np.array_equal(R, per_item_sandwich(data.baseline, data.arm, residuals))
 
@@ -169,7 +168,7 @@ class TestEstimateCorr:
         residuals = np.empty((n, 2))
         for j in range(2):
             fit = ps.fit_ancova(week52[:, j], baseline[:, j], arm)
-            residuals[:, j] = fit.residuals
+            residuals[:, j] = fit.residuals[0]
         R = sandwich_treatment_correlation(baseline, arm, residuals)
         assert abs(R[0, 1]) < 0.05
 
@@ -185,7 +184,7 @@ class TestEstimateCorr:
         residuals = np.empty((n, 2))
         for j in range(2):
             fit = ps.fit_ancova(week52[:, j], baseline[:, j], arm)
-            residuals[:, j] = fit.residuals
+            residuals[:, j] = fit.residuals[0]
         R = sandwich_treatment_correlation(baseline, arm, residuals)
         assert R[0, 1] == pytest.approx(0.6, abs=0.03)
 
@@ -217,7 +216,7 @@ class TestEstimateCorr:
 
         def corr_of(b, w):
             residuals = np.column_stack(
-                [ps.fit_ancova(w[:, j], b[:, j], arm).residuals for j in range(3)]
+                [ps.fit_ancova(w[:, j], b[:, j], arm).residuals[0] for j in range(3)]
             )
             return sandwich_treatment_correlation(b, arm, residuals)
 

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, event, given, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
 import psprsim as ps
 from psprsim.errors import FactorizationError, SingularDesignError, ValidationError
+from psprsim.numkit import ancova_design
 
 
 def _ancova_normal_equations(y, b, g):
@@ -31,8 +32,8 @@ class TestFitAncova:
     def test_symmetric_zero_effect(self):
         y = np.array([1.0, 2, 3, 4, 2, 3])
         fit = ps.fit_ancova(y, y, np.array([0, 0, 0, 1, 1, 1]))
-        assert fit.t_value == 0.0
-        assert fit.p_one_sided == 0.5
+        assert fit.t[0] == 0.0
+        assert fit.p[0] == 0.5
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(7)
@@ -43,11 +44,9 @@ class TestFitAncova:
             y = 1.0 + 0.8 * b - 0.4 * g + rng.normal(0, 0.7, n)
             fit = ps.fit_ancova(y, b, g)
             coef, se, t = _ancova_normal_equations(y, b, g)
-            assert abs(fit.coef_treatment - coef[2]) < 1e-10
-            assert abs(fit.coef_intercept - coef[0]) < 1e-10
-            assert abs(fit.coef_baseline - coef[1]) < 1e-10
-            assert abs(fit.se - se) < 1e-10
-            assert abs(fit.t_value - t) < 1e-9
+            assert np.abs(fit.coef[0] - coef).max() < 1e-10
+            assert abs(fit.se[0] - se) < 1e-10
+            assert abs(fit.t[0] - t) < 1e-9
 
     def test_one_sided_direction(self):
         # a clearly beneficial (negative) effect must give a small p
@@ -57,8 +56,8 @@ class TestFitAncova:
         g = np.r_[np.zeros(30), np.ones(30)]
         y = b - 2.0 * g + rng.normal(0, 0.5, n)
         fit = ps.fit_ancova(y, b, g)
-        assert fit.t_value < 0
-        assert fit.p_one_sided < 0.001
+        assert fit.t[0] < 0
+        assert fit.p[0] < 0.001
         assert fit.df == n - 3
 
     def test_unequal_lengths_rejected(self):
@@ -84,8 +83,8 @@ class TestFitAncova:
         b = rng.normal(0, 1, n)
         g = np.r_[np.zeros(20), np.ones(20)]
         y = b - 0.3 * g + rng.normal(0, 1, n)
-        t1 = ps.fit_ancova(y, b, g).t_value
-        t2 = ps.fit_ancova(y, b + 123.456, g).t_value
+        t1 = ps.fit_ancova(y, b, g).t[0]
+        t2 = ps.fit_ancova(y, b + 123.456, g).t[0]
         assert abs(t1 - t2) < 1e-9
 
     def test_null_pvalues_uniform(self):
@@ -97,19 +96,74 @@ class TestFitAncova:
         for i in range(2000):
             b = rng.normal(0, 1, n)
             y = 0.5 * b + rng.normal(0, 1, n)
-            pvals[i] = ps.fit_ancova(y, b, g).p_one_sided
+            pvals[i] = ps.fit_ancova(y, b, g).p[0]
         assert stats.kstest(pvals, "uniform").pvalue > 0.001
 
+    def test_exact_fit_with_effect_is_infinitely_significant(self):
+        b = np.array([0.0, 1, 2, 3, 0, 1, 2, 3])
+        g = np.r_[0, 0, 0, 0, 1, 1, 1, 1]
+        y = np.column_stack([1 + b - 2 * g, 1 + b + 2 * g, 1 + b])
+        fit = ps.fit_ancova(y, np.column_stack([b, b, b]), g)
+        assert np.array_equal(fit.se, np.zeros(3))
+        assert np.array_equal(fit.t, [-np.inf, np.inf, 0.0])
+        assert np.array_equal(fit.p, [0.0, 1.0, 0.5])
 
-def _fit_fields(fit):
-    return (fit.coef_treatment, fit.se, fit.t_value, fit.df, fit.p_one_sided,
-            fit.coef_intercept, fit.coef_baseline)
+
+def _stacked_solve(y, b, g):
+    """The stacked least-squares solve of fit_ancova, as plain lists per
+    column: coefficients, residuals, RSS, y'y and [(X'X)^-1]_treat."""
+    Y = np.ascontiguousarray(y.T)
+    m = Y.shape[0]
+    X = ancova_design(b, g)
+    Q, R = np.linalg.qr(X)
+    rhs = np.zeros((2 * m, 3, 1))
+    rhs[:m] = Q.transpose(0, 2, 1) @ Y[:, :, None]
+    rhs[m:, 2] = 1.0
+    sol = np.linalg.solve(np.concatenate([R, R.transpose(0, 2, 1)]), rhs)
+    coef, rinv_row = sol[:m], sol[m:]
+    resid = Y - (X @ coef)[:, :, 0]
+    rss = (resid[:, None, :] @ resid[:, :, None]).ravel().tolist()
+    yy = (Y[:, None, :] @ Y[:, :, None]).ravel().tolist()
+    var_unit = (rinv_row.transpose(0, 2, 1) @ rinv_row).ravel().tolist()
+    return coef[:, :, 0].tolist(), resid, rss, yy, var_unit
+
+
+def _reference_fit(y, b, g):
+    """Reference: the stacked solve followed by the scalar per-column rule
+    (perfect-fit branch, math.sqrt, scalar student_t_cdf) that fit_ancova
+    once ran in a Python loop."""
+    coef, resid, rss, yy, var_unit = _stacked_solve(y, b, g)
+    df = y.shape[0] - 3
+    se, t, p = [], [], []
+    for j, (_, _, coef_t) in enumerate(coef):
+        scale = 1.0 + yy[j]
+        if rss[j] <= 1e-20 * scale:
+            se_j = 0.0
+            t_j = (0.0 if abs(coef_t) <= 1e-8 * math.sqrt(scale)
+                   else math.copysign(math.inf, coef_t))
+        else:
+            se_j = math.sqrt(rss[j] / df * var_unit[j])
+            t_j = coef_t / se_j
+        if math.isinf(t_j):
+            p_j = 0.0 if t_j < 0 else 1.0
+        else:
+            p_j = ps.student_t_cdf(t_j, df)
+        se.append(se_j)
+        t.append(t_j)
+        p.append(p_j)
+    return dict(coef=coef, se=se, t=t, p=p, df=float(df), residuals=resid)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @st.composite
 def ancova_blocks(draw):
     """(outcome, baseline, arm) blocks with n >= 4, 1..16 columns, integer
-    scores or floats, some outcome columns constant (perfect fits)."""
+    scores or floats, some outcome columns constant and some exact linear
+    fits with a treatment effect (t = +-inf, p = 0 or 1)."""
     n = draw(st.integers(4, 40))
     m = draw(st.integers(1, 16))
     if draw(st.booleans()):
@@ -118,19 +172,38 @@ def ancova_blocks(draw):
         elements = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
     baseline = draw(hnp.arrays(np.float64, (n, m), elements=elements))
     outcome = draw(hnp.arrays(np.float64, (n, m), elements=elements))
-    constant = draw(hnp.arrays(np.bool_, m))
-    outcome[:, constant] = 2.0
     arm = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1)))
     assume(0 < arm.sum() < n)
+    constant = draw(hnp.arrays(np.bool_, m))
+    outcome[:, constant] = 2.0
+    exact = draw(hnp.arrays(np.bool_, m)) & ~constant
+    slope, effect = draw(st.integers(-2, 2)), draw(st.sampled_from([-3, -1, 1, 2]))
+    outcome[:, exact] = 1.0 + slope * baseline[:, exact] + effect * arm[:, None]
     return outcome, baseline, arm
 
 
 class TestFitAncovaBlocks:
     @given(ancova_blocks())
+    def test_fields_equal_per_column_reference_bit_for_bit(self, block):
+        outcome, baseline, arm = block
+        try:
+            fit = ps.fit_ancova(outcome, baseline, arm)
+        except SingularDesignError:
+            event("singular")
+            return
+        ref = _reference_fit(outcome, baseline, arm.astype(float))
+        event("infinite t" if np.isinf(fit.t).any() else "finite t")
+        m = outcome.shape[1]
+        assert fit.coef.shape == (m, 3) and fit.residuals.shape == (m, outcome.shape[0])
+        assert type(fit.df) is float and fit.df == ref["df"]
+        for name in ("coef", "se", "t", "p", "residuals"):
+            assert _same_bits(getattr(fit, name), ref[name]), name
+
+    @given(ancova_blocks())
     def test_column_equals_single_fit_bit_for_bit(self, block):
         outcome, baseline, arm = block
         try:
-            fits = ps.fit_ancova(outcome, baseline, arm)
+            fit = ps.fit_ancova(outcome, baseline, arm)
         except SingularDesignError as exc:
             # the columns before the named one fit, the named one is singular
             for j in range(exc.column):
@@ -138,18 +211,22 @@ class TestFitAncovaBlocks:
             with pytest.raises(SingularDesignError):
                 ps.fit_ancova(outcome[:, exc.column], baseline[:, exc.column], arm)
             return
-        assert len(fits) == outcome.shape[1]
-        for j, fit in enumerate(fits):
+        for j in range(outcome.shape[1]):
             single = ps.fit_ancova(outcome[:, j], baseline[:, j], arm)
-            assert np.array_equal(_fit_fields(fit), _fit_fields(single), equal_nan=True)
-            assert np.array_equal(fit.residuals, single.residuals)
+            for name in ("coef", "se", "t", "p", "residuals"):
+                assert _same_bits(getattr(single, name), getattr(fit, name)[j:j + 1]), name
 
     def test_vector_input_gives_one_fit(self):
+        # a vector is the m = 1 block
         y = np.array([1.0, 2, 3, 4, 2, 3])
-        fit = ps.fit_ancova(y, y, np.array([0, 0, 0, 1, 1, 1]))
-        assert isinstance(fit, ps.AncovaFit)
-        block = ps.fit_ancova(y[:, None], y[:, None], np.array([0, 0, 0, 1, 1, 1]))
-        assert len(block) == 1 and _fit_fields(block[0]) == _fit_fields(fit)
+        b = np.array([0.0, 1, 1, 2, 3, 1])
+        g = np.array([0, 0, 0, 1, 1, 1])
+        fit = ps.fit_ancova(y, b, g)
+        block = ps.fit_ancova(y[:, None], b[:, None], g)
+        assert fit.t.shape == (1,)
+        for name in ("coef", "se", "t", "p", "residuals"):
+            assert _same_bits(getattr(fit, name), getattr(block, name)), name
+        assert fit.df == block.df
 
     def test_first_singular_column_named(self):
         rng = np.random.default_rng(4)

@@ -18,6 +18,7 @@ from psprsim.marginal import CorrelationEstimate
 from psprsim.procedures import (
     CALIBRATION_FORMAT_VERSION,
     bonferroni_adjust,
+    domain_pvalues,
     get_omnibus_calibration,
     holm_adjust,
     hommel_adjust,
@@ -216,13 +217,11 @@ class TestBonferroniSimes:
         assert simes.p_one_sided == pytest.approx(0.5)
 
     def test_per_item_vectors(self, effect_dataset):
-        out = ps.test_bonferroni(ps.fit_marginals(effect_dataset))
-        p = out.per_item_p["unadjusted"]
-        assert np.array_equal(out.per_item_p["bonferroni"], bonferroni_adjust(p))
-        assert np.array_equal(out.per_item_p["holm"], holm_adjust(p))
+        fits = ps.fit_marginals(effect_dataset)
+        p = fits.p
+        out = ps.test_bonferroni(fits)
         assert out.p_one_sided == pytest.approx(min(1.0, 10 * p.min()))
-        simes = ps.test_simes_hommel(ps.fit_marginals(effect_dataset))
-        assert np.array_equal(simes.per_item_p["hommel"], hommel_adjust(p))
+        simes = ps.test_simes_hommel(fits)
         assert simes.p_one_sided == pytest.approx(simes_global(p))
         assert simes.p_one_sided <= out.p_one_sided + 1e-12
 
@@ -261,8 +260,8 @@ class TestMaxT:
         fits, corr = marginals(effect_dataset)
         out = ps.test_maxt(fits, corr, rng=ps.RngStream(6))
         z = out.diagnostics["z_values"]
-        for j, t in enumerate(fits.t_vector):
-            expect = ps.normal_quantile(ps.student_t_cdf(-t, fits.df_marginal))
+        for j, t in enumerate(fits.t):
+            expect = ps.normal_quantile(ps.student_t_cdf(-t, fits.df))
             assert z[j] == pytest.approx(expect, abs=1e-12)
         assert out.statistic == z.max()
 
@@ -453,7 +452,7 @@ class TestOmnibusDomains:
     def test_symmetric_arms_lookup(self, calib3):
         data = arm_symmetric_dataset()
         out = ps.test_omnibus_domains(data, calib3)
-        assert np.allclose(out.per_item_p["domain"], 0.5)
+        assert np.allclose(domain_pvalues(data), 0.5)
         expected = calib3.global_p(calib3.combined_statistic(np.full(3, 0.5)))
         assert out.p_one_sided == expected
 
@@ -493,12 +492,9 @@ class TestOutcomeContract:
             ps.test_bonferroni(fits),
             ps.test_simes_hommel(fits),
             ps.test_maxt(fits, corr, rng=ps.RngStream(8)),
-            ps.test_omnibus(fits.p_vector, calib10),
+            ps.test_omnibus(fits.p, calib10),
             ps.test_omnibus_domains(effect_dataset, calib3),
         ]
         assert len(outcomes) == len(ps.METHODS)
         for out in outcomes:
             assert 0.0 <= out.p_one_sided <= 1.0
-            if out.per_item_p:
-                for vec in out.per_item_p.values():
-                    assert np.all((0.0 <= np.asarray(vec)) & (np.asarray(vec) <= 1.0))

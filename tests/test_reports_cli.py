@@ -164,8 +164,9 @@ class TestDescriptiveTable:
             if r["arm"] == "treatment":
                 fit = ps.fit_ancova(two_arm_dataset.week52[:, j],
                                     two_arm_dataset.baseline[:, j], two_arm_dataset.arm)
-                assert r["ancova_coef"] == fit.coef_treatment
-                assert r["p_value"] == fit.p_one_sided
+                assert r["ancova_coef"] == fit.coef[0, 2]
+                assert r["ancova_se"] == fit.se[0]
+                assert r["p_value"] == fit.p[0]
 
     def test_failed_fits_give_null_ancova_columns(self, two_arm_dataset):
         rows = descriptive_table(two_arm_dataset, None)
@@ -365,7 +366,9 @@ class TestCli:
         assert rc == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scenarios", [["d99"], [{"label": "x", "rho": "0.5"}]])
+    # the third is a slope-ratio scenario for the mvn generator
+    @pytest.mark.parametrize("scenarios", [["d99"], [{"label": "x", "rho": "0.5"}],
+                                           ["rho=0.6"]])
     def test_bad_scenario_fails_before_fit_phase(self, tmp_path, monkeypatch, capsys,
                                                  scenarios):
         def fit_phase(*args, **kwargs):
