@@ -126,6 +126,11 @@ def _make_ids(n: int, prefix: str = "S") -> np.ndarray:
     return ids
 
 
+def check_group_size(n: int, name: str = "n") -> None:
+    if n < 2:
+        raise ValidationError(f"need {name} >= 2 per group, got {n}")
+
+
 def gen_discretized_mvn(
     params: DiscretizedMvnParams, scenario: EffectScenario, n: int, rng: RngStream
 ) -> ItemDataset:
@@ -133,8 +138,7 @@ def gen_discretized_mvn(
     week-52 coordinates of the treatment mean only."""
     if scenario.kind != "item-shift":
         raise ValidationError("the discretized-MVN generator needs an item-shift scenario")
-    if n < 2:
-        raise ValidationError(f"need n >= 2 per group, got {n}")
+    check_group_size(n)
     shift = np.concatenate([np.zeros(N_ITEMS), scenario.d])
     control = sample_mvn(params.spec, n, rng)
     # same covariance and factor, shifted mean

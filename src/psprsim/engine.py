@@ -13,7 +13,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .datagen import (
     ReferenceConfig,
     build_synthetic_reference,
     builtin_scenarios,
+    check_group_size,
     gen_bootstrap,
     gen_discretized_mvn,
     gen_irt_longitudinal,
@@ -32,10 +33,12 @@ from .datagen import (
 from .errors import NumericalError, ValidationError
 from .irt import GrModel, LinearLatentApprox, eap_scores, fit_grm, fit_linear_latent_approx
 from .marginal import CorrelationEstimate, estimate_corr, fit_marginals
+from .mvnorm import check_tol
 from .numkit import AncovaFit, RngStream, mix64, mix64_array, _GOLDEN, _MASK64
 from .procedures import (
     METHODS,
     OmnibusCalibration,
+    check_calibration_reps,
     get_omnibus_calibration,
     test_bonferroni,
     test_irt,
@@ -164,6 +167,10 @@ class StudyPlan:
             raise ValidationError(f"n_reps must be >= 100, got {self.n_reps}")
         if not 0.0 < self.alpha < 0.5:
             raise ValidationError(f"alpha must lie in (0, 0.5), got {self.alpha}")
+        # the generator, MaxT and the calibration check these only after the fit phase
+        check_group_size(self.n_per_group, "n_per_group")
+        check_tol(self.maxt_tol, "maxt_tol")
+        check_calibration_reps(self.calibration_reps, "calibration_reps")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValidationError(f"unknown methods {bad}; known: {list(METHODS)}")
@@ -366,7 +373,8 @@ METHOD_ERRORS = (NumericalError, np.linalg.LinAlgError)
 class MethodContext:
     """What the procedures read for one dataset in one scoring scheme. alpha
     is simulate's decision level for MaxT, None (analyze) a full-precision p;
-    the marginal fits and their correlation are computed on first use."""
+    the marginal fits and their correlation are computed on first use, and a
+    METHOD_ERRORS exception from that is raised again on each later use."""
 
     data: ItemDataset
     grm: GrModel
@@ -377,13 +385,24 @@ class MethodContext:
     rng: RngStream
     alpha: float | None = None
 
-    @cached_property
-    def fits(self) -> AncovaFit:
-        return fit_marginals(self.data)
+    def _once(self, name: str, compute):
+        cache = vars(self)
+        if name not in cache:
+            try:
+                cache[name] = compute()
+            except METHOD_ERRORS as exc:
+                cache[name] = exc
+        if isinstance(cache[name], Exception):
+            raise cache[name]
+        return cache[name]
 
-    @cached_property
+    @property
+    def fits(self) -> AncovaFit:
+        return self._once("_fits", lambda: fit_marginals(self.data))
+
+    @property
     def corr(self) -> CorrelationEstimate:
-        return estimate_corr(self.data, self.fits)
+        return self._once("_corr", lambda: estimate_corr(self.data, self.fits))
 
 
 def run_methods(ctx: MethodContext, methods) -> list:
@@ -427,8 +446,7 @@ def run_single_replicate(
         for mi, (method, out) in enumerate(zip(plan.methods, run_methods(ctx, plan.methods))):
             if isinstance(out, Exception):
                 failed[si, mi] = 1
-                if len(messages) < 20:
-                    messages.append(f"{method}/{tag}/rep={rep}: {out}")
+                messages.append(f"{method}/{tag}/rep={rep}: {out}")
             else:
                 rejected[si, mi] = 1 if out.p_one_sided <= plan.alpha else 0
     return rejected, failed, messages
@@ -442,21 +460,25 @@ def _init_worker(plan: StudyPlan, aux: StudyAuxiliaries):
     _WORKER["aux"] = aux
 
 
-def _run_chunk(args):
-    scenario, scenario_id, start, stop = args
-    plan: StudyPlan = _WORKER["plan"]
-    aux: StudyAuxiliaries = _WORKER["aux"]
+def _sum_counts(plan: StudyPlan, parts):
+    """Sum (rejected, failed, messages) parts, keeping the first 20 messages."""
     n_s, n_m = len(plan.schemes), len(plan.methods)
     rej = np.zeros((n_s, n_m), dtype=np.int64)
     fail = np.zeros((n_s, n_m), dtype=np.int64)
     msgs: list[str] = []
-    for rep in range(start, stop):
-        r, f, m = run_single_replicate(plan, scenario, scenario_id, rep, aux)
+    for r, f, m in parts:
         rej += r
         fail += f
-        if len(msgs) < 20:
-            msgs.extend(m[: 20 - len(msgs)])
+        msgs.extend(m[: 20 - len(msgs)])
     return rej, fail, msgs
+
+
+def _run_chunk(args):
+    scenario, scenario_id, start, stop = args
+    plan: StudyPlan = _WORKER["plan"]
+    aux: StudyAuxiliaries = _WORKER["aux"]
+    return _sum_counts(plan, (run_single_replicate(plan, scenario, scenario_id, rep, aux)
+                              for rep in range(start, stop)))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -473,38 +495,10 @@ def resolve_workers(workers: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def run_scenario(
-    plan: StudyPlan,
-    scenario: EffectScenario,
-    scenario_id: int,
-    aux: StudyAuxiliaries,
-    workers: int | None = None,
-) -> list[PowerRow]:
-    """All replicates of one scenario, aggregated into PowerTable rows."""
-    workers = resolve_workers(workers)
-    n_s, n_m = len(plan.schemes), len(plan.methods)
-    rej = np.zeros((n_s, n_m), dtype=np.int64)
-    fail = np.zeros((n_s, n_m), dtype=np.int64)
-    msgs: list[str] = []
-    if workers == 1:
-        _init_worker(plan, aux)
-        rej, fail, msgs = _run_chunk((scenario, scenario_id, 0, plan.n_reps))
-    else:
-        chunk = max(1, -(-plan.n_reps // (workers * 4)))
-        tasks = [
-            (scenario, scenario_id, start, min(start + chunk, plan.n_reps))
-            for start in range(0, plan.n_reps, chunk)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker,
-            initargs=(plan, aux)
-        ) as pool:
-            for r, f, m in pool.map(_run_chunk, tasks):
-                rej += r
-                fail += f
-                if len(msgs) < 20:
-                    msgs.extend(m[: 20 - len(msgs)])
-
+def run_scenario(plan: StudyPlan, scenario: EffectScenario, rej: np.ndarray,
+                 fail: np.ndarray, msgs: list[str]) -> list[PowerRow]:
+    """One scenario's PowerTable rows from its summed (n_schemes, n_methods)
+    counts; a method failing on more than 1% of replicates fails the study."""
     rows = []
     for si, scheme in enumerate(plan.schemes):
         for mi, method in enumerate(plan.methods):
@@ -535,11 +529,32 @@ def run_study(
     workers: int | None = None,
     cache_dir: str | Path | None = None,
 ) -> PowerTable:
-    """Run every scenario in the plan; rows come back in stable sorted order."""
+    """Run every scenario in the plan; rows come back in stable sorted order.
+
+    One list of chunks covers all scenarios; it runs in this process at one
+    worker and in one process pool otherwise. Results come in list order, so
+    a scenario meets the 1% rule once its last chunk is summed, and a
+    failure cancels the chunks still queued.
+    """
     workers = resolve_workers(workers)  # a bad worker count fails before the fit phase
     if aux is None:
         aux = prepare_auxiliaries(plan, cache_dir=cache_dir)
+    scenarios = plan.resolve_scenarios()
+    chunk = max(1, -(-plan.n_reps // (workers * 4)))
+    starts = range(0, plan.n_reps, chunk)
+    tasks = [(scenario, scenario_id, start, min(start + chunk, plan.n_reps))
+             for scenario_id, scenario in enumerate(scenarios) for start in starts]
+    _init_worker(plan, aux)  # the chunks run in this process at one worker
+    pool = None if workers == 1 else ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(plan, aux))
     table = PowerTable()
-    for scenario_id, scenario in enumerate(plan.resolve_scenarios()):
-        table.rows.extend(run_scenario(plan, scenario, scenario_id, aux, workers))
+    try:
+        results = (map if pool is None else pool.map)(_run_chunk, tasks)
+        for scenario in scenarios:
+            counts = _sum_counts(plan, islice(results, len(starts)))
+            table.rows.extend(run_scenario(plan, scenario, *counts))
+    finally:
+        _WORKER.clear()  # the plan and its auxiliaries are not kept past the study
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return table.sorted()

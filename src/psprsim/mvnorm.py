@@ -127,6 +127,11 @@ def _validate_correlation(R: np.ndarray) -> np.ndarray:
     return repair_correlation(R)
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    if not 0.0 < tol <= 0.01:
+        raise ValidationError(f"{name} must lie in (0, 0.01], got {tol}")
+
+
 def mvn_rect_upper(
     upper,
     corr,
@@ -148,8 +153,7 @@ def mvn_rect_upper(
     round draws its shifts from rng exactly as without decide_at, so the
     estimate it stops at is the one the full-precision call passes through.
     """
-    if not 0.0 < tol <= 0.01:
-        raise ValidationError(f"tol must lie in (0, 0.01], got {tol}")
+    check_tol(tol)
     b = np.asarray(upper, dtype=float)
     R = _validate_correlation(corr)
     k = b.shape[0]

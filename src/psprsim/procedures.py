@@ -304,7 +304,7 @@ def test_maxt(
 def _reciprocal(p: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(p, P_FLOOR)
 
-_TRANSFORMS = {"reciprocal": _reciprocal}
+TRANSFORM = "reciprocal"  # the name saved calibrations and cache files give _reciprocal
 
 
 @dataclass
@@ -317,7 +317,6 @@ class OmnibusCalibration:
     """
 
     m: int
-    transform: str
     reps: int
     seed: int
     sorted_partial_stats: np.ndarray
@@ -334,8 +333,7 @@ class OmnibusCalibration:
         return (1.0 + ge) / (self.reps + 1.0)
 
     def combined_statistic(self, pvalues: np.ndarray) -> float:
-        h = _TRANSFORMS[self.transform]
-        partial = np.cumsum(h(np.sort(pvalues)))
+        partial = np.cumsum(_reciprocal(np.sort(pvalues)))
         return float(self.partial_p(partial).min())
 
     def global_p(self, combined: float) -> float:
@@ -343,18 +341,20 @@ class OmnibusCalibration:
         return (1.0 + le) / (self.reps + 1.0)
 
 
-def build_omnibus_calibration(
-    m: int, reps: int = 100_000, seed: int = 0, transform: str = "reciprocal"
-) -> OmnibusCalibration:
+def check_calibration_reps(reps: int, name: str = "reps") -> None:
+    if reps < 100:
+        raise ValidationError(f"need {name} >= 100, got {reps}")
+
+
+def build_omnibus_calibration(m: int, reps: int = 100_000, seed: int = 0) -> OmnibusCalibration:
     """Simulate the null tables under independent uniform p-values."""
-    if transform not in _TRANSFORMS:
-        raise ValidationError(f"unknown omnibus transform {transform!r}")
-    if m < 2 or reps < 100:
-        raise ValidationError("need m >= 2 and reps >= 100")
+    if m < 2:
+        raise ValidationError(f"need m >= 2, got {m}")
+    check_calibration_reps(reps)
     rng = RngStream(seed)
     u = rng.gen.random((reps, m))
     u.sort(axis=1)
-    S = np.cumsum(_TRANSFORMS[transform](u), axis=1)  # (reps, m)
+    S = np.cumsum(_reciprocal(u), axis=1)  # (reps, m)
     sorted_partial = np.sort(S, axis=0).T.copy()  # (m, reps)
     # each calibration replicate's own combined statistic, same convention
     marg = np.empty((reps, m))
@@ -364,7 +364,6 @@ def build_omnibus_calibration(
     T = marg.min(axis=1)
     return OmnibusCalibration(
         m=m,
-        transform=transform,
         reps=reps,
         seed=seed,
         sorted_partial_stats=sorted_partial,
@@ -392,7 +391,7 @@ def save_omnibus_calibration(calib: OmnibusCalibration, path: str | Path) -> Non
                 fh,
                 format_version=CALIBRATION_FORMAT_VERSION,
                 m=calib.m,
-                transform=calib.transform,
+                transform=TRANSFORM,
                 reps=calib.reps,
                 seed=calib.seed,
                 sorted_partial_stats=calib.sorted_partial_stats,
@@ -411,9 +410,9 @@ def load_omnibus_calibration(path: str | Path) -> OmnibusCalibration:
     try:
         with np.load(path, allow_pickle=False) as doc:
             version = int(doc["format_version"])
+            transform = str(doc["transform"])
             calib = OmnibusCalibration(
                 m=int(doc["m"]),
-                transform=str(doc["transform"]),
                 reps=int(doc["reps"]),
                 seed=int(doc["seed"]),
                 sorted_partial_stats=doc["sorted_partial_stats"],
@@ -426,6 +425,8 @@ def load_omnibus_calibration(path: str | Path) -> OmnibusCalibration:
         ) from exc
     if version != CALIBRATION_FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported calibration format {version}")
+    if transform != TRANSFORM:
+        raise ValidationError(f"{path}: unsupported omnibus transform {transform!r}")
     return calib
 
 
@@ -434,17 +435,16 @@ def get_omnibus_calibration(
     m: int,
     reps: int = 100_000,
     seed: int = 0,
-    transform: str = "reciprocal",
 ) -> OmnibusCalibration:
-    """Build or reuse a cached calibration keyed by (m, transform, reps, seed)."""
+    """Build or reuse a cached calibration keyed by (m, reps, seed)."""
     if cache_dir is None:
-        return build_omnibus_calibration(m, reps, seed, transform)
+        return build_omnibus_calibration(m, reps, seed)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"omnibus_m{m}_{transform}_r{reps}_s{seed}_v{CALIBRATION_FORMAT_VERSION}.npz"
+    path = cache_dir / f"omnibus_m{m}_{TRANSFORM}_r{reps}_s{seed}_v{CALIBRATION_FORMAT_VERSION}.npz"
     if path.exists():
         return load_omnibus_calibration(path)
-    calib = build_omnibus_calibration(m, reps, seed, transform)
+    calib = build_omnibus_calibration(m, reps, seed)
     save_omnibus_calibration(calib, path)
     return calib
 

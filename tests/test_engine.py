@@ -15,7 +15,6 @@ from psprsim.engine import (
     derive_replicate_seed,
     derive_replicate_seeds,
     prepare_auxiliaries,
-    run_scenario,
     run_single_replicate,
     run_study,
 )
@@ -119,7 +118,7 @@ class TestStudyPlan:
 
 class TestPowerTable:
     def test_mc_se_formula_exact(self, small_plan, aux):
-        rows = run_scenario(small_plan, small_plan.resolve_scenarios()[0], 0, aux, workers=1)
+        rows = run_study(small_plan, aux=aux, workers=1).rows
         for r in rows:
             assert r.mc_se == np.sqrt(r.rejection_rate * (1 - r.rejection_rate) / r.n_reps)
 
@@ -159,9 +158,29 @@ class TestDeterminism:
         assert np.array_equal(a[0], b[0])
 
     def test_worker_count_invariance(self, small_plan, aux):
-        t1 = run_study(small_plan, aux=aux, workers=1)
-        t8 = run_study(small_plan, aux=aux, workers=8)
-        assert t1.to_csv_text() == t8.to_csv_text()
+        from dataclasses import replace
+
+        plan = replace(small_plan, scenarios=["d0", "d3", "d10"], n_reps=100)
+        t1 = run_study(plan, aux=aux, workers=1)
+        assert len(t1.rows) == 3 * len(plan.schemes) * len(plan.methods)
+        for workers in (2, 8):
+            assert run_study(plan, aux=aux, workers=workers).to_csv_text() == t1.to_csv_text()
+
+    def test_one_process_pool_per_study(self, small_plan, aux, monkeypatch):
+        import psprsim.engine as eng
+        from dataclasses import replace
+
+        made = []
+
+        class CountingPool(eng.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(eng, "ProcessPoolExecutor", CountingPool)
+        plan = replace(small_plan, scenarios=["d0", "d3", "d10"], methods=["SumS"], n_reps=100)
+        assert len(run_study(plan, aux=aux, workers=2).rows) == 3 * len(plan.schemes)
+        assert made == [2]
 
     def test_rerun_byte_identical(self, small_plan, aux):
         t1 = run_study(small_plan, aux=aux, workers=2)
@@ -282,7 +301,7 @@ class TestFailureAccounting:
         from dataclasses import replace
 
         plan = replace(small_plan, methods=["SumS"], schemes=["original"], n_reps=150)
-        rows = run_scenario(plan, plan.resolve_scenarios()[0], 0, aux, workers=1)
+        rows = run_study(plan, aux=aux, workers=1).rows
         assert rows[0].n_failures == 1
 
     def test_failure_rate_over_one_percent_fails_run(self, small_plan, aux, monkeypatch):
@@ -296,30 +315,90 @@ class TestFailureAccounting:
 
         plan = replace(small_plan, methods=["SumS"], schemes=["original"], n_reps=150)
         with pytest.raises(NumericalError, match="1%"):
-            run_scenario(plan, plan.resolve_scenarios()[0], 0, aux, workers=1)
+            run_study(plan, aux=aux, workers=1)
+
+    def test_failing_scenario_stops_the_study(self, small_plan, aux, monkeypatch):
+        # chunks come back in scenario order, so the 1% rule fails the study
+        # on its first scenario before any replicate of the second runs
+        import psprsim.engine as eng
+        from dataclasses import replace
+
+        def broken(data):
+            raise NumericalError("always down")
+
+        real = eng.run_single_replicate
+        seen = set()
+
+        def recording(plan, scenario, scenario_id, rep, aux):
+            seen.add(scenario_id)
+            return real(plan, scenario, scenario_id, rep, aux)
+
+        monkeypatch.setattr(eng, "test_sum_score", broken)
+        monkeypatch.setattr(eng, "run_single_replicate", recording)
+        plan = replace(small_plan, scenarios=["d0", "d3"], methods=["SumS"],
+                       schemes=["original"], n_reps=150)
+        for workers in (1, 2):
+            with pytest.raises(NumericalError, match=r"SumS/original failed on 150/150"):
+                run_study(plan, aux=aux, workers=workers)
+        assert seen == {0}  # recorded at one worker; pool workers record their own copy
+
+
+def degenerate_replicate(small_plan, aux, monkeypatch, visit, value):
+    """One replicate whose first item is set to `value` at `visit`, with the
+    number of fit_marginals and estimate_corr calls it made."""
+    import psprsim.engine as eng
+
+    real = eng._generate
+    calls = {"fit_marginals": 0, "estimate_corr": 0}
+
+    def degenerate(plan, scenario, aux, rng):
+        data = real(plan, scenario, aux, rng)
+        getattr(data, visit)[:, 0] = value
+        return data
+
+    def counted(name):
+        fn = getattr(eng, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(eng, "_generate", degenerate)
+    for name in calls:
+        monkeypatch.setattr(eng, name, counted(name))
+    scen = small_plan.resolve_scenarios()[0]
+    return run_single_replicate(small_plan, scen, 0, 3, aux), calls
 
 
 class TestDegenerateData:
     def test_zero_week52_item_is_a_counted_failure(self, small_plan, aux, monkeypatch):
         # an item whose week-52 scores are all zero fits exactly: zero
-        # residuals, zero sandwich variance for the correlation
-        import psprsim.engine as eng
-
-        real = eng._generate
-
-        def floored(plan, scenario, aux, rng):
-            data = real(plan, scenario, aux, rng)
-            data.week52[:, 0] = 0
-            return data
-
-        monkeypatch.setattr(eng, "_generate", floored)
-        scen = small_plan.resolve_scenarios()[0]
-        rejected, failed, messages = run_single_replicate(small_plan, scen, 0, 3, aux)
+        # residuals, zero sandwich variance for the correlation, which each
+        # scheme computes once although four methods read it
+        (rejected, failed, messages), calls = degenerate_replicate(
+            small_plan, aux, monkeypatch, "week52", 0)
         corr_methods = {"OLS", "GLS", "GLS-drop", "MaxT"}
         expect = [m in corr_methods for m in small_plan.methods]
         for si in range(len(small_plan.schemes)):
             assert failed[si].astype(bool).tolist() == expect
         assert all("zero sandwich variance" in m for m in messages)
+        assert calls == {"fit_marginals": 2, "estimate_corr": 2}
+
+    def test_constant_baseline_item_fits_once_per_scheme(self, small_plan, aux, monkeypatch):
+        # a constant baseline item makes the 10-item block singular; the
+        # seven methods that read the fits each count the one fit's error
+        (rejected, failed, messages), calls = degenerate_replicate(
+            small_plan, aux, monkeypatch, "baseline", 2)
+        fits_methods = ["OLS", "GLS", "GLS-drop", "Bonf", "MaxT", "Simes", "Omnibus"]
+        expect = [m in fits_methods for m in small_plan.methods]
+        for si in range(len(small_plan.schemes)):
+            assert failed[si].astype(bool).tolist() == expect
+        assert [m.split(": ", 1)[0] for m in messages] == [
+            f"{m}/{tag}/rep=3" for tag in small_plan.schemes for m in fits_methods]
+        assert len({m.split(": ", 1)[1] for m in messages}) == 1
+        assert "singular ANCOVA design for item item03" in messages[0]
+        assert calls == {"fit_marginals": 2, "estimate_corr": 0}
 
 
 class TestMaxTDecisionPath:

@@ -366,20 +366,28 @@ class TestCli:
         assert rc == 2
         assert message in capsys.readouterr().err
 
-    # the third is a slope-ratio scenario for the mvn generator
-    @pytest.mark.parametrize("scenarios", [["d99"], [{"label": "x", "rho": "0.5"}],
-                                           ["rho=0.6"]])
+    # the third is a slope-ratio scenario for the mvn generator; the other
+    # fields are values the generator, MaxT or the calibration would reject
+    @pytest.mark.parametrize("fields, message", [
+        *(pytest.param({"scenarios": s}, "scenario", id=f"scenarios{i}") for i, s in enumerate(
+            [["d99"], [{"label": "x", "rho": "0.5"}], ["rho=0.6"]])),
+        pytest.param({"maxt_tol": 0.02}, "maxt_tol must lie in (0, 0.01]", id="maxt_tol-high"),
+        pytest.param({"maxt_tol": 0.0}, "maxt_tol must lie in (0, 0.01]", id="maxt_tol-zero"),
+        pytest.param({"n_per_group": 1}, "need n_per_group >= 2", id="n_per_group"),
+        pytest.param({"calibration_reps": 99}, "need calibration_reps >= 100",
+                     id="calibration_reps"),
+    ])
     def test_bad_scenario_fails_before_fit_phase(self, tmp_path, monkeypatch, capsys,
-                                                 scenarios):
+                                                 fields, message):
         def fit_phase(*args, **kwargs):
             raise AssertionError("the fit phase started")
 
         monkeypatch.setattr(ps.engine, "prepare_auxiliaries", fit_phase)
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps({"generator": "mvn", "scenarios": scenarios}))
+        plan_path.write_text(json.dumps({"generator": "mvn", **fields}))
         rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "scenario" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_non_integer_worker_env_exit_code(self, tmp_path, monkeypatch, capsys):
         plan = ps.StudyPlan(generator="mvn", scenarios=["d0"], schemes=["original"],
