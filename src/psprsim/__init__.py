@@ -35,7 +35,7 @@ from .irt import (
     fit_linear_latent_approx,
     grm_category_probs,
 )
-from .marginal import CorrelationEstimate, estimate_corr, fit_marginals
+from .marginal import CorrelationEstimate, endpoint_rows, estimate_corr, fit_marginals
 from .mvnorm import MvnSpec, mvn_rect_upper, sample_mvn
 from .numkit import AncovaFit, RngStream, cholesky, fit_ancova, normal_quantile, student_t_cdf
 from .procedures import (

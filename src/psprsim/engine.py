@@ -31,8 +31,25 @@ from .datagen import (
     gen_irt_longitudinal,
 )
 from .errors import NumericalError, ValidationError
-from .irt import GrModel, LinearLatentApprox, eap_scores, fit_grm, fit_linear_latent_approx
-from .marginal import CorrelationEstimate, estimate_corr, fit_marginals
+from .irt import (
+    GrModel,
+    LinearLatentApprox,
+    approx_latent,
+    eap_scores,
+    fit_grm,
+    fit_linear_latent_approx,
+)
+from .marginal import (
+    DOMAIN_ROWS,
+    IRT_ROW,
+    ITEM_ROWS,
+    LM_ROW,
+    SUM_ROW,
+    CorrelationEstimate,
+    endpoint_rows,
+    estimate_corr,
+    fit_marginals,
+)
 from .mvnorm import check_tol
 from .numkit import AncovaFit, RngStream, mix64, mix64_array, _GOLDEN, _MASK64
 from .procedures import (
@@ -352,9 +369,9 @@ def _generate(plan: StudyPlan, scenario: EffectScenario, aux: StudyAuxiliaries,
 # globals, where perfbench/tracing.py and the tests patch them. The tracer
 # names the OLS/GLS/GLS-drop spans from the variant keyword.
 METHOD_TABLE = {
-    "SumS": lambda c: test_sum_score(c.data),
-    "IRT": lambda c: test_irt(c.data, c.grm),
-    "LM": lambda c: test_lm_approx(c.data, c.approx),
+    "SumS": lambda c: test_sum_score(c.rows(SUM_ROW)),
+    "IRT": lambda c: test_irt(c.rows(IRT_ROW)),
+    "LM": lambda c: test_lm_approx(c.rows(LM_ROW)),
     "OLS": lambda c: test_obrien(c.fits, c.corr, variant="OLS"),
     "GLS": lambda c: test_obrien(c.fits, c.corr, variant="GLS"),
     "GLS-drop": lambda c: test_obrien(c.fits, c.corr, variant="GLS-drop"),
@@ -362,7 +379,7 @@ METHOD_TABLE = {
     "MaxT": lambda c: test_maxt(c.fits, c.corr, c.maxt_tol, c.rng, c.alpha),
     "Simes": lambda c: test_simes_hommel(c.fits),
     "Omnibus": lambda c: test_omnibus(c.fits.p, c.calib_items),
-    "Omnibus-dom": lambda c: test_omnibus_domains(c.data, c.calib_domains),
+    "Omnibus-dom": lambda c: test_omnibus_domains(c.rows(DOMAIN_ROWS), c.calib_domains),
 }
 
 # what a method may raise on degenerate data: a counted failure, never a rejection
@@ -372,9 +389,14 @@ METHOD_ERRORS = (NumericalError, np.linalg.LinAlgError)
 @dataclass
 class MethodContext:
     """What the procedures read for one dataset in one scoring scheme. alpha
-    is simulate's decision level for MaxT, None (analyze) a full-precision p;
-    the marginal fits and their correlation are computed on first use, and a
-    METHOD_ERRORS exception from that is raised again on each later use."""
+    is simulate's decision level for MaxT, None (analyze) a full-precision p.
+
+    The endpoint block (one fit_marginals call on both visits' model scores,
+    from one eap_scores call), its item rows and their correlation are
+    computed on first use, and a METHOD_ERRORS exception from one of them is
+    raised again on each later use. A singular row fails only the methods
+    that read it.
+    """
 
     data: ItemDataset
     grm: GrModel
@@ -396,9 +418,27 @@ class MethodContext:
             raise cache[name]
         return cache[name]
 
+    def _fit_endpoints(self) -> AncovaFit:
+        data = self.data
+        for what, fitted in (("model", self.grm.scheme), ("approximation", self.approx.scheme)):
+            if fitted != data.scheme.name:  # a model only scores data in its own scheme
+                raise ValidationError(
+                    f"{what} was fitted on scheme {fitted!r}, data uses {data.scheme.name!r}"
+                )
+        visits = np.stack([data.baseline, data.week52])
+        return fit_marginals(data, eap_scores(self.grm, visits),
+                             approx_latent(self.approx, visits))
+
+    @property
+    def endpoints(self) -> AncovaFit:
+        return self._once("_endpoints", self._fit_endpoints)
+
+    def rows(self, rows: slice) -> AncovaFit:
+        return endpoint_rows(self.endpoints, rows)
+
     @property
     def fits(self) -> AncovaFit:
-        return self._once("_fits", lambda: fit_marginals(self.data))
+        return self._once("_fits", lambda: self.rows(ITEM_ROWS))
 
     @property
     def corr(self) -> CorrelationEstimate:

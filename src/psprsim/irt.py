@@ -183,8 +183,18 @@ def _row_loglik(tables: list[np.ndarray], y: np.ndarray) -> np.ndarray:
 
 
 def eap_scores(model: GrModel, responses: np.ndarray, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """Posterior means of theta for each response row (vectorized)."""
-    y = model.map_responses(np.atleast_2d(np.asarray(responses, dtype=np.int64)))
+    """Posterior means of theta for each response row (vectorized).
+
+    ``responses`` is one (rows, items) block, or a (k, rows, items) stack of
+    blocks scored in one pass into a (k, rows) result. Each block's scores
+    equal scoring that block alone, bit for bit: only the final weighted sum
+    runs per block, as the same product over a contiguous block.
+    """
+    r = np.atleast_2d(np.asarray(responses, dtype=np.int64))
+    if r.ndim > 3:
+        raise ValidationError(f"responses must be rows or a stack of row blocks, got {r.shape}")
+    k, rows = (1, r.shape[0]) if r.ndim == 2 else r.shape[:2]
+    y = model.map_responses(r.reshape(-1, r.shape[-1]))
     thetas, weights = _gauss_hermite(n_nodes)
     tables = model._table_cache.get(n_nodes)
     if tables is None:
@@ -193,7 +203,9 @@ def eap_scores(model: GrModel, responses: np.ndarray, n_nodes: int = DEFAULT_NOD
     ll = _row_loglik(tables, y)
     ll -= ll.max(axis=0, keepdims=True)
     post = weights[:, None] * np.exp(ll)
-    return (thetas @ post) / post.sum(axis=0)
+    blocks = post.reshape(n_nodes, k, rows)
+    num = np.stack([thetas @ np.ascontiguousarray(blocks[:, j]) for j in range(k)])
+    return (num / post.sum(axis=0).reshape(k, rows)).reshape(r.shape[:-1])
 
 
 def eap_score(model: GrModel, responses, n_nodes: int = DEFAULT_NODES) -> LatentTrait:

@@ -1,5 +1,10 @@
-"""Marginal per-item ANCOVA fits and the joint correlation of their
-treatment-coefficient estimators.
+"""The endpoint ANCOVA fits of one dataset and the joint correlation of the
+item fits' treatment-coefficient estimators.
+
+Every procedure is an ANCOVA on some endpoint of the same subjects, so one
+fit_marginals block holds them all: the 10 items, the 3 domain sums, the sum
+score and the two model scores (the EAP theta and the LM surrogate), in the
+order of ENDPOINTS.
 
 The cross-item covariance comes from stacking the least-squares estimating
 equations and applying a plain HC0 sandwich: with per-item design X_j and
@@ -18,9 +23,28 @@ import numpy as np
 
 from .errors import DegenerateDataError, SingularDesignError, ValidationError
 from .numkit import AncovaFit, ancova_design, fit_ancova
-from .scales import ITEM_COLUMNS, N_ITEMS, ItemDataset
+from .scales import DOMAINS, ITEM_COLUMNS, N_ITEMS, ItemDataset
 
 SANDWICH_CORRECTION = "HC0"  # plain cross-products, no df adjustment
+
+# the rows of the fit_marginals block, as a SingularDesignError names them
+ENDPOINTS = (
+    *(f"item {c}" for c in ITEM_COLUMNS),
+    *(f"domain {d}" for d in DOMAINS),
+    "the sum score",
+    "the EAP score",
+    "the LM score",
+)
+ITEM_ROWS = slice(0, N_ITEMS)
+DOMAIN_ROWS = slice(N_ITEMS, N_ITEMS + len(DOMAINS))
+SUM_ROW, IRT_ROW, LM_ROW = slice(13, 14), slice(14, 15), slice(15, 16)
+
+# item scores @ _SCORE_MAP are the item, domain-sum and sum-score endpoints
+_SCORE_MAP = np.column_stack([
+    np.eye(N_ITEMS),
+    *(np.isin(np.arange(N_ITEMS), items) for items in DOMAINS.values()),
+    np.ones(N_ITEMS),
+])
 
 
 @dataclass
@@ -31,14 +55,28 @@ class CorrelationEstimate:
     method: str = "stacked-score sandwich"
 
 
-def fit_marginals(data: ItemDataset) -> AncovaFit:
-    """Fit the per-item week52 ~ baseline + treatment ANCOVAs (one block)."""
+def fit_marginals(data: ItemDataset, theta: np.ndarray, latent: np.ndarray) -> AncovaFit:
+    """Fit every endpoint's week52 ~ baseline + treatment ANCOVA as one block.
+
+    ``theta`` and ``latent`` are (2, n) model scores, baseline visit first.
+    The rows follow ENDPOINTS; the item, domain and sum scores are exact
+    integer sums, and each row equals the fit of its endpoint alone, bit for
+    bit. A singular row is marked, not raised: endpoint_rows names it when
+    a procedure reads it.
+    """
+    base = np.column_stack([data.baseline @ _SCORE_MAP, theta[0], latent[0]])
+    week = np.column_stack([data.week52 @ _SCORE_MAP, theta[1], latent[1]])
+    return fit_ancova(week, base, data.arm)
+
+
+def endpoint_rows(fits: AncovaFit, rows: slice) -> AncovaFit:
+    """The rows of a fit_marginals block that one procedure reads; a
+    singular one raises SingularDesignError naming its endpoint."""
     try:
-        return fit_ancova(data.week52, data.baseline, data.arm)
+        return fits.rows(rows)
     except SingularDesignError as exc:
         raise SingularDesignError(
-            f"singular ANCOVA design for item {ITEM_COLUMNS[exc.column]}: {exc}",
-            column=exc.column,
+            f"singular ANCOVA design for {ENDPOINTS[exc.column]}: {exc}", column=exc.column
         ) from exc
 
 

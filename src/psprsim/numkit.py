@@ -113,6 +113,9 @@ class AncovaFit:
 
     One-sided convention: treatment coded 1, control 0, lower scores are
     beneficial, so negative t means benefit and p = F_t(t, df).
+
+    A column whose design is rank deficient is marked in ``singular`` and
+    holds NaN in every other field; ``rows`` refuses to hand it out.
     """
 
     coef: np.ndarray  # (m, 3): intercept, baseline, treatment
@@ -121,6 +124,23 @@ class AncovaFit:
     p: np.ndarray  # (m,) one-sided
     df: float
     residuals: np.ndarray = field(repr=False)  # (m, n)
+    singular: np.ndarray = field(repr=False)  # (m,) bool
+
+    def rows(self, index: slice) -> "AncovaFit":
+        """The fits of the rows ``index`` selects, as a block of their own.
+
+        Raises SingularDesignError carrying the block index of the first
+        singular row selected.
+        """
+        bad = np.flatnonzero(self.singular[index])
+        if bad.size:
+            raise SingularDesignError(
+                "ANCOVA design matrix is rank deficient (constant baseline?)",
+                column=range(self.singular.size)[index][bad[0]],
+            )
+        return AncovaFit(coef=self.coef[index], se=self.se[index], t=self.t[index],
+                         p=self.p[index], df=self.df, residuals=self.residuals[index],
+                         singular=self.singular[index])
 
 
 def ancova_design(baseline: np.ndarray, arm: np.ndarray) -> np.ndarray:
@@ -145,8 +165,9 @@ def fit_ancova(outcome, baseline, arm) -> AncovaFit:
     length-n vector is the m = 1 block. A block runs as stacked LAPACK/BLAS
     calls on an (m, n, 3) design, each column through the same QR, solve,
     matrix-vector and dot kernels as a vector input, so column j equals the
-    fit of that column alone bit for bit. A rank-deficient column raises
-    SingularDesignError carrying its index.
+    fit of that column alone bit for bit. A rank-deficient column does not
+    fail the block: it is marked in ``singular``, its fields are NaN, and
+    ``AncovaFit.rows`` raises SingularDesignError when it is read.
     """
     y = np.asarray(outcome, dtype=float)
     b = np.asarray(baseline, dtype=float)
@@ -176,10 +197,7 @@ def fit_ancova(outcome, baseline, arm) -> AncovaFit:
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
     singular = np.any(diag < 1e-10 * np.maximum(diag.max(axis=1), 1.0)[:, None], axis=1)
     if singular.any():
-        raise SingularDesignError(
-            "ANCOVA design matrix is rank deficient (constant baseline?)",
-            column=int(np.argmax(singular)),
-        )
+        R[singular] = np.eye(3)  # keeps the stacked solve regular; NaN replaces these rows below
     # one gufunc call solves R coef = Q'y and, for (X'X)^-1 = R^-1 R^-T (only
     # its treatment diagonal entry is needed), R' r = e_treat; each 3x3
     # system is still its own LAPACK gesv
@@ -202,5 +220,9 @@ def fit_ancova(outcome, baseline, arm) -> AncovaFit:
     se[perfect] = 0.0
     t = np.divide(coef_t, se, out=np.copysign(np.inf, coef_t), where=~perfect)
     t[perfect & (np.abs(coef_t) <= 1e-8 * np.sqrt(scale))] = 0.0
-    return AncovaFit(coef=coef[:, :, 0], se=se, t=t, p=special.stdtr(df, t), df=float(df),
-                     residuals=resid)
+    fit = AncovaFit(coef=coef[:, :, 0], se=se, t=t, p=special.stdtr(df, t), df=float(df),
+                    residuals=resid, singular=singular)
+    if singular.any():
+        for a in (fit.coef, fit.se, fit.t, fit.p, fit.residuals):
+            a[singular] = np.nan
+    return fit

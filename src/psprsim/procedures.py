@@ -4,11 +4,12 @@ Every procedure maps exactly what it reads to a TestOutcome with a one-sided
 p-value under the benefit-negative convention: treatment coded 1, lower item
 scores beneficial, so evidence of benefit is negative t.
 
-SumS, IRT, LM and Omnibus-dom read an ItemDataset (IRT and LM also a model
-fitted in the same scheme); OLS/GLS/GLS-drop, Bonf, Simes and MaxT read the
-marginal ANCOVA fits (and the stacked-sandwich correlation); Omnibus reads
-the per-item p-values. Rescoring the data and computing the fits and their
-correlation is the caller's step: engine.MethodContext does both, once per
+The procedures read rows of one dataset's endpoint ANCOVA block
+(marginal.fit_marginals): SumS, IRT and LM their one row, Omnibus-dom the 3
+domain rows, and OLS/GLS/GLS-drop, Bonf, Simes and MaxT the 10 item rows
+(with the stacked-sandwich correlation of the item fits); Omnibus reads the
+item p-values. Rescoring the data, scoring it with the models and fitting
+the block is the caller's step: engine.MethodContext does it once per
 dataset and scheme.
 """
 
@@ -23,11 +24,14 @@ import numpy as np
 from scipy import special
 
 from .errors import NumericalError, ValidationError
-from .irt import GrModel, LinearLatentApprox, approx_latent, eap_scores
 from .marginal import CorrelationEstimate, subset_corr
 from .mvnorm import mvn_rect_upper
-from .numkit import AncovaFit, RngStream, fit_ancova, normal_cdf, student_t_cdf
-from .scales import DOMAINS, N_ITEMS, ItemDataset
+from .numkit import AncovaFit, RngStream, normal_cdf, student_t_cdf
+from .scales import N_ITEMS
+
+# unused here, but perfbench/tracing.py patches these names
+from .irt import eap_scores  # noqa: F401
+from .numkit import fit_ancova  # noqa: F401
 
 METHODS = (
     "SumS",
@@ -117,9 +121,7 @@ def simes_global(p: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ancova_outcome(method: str, week: np.ndarray, base: np.ndarray,
-                    arm: np.ndarray) -> TestOutcome:
-    fit = fit_ancova(week, base, arm)
+def _endpoint_outcome(method: str, fit: AncovaFit) -> TestOutcome:
     return TestOutcome(
         method=method,
         statistic=float(fit.t[0]),
@@ -128,34 +130,20 @@ def _ancova_outcome(method: str, week: np.ndarray, base: np.ndarray,
     )
 
 
-def _check_fitted_scheme(what: str, fitted: str, data: ItemDataset) -> None:
-    """A model or approximation only scores data in the scheme it was fitted on."""
-    if fitted != data.scheme.name:
-        raise ValidationError(
-            f"{what} was fitted on scheme {fitted!r}, data uses {data.scheme.name!r}"
-        )
+def test_sum_score(fit: AncovaFit) -> TestOutcome:
+    """ANCOVA on the plain item sum score (its one-row fit)."""
+    return _endpoint_outcome("SumS", fit)
 
 
-def test_sum_score(data: ItemDataset) -> TestOutcome:
-    """ANCOVA on the plain item sum score."""
-    base, week = data.sum_scores()
-    return _ancova_outcome("SumS", week.astype(float), base.astype(float), data.arm)
+def test_irt(fit: AncovaFit) -> TestOutcome:
+    """ANCOVA on EAP latent-trait estimates from a pre-fitted model (its
+    one-row fit)."""
+    return _endpoint_outcome("IRT", fit)
 
 
-def test_irt(data: ItemDataset, external_model: GrModel) -> TestOutcome:
-    """ANCOVA on EAP latent-trait estimates from a pre-fitted model."""
-    _check_fitted_scheme("model", external_model.scheme, data)
-    theta_base = eap_scores(external_model, data.baseline)
-    theta_week = eap_scores(external_model, data.week52)
-    return _ancova_outcome("IRT", theta_week, theta_base, data.arm)
-
-
-def test_lm_approx(data: ItemDataset, approx: LinearLatentApprox) -> TestOutcome:
-    """ANCOVA on the weighted-sum latent surrogate."""
-    _check_fitted_scheme("approximation", approx.scheme, data)
-    z_base = approx_latent(approx, data.baseline)
-    z_week = approx_latent(approx, data.week52)
-    return _ancova_outcome("LM", z_week, z_base, data.arm)
+def test_lm_approx(fit: AncovaFit) -> TestOutcome:
+    """ANCOVA on the weighted-sum latent surrogate (its one-row fit)."""
+    return _endpoint_outcome("LM", fit)
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +452,10 @@ def test_omnibus(pvalues, calib: OmnibusCalibration) -> TestOutcome:
     )
 
 
-def domain_pvalues(data: ItemDataset) -> np.ndarray:
-    """One ANCOVA p-value per domain sum score (History, Bulbar, Gait/Midline)."""
-    cols = [list(idx) for idx in DOMAINS.values()]
-    base = np.column_stack([data.baseline[:, c].sum(axis=1) for c in cols]).astype(float)
-    week = np.column_stack([data.week52[:, c].sum(axis=1) for c in cols]).astype(float)
-    return fit_ancova(week, base, data.arm).p
-
-
-def test_omnibus_domains(data: ItemDataset, calib: OmnibusCalibration) -> TestOutcome:
-    """Sum-score ANCOVA within each domain; omnibus combination across them
-    (test_omnibus rejects a calibration whose m is not the domain count)."""
-    p = domain_pvalues(data)
-    out = test_omnibus(p, calib)
+def test_omnibus_domains(fits: AncovaFit, calib: OmnibusCalibration) -> TestOutcome:
+    """Omnibus combination of the domain sum-score ANCOVAs (the 3 domain
+    rows; test_omnibus rejects a calibration whose m is not the domain
+    count)."""
+    out = test_omnibus(fits.p, calib)
     out.method = "Omnibus-dom"
     return out

@@ -193,8 +193,8 @@ def descriptive_table(data: ItemDataset, fits: AncovaFit | None) -> list[dict]:
     Standard errors are sample sd / sqrt(n); the difference column is the
     within-subject week52 - baseline change. ANCOVA columns appear on
     treatment rows only (the comparison against control), taken from
-    `fits`, the marginal fits of `data`; they are null everywhere when
-    `fits` is None (the fits failed).
+    `fits`, the item rows of `data`'s endpoint fits; they are null
+    everywhere when `fits` is None (the item fits failed).
     """
     if fits is not None:
         coef, se, p = fits.coef[:, 2].tolist(), fits.se.tolist(), fits.p.tolist()

@@ -165,11 +165,11 @@ class ItemDataset:
         ):
             if a.shape != shape:
                 raise ValidationError(f"{name} has shape {a.shape}, expected {shape}")
-        if not np.all(np.isin(self.arm, (0, 1))):
+        if not ((self.arm == 0) | (self.arm == 1)).all():
             raise ValidationError("arm must be 0 (control) or 1 (treatment)")
         top = self.scheme.category_counts - 1
         for name, a in (("baseline", self.baseline), ("week52", self.week52)):
-            if np.any(a < 0) or np.any(a > top):
+            if a.min(initial=0) < 0 or (a > top).any():
                 raise ValidationError(
                     f"{name} scores fall outside the {self.scheme.name} scheme ranges"
                 )

@@ -62,3 +62,16 @@ def arm_symmetric_dataset(n=40, seed=5):
         baseline=np.vstack([baseline, baseline]),
         week52=np.vstack([week52, week52]),
     )
+
+
+def endpoint_fits(data, model, approx):
+    """The fit_marginals block of `data`, scored as engine.MethodContext
+    scores it: one EAP and one LM call over both visits."""
+    visits = np.stack([data.baseline, data.week52])
+    return ps.fit_marginals(data, ps.eap_scores(model, visits), ps.approx_latent(approx, visits))
+
+
+def item_fits(data):
+    """The 10 item rows of the endpoint block; fit_ancova gives every column
+    the bits of its lone fit, so the item block fitted alone has them."""
+    return ps.fit_ancova(data.week52, data.baseline, data.arm)

@@ -144,7 +144,8 @@ class TestDiscretizedMvn:
         pvals = np.empty(2000)
         for i in range(2000):
             data = ps.gen_discretized_mvn(params, null, 20, ps.RngStream(1000 + i))
-            pvals[i] = ps.test_sum_score(data).p_one_sided
+            base, week = data.sum_scores()
+            pvals[i] = ps.test_sum_score(ps.fit_ancova(week, base, data.arm)).p_one_sided
         assert stats.kstest(pvals, "uniform").pvalue > 0.001
 
     def test_effect_reduces_treated_scores(self, reference_pool):

@@ -20,6 +20,9 @@ from psprsim.engine import (
 )
 from psprsim.errors import NumericalError, ValidationError
 from psprsim.procedures import METHODS
+from psprsim.scales import DOMAINS
+
+from conftest import item_fits
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +242,15 @@ class TestMethodTable:
         assert {"marginal.fit_marginals", "marginal.estimate_corr",
                 "numkit.fit_ancova"} <= names
 
+        # the replicate's EAP scoring is traced inside the replicate's span
+        def in_replicate(i):
+            while i >= 0 and tracer.names[i] != "engine.run_single_replicate":
+                i = tracer.parent[i]
+            return i >= 0
+
+        eap = [i for i, name in enumerate(tracer.names) if name == "irt.eap_scores"]
+        assert len(eap) == len(small_plan.schemes) and all(map(in_replicate, eap))
+
     # every method's full-precision p-value on one d3 dataset in both schemes;
     # GLS-drop drops an item in both, so each code path is pinned
     PINNED_P = {
@@ -343,9 +355,10 @@ class TestFailureAccounting:
         assert seen == {0}  # recorded at one worker; pool workers record their own copy
 
 
-def degenerate_replicate(small_plan, aux, monkeypatch, visit, value):
-    """One replicate whose first item is set to `value` at `visit`, with the
-    number of fit_marginals and estimate_corr calls it made."""
+def degenerate_replicate(small_plan, aux, monkeypatch, visit, value, items=(0,)):
+    """One replicate whose `items` (the first by default) are set to `value`
+    at `visit`, with the number of fit_marginals and estimate_corr calls it
+    made."""
     import psprsim.engine as eng
 
     real = eng._generate
@@ -353,7 +366,7 @@ def degenerate_replicate(small_plan, aux, monkeypatch, visit, value):
 
     def degenerate(plan, scenario, aux, rng):
         data = real(plan, scenario, aux, rng)
-        getattr(data, visit)[:, 0] = value
+        getattr(data, visit)[:, list(items)] = value
         return data
 
     def counted(name):
@@ -400,6 +413,51 @@ class TestDegenerateData:
         assert "singular ANCOVA design for item item03" in messages[0]
         assert calls == {"fit_marginals": 2, "estimate_corr": 0}
 
+    def test_constant_history_baseline_fails_only_the_rows_read(self, small_plan, aux,
+                                                                monkeypatch):
+        # the three History items constant at baseline make the 10 item rows
+        # and the History domain row singular; SumS, IRT and LM read other
+        # rows of the same block and stay defined
+        (rejected, failed, messages), calls = degenerate_replicate(
+            small_plan, aux, monkeypatch, "baseline", 2, items=DOMAINS["history"])
+        broken = ["OLS", "GLS", "GLS-drop", "Bonf", "MaxT", "Simes", "Omnibus", "Omnibus-dom"]
+        expect = [m in broken for m in small_plan.methods]
+        for si in range(len(small_plan.schemes)):
+            assert failed[si].astype(bool).tolist() == expect
+        dom = [m for m in messages if m.startswith("Omnibus-dom/")]
+        assert len(dom) == len(small_plan.schemes)
+        assert all("singular ANCOVA design for domain history" in m for m in dom)
+        assert calls == {"fit_marginals": 2, "estimate_corr": 0}
+
+    @pytest.mark.parametrize("visit, value", [(None, None), ("baseline", 2), ("week52", 0)])
+    def test_one_block_fit_and_one_eap_call_per_scheme(self, small_plan, aux, monkeypatch,
+                                                       visit, value):
+        import psprsim.engine as eng
+        import psprsim.marginal as marginal
+        import psprsim.procedures as procedures
+
+        calls = {"fit_ancova": 0, "eap_scores": 0}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner in (marginal, procedures):
+            count(owner, "fit_ancova")
+        for owner in (eng, procedures):
+            count(owner, "eap_scores")
+        scen = small_plan.resolve_scenarios()[0]
+        if visit is None:
+            run_single_replicate(small_plan, scen, 0, 3, aux)
+        else:
+            degenerate_replicate(small_plan, aux, monkeypatch, visit, value)
+        n = len(small_plan.schemes)
+        assert calls == {"fit_ancova": n, "eap_scores": n}
+
 
 class TestMaxTDecisionPath:
     def test_tables_and_full_precision_decisions(self, small_plan, aux):
@@ -421,7 +479,7 @@ class TestMaxTDecisionPath:
                 base = ps.RngStream(derive_replicate_seed(plan.master_seed, 0, rep))
                 data = eng.ensure_scheme(eng._generate(plan, scen, aux, base.child(0)),
                                          aux.schemes[tag])
-                fits = ps.fit_marginals(data)
+                fits = item_fits(data)
                 out = ps.test_maxt(fits, ps.estimate_corr(data, fits), tol=plan.maxt_tol,
                                    rng=base.child(1 + si))
                 hits += out.p_one_sided <= plan.alpha

@@ -134,6 +134,19 @@ class TestEapScore:
             ps.eap_score(grm_model, resp)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 70, 141])
+    def test_stacked_blocks_match_each_block_alone(self, grm_model, latent_approx, n):
+        # the engine scores both visits in one call; every n, aligned to the
+        # BLAS kernels' block width or not, keeps each visit's bits
+        visits = np.random.default_rng(n).integers(0, 5, size=(2, n, 10))
+        theta = eap_scores(grm_model, visits)
+        latent = ps.approx_latent(latent_approx, visits)
+        assert theta.shape == latent.shape == (2, n)
+        for k in range(2):
+            assert theta[k].tobytes() == eap_scores(grm_model, visits[k]).tobytes()
+            assert latent[k].tobytes() == ps.approx_latent(latent_approx, visits[k]).tobytes()
+
+
 class TestFitGrm:
     def test_parameter_recovery(self):
         true_items = [

@@ -1,4 +1,4 @@
-"""Marginal-model tests: per-item refits against the single-endpoint path,
+"""Marginal-model tests: the endpoint block against single-endpoint refits,
 and the stacked-sandwich correlation against known-truth simulations."""
 
 import numpy as np
@@ -6,8 +6,18 @@ import pytest
 
 import psprsim as ps
 from psprsim.errors import SingularDesignError
-from psprsim.marginal import sandwich_treatment_correlation
-from psprsim.scales import N_ITEMS
+from psprsim.marginal import (
+    DOMAIN_ROWS,
+    ENDPOINTS,
+    IRT_ROW,
+    ITEM_ROWS,
+    LM_ROW,
+    SUM_ROW,
+    sandwich_treatment_correlation,
+)
+from psprsim.scales import DOMAINS, N_ITEMS
+
+from conftest import endpoint_fits, item_fits
 
 
 def make_dataset(baseline, week52, arm):
@@ -71,50 +81,65 @@ def per_item_sandwich(baseline, arm, residuals):
 
 
 class TestFitMarginals:
-    def test_no_change_gives_zero_t(self):
+    def test_no_change_gives_zero_t(self, grm_model, latent_approx):
         rng = np.random.default_rng(1)
         baseline = rng.integers(0, 5, size=(40, N_ITEMS))
         data = make_dataset(baseline, baseline.copy(),
                             np.r_[np.zeros(20, dtype=np.int8), np.ones(20, dtype=np.int8)])
-        fits = ps.fit_marginals(data)
-        assert np.array_equal(fits.t, np.zeros(N_ITEMS))
+        fits = endpoint_fits(data, grm_model, latent_approx)
+        assert np.array_equal(fits.t, np.zeros(len(ENDPOINTS)))
 
-    def test_matches_single_endpoint_refit(self):
+    def test_matches_single_endpoint_refit(self, grm_model, latent_approx):
         data = random_dataset(seed=3)
-        fits = ps.fit_marginals(data)
-        for j in range(N_ITEMS):
-            ref = ps.fit_ancova(data.week52[:, j], data.baseline[:, j], data.arm)
-            assert fits.t[j] == ref.t[0]
-            assert fits.coef[j, 2] == ref.coef[0, 2]
+        fits = endpoint_fits(data, grm_model, latent_approx)
+        visits = np.stack([data.baseline, data.week52])
+        theta = ps.eap_scores(grm_model, visits)
+        latent = ps.approx_latent(latent_approx, visits)
+        domains = [[data.baseline[:, list(c)].sum(axis=1), data.week52[:, list(c)].sum(axis=1)]
+                   for c in DOMAINS.values()]
+        lone = [*([data.baseline[:, j], data.week52[:, j]] for j in range(N_ITEMS)), *domains,
+                data.sum_scores(), theta, latent]
+        assert len(lone) == len(ENDPOINTS)
+        for j, (base, week) in enumerate(lone):
+            ref = ps.fit_ancova(week, base, data.arm)
+            for name in ("coef", "se", "t", "p", "residuals"):
+                assert getattr(fits, name)[j:j + 1].tobytes() == getattr(ref, name).tobytes()
         assert fits.df == data.n_subjects - 3
 
-    def test_singular_item_named(self):
+    def test_singular_item_named(self, grm_model, latent_approx):
         data = random_dataset(seed=4)
         baseline = data.baseline.copy()
         baseline[:, 7] = 2  # constant baseline on one item
         bad = make_dataset(baseline, data.week52, data.arm)
+        fits = endpoint_fits(bad, grm_model, latent_approx)
+        assert np.flatnonzero(fits.singular).tolist() == [7]
         with pytest.raises(SingularDesignError, match="item26"):
-            ps.fit_marginals(bad)
+            ps.endpoint_rows(fits, ITEM_ROWS)
+        # the other endpoints stay readable
+        for rows in (DOMAIN_ROWS, SUM_ROW, IRT_ROW, LM_ROW):
+            assert np.isfinite(ps.endpoint_rows(fits, rows).p).all()
 
-    def test_first_of_two_singular_items_named(self):
+    def test_first_of_two_singular_items_named(self, grm_model, latent_approx):
         data = random_dataset(seed=4)
         baseline = data.baseline.copy()
         baseline[:, 3] = 1  # item12
         baseline[:, 7] = 2  # item26
         bad = make_dataset(baseline, data.week52, data.arm)
+        fits = endpoint_fits(bad, grm_model, latent_approx)
         with pytest.raises(SingularDesignError, match="item12") as info:
-            ps.fit_marginals(bad)
+            ps.endpoint_rows(fits, ITEM_ROWS)
         assert info.value.column == 3
 
-    def test_pinned_bits(self, two_arm_dataset):
+    def test_pinned_bits(self, two_arm_dataset, grm_model, latent_approx):
         # float-hex bits of the per-item t-values and the sandwich
         # correlation's upper triangle, as the per-item fitting loop gave them
-        fits = ps.fit_marginals(two_arm_dataset)
+        fits = ps.endpoint_rows(endpoint_fits(two_arm_dataset, grm_model, latent_approx),
+                                ITEM_ROWS)
         assert [t.hex() for t in fits.t] == PINNED_T_HEX
         R = ps.estimate_corr(two_arm_dataset, fits).R
         assert [r.hex() for r in R[np.triu_indices(N_ITEMS, 1)]] == PINNED_R_HEX
 
-    def test_arm_symmetric_duplicate_is_exact_zero(self):
+    def test_arm_symmetric_duplicate_is_exact_zero(self, grm_model, latent_approx):
         rng = np.random.default_rng(5)
         n = 30
         baseline = rng.integers(0, 5, size=(n, N_ITEMS))
@@ -124,7 +149,7 @@ class TestFitMarginals:
             np.vstack([week52, week52]),
             np.r_[np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)],
         )
-        fits = ps.fit_marginals(data)
+        fits = endpoint_fits(data, grm_model, latent_approx)
         # zero up to floating-point least-squares round-off
         assert np.abs(fits.t).max() < 1e-10
 
@@ -133,7 +158,7 @@ class TestEstimateCorr:
     @pytest.mark.parametrize("seed", range(6))
     def test_stacked_matches_per_item_loop(self, seed):
         data = random_dataset(n=40 + 7 * seed, seed=100 + seed)
-        fits = ps.fit_marginals(data)
+        fits = item_fits(data)
         residuals = fits.residuals.T
         R = sandwich_treatment_correlation(data.baseline, data.arm, residuals)
         assert np.array_equal(R, per_item_sandwich(data.baseline, data.arm, residuals))
@@ -154,7 +179,7 @@ class TestEstimateCorr:
         baseline[:, 1] = baseline[:, 0]
         week52[:, 1] = week52[:, 0]
         dup = make_dataset(baseline, week52, data.arm)
-        fits = ps.fit_marginals(dup)
+        fits = item_fits(dup)
         corr = ps.estimate_corr(dup, fits)
         assert corr.R[0, 1] == pytest.approx(1.0, abs=1e-10)
         assert corr.method == "stacked-score sandwich"
@@ -190,7 +215,7 @@ class TestEstimateCorr:
 
     def test_symmetric_psd_unit_diagonal(self):
         data = random_dataset(seed=9)
-        fits = ps.fit_marginals(data)
+        fits = item_fits(data)
         R = ps.estimate_corr(data, fits).R
         assert np.allclose(R, R.T)
         assert np.allclose(np.diag(R), 1.0)
@@ -198,11 +223,11 @@ class TestEstimateCorr:
 
     def test_item_relabeling_permutes_R(self):
         data = random_dataset(seed=10)
-        fits = ps.fit_marginals(data)
+        fits = item_fits(data)
         R = ps.estimate_corr(data, fits).R
         perm = np.random.default_rng(11).permutation(N_ITEMS)
         permuted = make_dataset(data.baseline[:, perm], data.week52[:, perm], data.arm)
-        fits_p = ps.fit_marginals(permuted)
+        fits_p = item_fits(permuted)
         R_p = ps.estimate_corr(permuted, fits_p).R
         assert np.allclose(R_p, R[np.ix_(perm, perm)], atol=1e-12)
 

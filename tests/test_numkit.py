@@ -73,9 +73,13 @@ class TestFitAncova:
             ps.fit_ancova(np.arange(5.0), np.arange(5.0), np.ones(5))
 
     def test_singular_design(self):
-        # constant baseline makes the design rank deficient
+        # constant baseline makes the design rank deficient: the fit marks
+        # it, and reading it raises
+        fit = ps.fit_ancova(np.ones(6), np.ones(6), np.r_[0, 0, 0, 1, 1, 1])
+        assert fit.singular.tolist() == [True]
+        assert np.isnan(fit.t).all() and np.isnan(fit.residuals).all()
         with pytest.raises(SingularDesignError):
-            ps.fit_ancova(np.ones(6), np.ones(6), np.r_[0, 0, 0, 1, 1, 1])
+            fit.rows(slice(0, 1))
 
     def test_baseline_shift_invariance(self):
         rng = np.random.default_rng(11)
@@ -186,34 +190,27 @@ class TestFitAncovaBlocks:
     @given(ancova_blocks())
     def test_fields_equal_per_column_reference_bit_for_bit(self, block):
         outcome, baseline, arm = block
-        try:
-            fit = ps.fit_ancova(outcome, baseline, arm)
-        except SingularDesignError:
-            event("singular")
-            return
-        ref = _reference_fit(outcome, baseline, arm.astype(float))
-        event("infinite t" if np.isinf(fit.t).any() else "finite t")
+        fit = ps.fit_ancova(outcome, baseline, arm)
         m = outcome.shape[1]
         assert fit.coef.shape == (m, 3) and fit.residuals.shape == (m, outcome.shape[0])
+        ok = ~fit.singular
+        if not ok.all():
+            event("singular")
+        if not ok.any():
+            return
+        ref = _reference_fit(outcome[:, ok], baseline[:, ok], arm.astype(float))
+        event("infinite t" if np.isinf(fit.t).any() else "finite t")
         assert type(fit.df) is float and fit.df == ref["df"]
         for name in ("coef", "se", "t", "p", "residuals"):
-            assert _same_bits(getattr(fit, name), ref[name]), name
+            assert _same_bits(getattr(fit, name)[ok], ref[name]), name
 
     @given(ancova_blocks())
     def test_column_equals_single_fit_bit_for_bit(self, block):
         outcome, baseline, arm = block
-        try:
-            fit = ps.fit_ancova(outcome, baseline, arm)
-        except SingularDesignError as exc:
-            # the columns before the named one fit, the named one is singular
-            for j in range(exc.column):
-                ps.fit_ancova(outcome[:, j], baseline[:, j], arm)
-            with pytest.raises(SingularDesignError):
-                ps.fit_ancova(outcome[:, exc.column], baseline[:, exc.column], arm)
-            return
+        fit = ps.fit_ancova(outcome, baseline, arm)
         for j in range(outcome.shape[1]):
             single = ps.fit_ancova(outcome[:, j], baseline[:, j], arm)
-            for name in ("coef", "se", "t", "p", "residuals"):
+            for name in ("coef", "se", "t", "p", "residuals", "singular"):
                 assert _same_bits(getattr(single, name), getattr(fit, name)[j:j + 1]), name
 
     def test_vector_input_gives_one_fit(self):
@@ -234,9 +231,15 @@ class TestFitAncovaBlocks:
         baseline = rng.normal(size=(20, 6))
         baseline[:, 2] = 1.0
         baseline[:, 5] = -3.0
+        fit = ps.fit_ancova(rng.normal(size=(20, 6)), baseline, arm)
+        assert np.flatnonzero(fit.singular).tolist() == [2, 5]
         with pytest.raises(SingularDesignError) as info:
-            ps.fit_ancova(rng.normal(size=(20, 6)), baseline, arm)
+            fit.rows(slice(0, 6))
         assert info.value.column == 2
+        with pytest.raises(SingularDesignError) as info:
+            fit.rows(slice(3, 6))
+        assert info.value.column == 5
+        assert fit.rows(slice(3, 5)).t.shape == (2,)
 
     def test_block_shape_mismatch_rejected(self):
         arm = np.r_[0, 0, 0, 1, 1, 1]
@@ -248,6 +251,49 @@ class TestFitAncovaBlocks:
             ps.fit_ancova(np.zeros((6, 3, 1)), np.zeros((6, 3, 1)), arm)
         with pytest.raises(ValidationError):
             ps.fit_ancova(np.zeros((6, 3)), np.zeros((6, 3)), arm[:5])
+
+
+@st.composite
+def blocks_with_constant_baselines(draw):
+    """ancova_blocks with some baseline columns held constant (a rank-deficient
+    design), the mask of those columns, and a row slice of the block."""
+    outcome, baseline, arm = draw(ancova_blocks())
+    m = outcome.shape[1]
+    constant = draw(hnp.arrays(np.bool_, m))
+    baseline[:, constant] = draw(st.sampled_from([0.0, 2.0, -3.5]))
+    start = draw(st.integers(0, m - 1))
+    return outcome, baseline, arm, constant, slice(start, draw(st.integers(start + 1, m)))
+
+
+class TestSingularColumns:
+    @given(blocks_with_constant_baselines())
+    def test_marked_not_raised_and_named_when_read(self, case):
+        outcome, baseline, arm, constant, rows = case
+        fit = ps.fit_ancova(outcome, baseline, arm)
+        assert fit.singular[constant].all()
+        for j in range(outcome.shape[1]):
+            # the mask marks exactly the columns a lone fit rejects
+            single = ps.fit_ancova(outcome[:, j], baseline[:, j], arm)
+            try:
+                single.rows(slice(0, 1))
+            except SingularDesignError:
+                assert fit.singular[j]
+                continue
+            assert not fit.singular[j]
+            # and every other column keeps its lone fit's bits
+            for name in ("coef", "se", "t", "p", "residuals"):
+                assert _same_bits(getattr(fit, name)[j:j + 1], getattr(single, name)), name
+        bad = np.flatnonzero(fit.singular[rows])
+        if bad.size:
+            event("singular row read")
+            with pytest.raises(SingularDesignError) as info:
+                fit.rows(rows)
+            assert info.value.column == rows.start + bad[0]
+        else:
+            part = fit.rows(rows)
+            assert part.df == fit.df
+            for name in ("coef", "se", "t", "p", "residuals", "singular"):
+                assert _same_bits(getattr(part, name), getattr(fit, name)[rows]), name
 
 
 class TestStudentT:

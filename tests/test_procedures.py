@@ -13,12 +13,12 @@ from hypothesis import event, given, settings, strategies as st
 from scipy.special import ndtr
 
 import psprsim as ps
+from psprsim.engine import MethodContext, run_methods
 from psprsim.errors import NumericalError, ValidationError
-from psprsim.marginal import CorrelationEstimate
+from psprsim.marginal import DOMAIN_ROWS, IRT_ROW, ITEM_ROWS, LM_ROW, SUM_ROW, CorrelationEstimate
 from psprsim.procedures import (
     CALIBRATION_FORMAT_VERSION,
     bonferroni_adjust,
-    domain_pvalues,
     get_omnibus_calibration,
     holm_adjust,
     hommel_adjust,
@@ -29,7 +29,7 @@ from psprsim.procedures import (
 )
 from psprsim.scales import N_ITEMS
 
-from conftest import arm_symmetric_dataset
+from conftest import arm_symmetric_dataset, endpoint_fits, item_fits
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +39,18 @@ def effect_dataset(reference_pool):
     return ps.gen_discretized_mvn(params, scen, 70, ps.RngStream(2))
 
 
+@pytest.fixture(scope="module")
+def endpoints(grm_model, latent_approx):
+    """data, rows -> those rows of data's endpoint block, as the engine's
+    context reads them."""
+    return lambda data, rows: ps.endpoint_rows(
+        endpoint_fits(data, grm_model, latent_approx), rows)
+
+
 def marginals(data):
     """The per-item fits and their correlation, as the engine's context
     computes them for the multi-item procedures."""
-    fits = ps.fit_marginals(data)
+    fits = item_fits(data)
     return fits, ps.estimate_corr(data, fits)
 
 
@@ -103,15 +111,15 @@ class TestAdjustments:
 
 
 class TestSumScore:
-    def test_symmetric_arms_half(self):
+    def test_symmetric_arms_half(self, endpoints):
         data = arm_symmetric_dataset()
-        out = ps.test_sum_score(data)
+        out = ps.test_sum_score(endpoints(data, SUM_ROW))
         # 0.5 up to least-squares round-off
         assert out.p_one_sided == pytest.approx(0.5, abs=1e-12)
         assert out.statistic == pytest.approx(0.0, abs=1e-12)
 
-    def test_item_permutation_invariance(self, effect_dataset):
-        out1 = ps.test_sum_score(effect_dataset)
+    def test_item_permutation_invariance(self, endpoints, effect_dataset):
+        out1 = ps.test_sum_score(endpoints(effect_dataset, SUM_ROW))
         perm = np.random.default_rng(16).permutation(N_ITEMS)
         permuted = ps.ItemDataset(
             ids=effect_dataset.ids,
@@ -119,22 +127,27 @@ class TestSumScore:
             baseline=effect_dataset.baseline[:, perm],
             week52=effect_dataset.week52[:, perm],
         )
-        out2 = ps.test_sum_score(permuted)
+        out2 = ps.test_sum_score(endpoints(permuted, SUM_ROW))
         assert out1.p_one_sided == out2.p_one_sided
 
 
 class TestIrtAndLmTests:
-    def test_symmetric_arms_half(self, grm_model, latent_approx):
+    def test_symmetric_arms_half(self, endpoints):
         data = arm_symmetric_dataset()
-        irt_p = ps.test_irt(data, grm_model).p_one_sided
-        lm_p = ps.test_lm_approx(data, latent_approx).p_one_sided
+        irt_p = ps.test_irt(endpoints(data, IRT_ROW)).p_one_sided
+        lm_p = ps.test_lm_approx(endpoints(data, LM_ROW)).p_one_sided
         assert irt_p == pytest.approx(0.5, abs=1e-12)
         assert lm_p == pytest.approx(0.5, abs=1e-12)
 
-    def test_scheme_mismatch_rejected(self, grm_model, effect_dataset):
+    def test_scheme_mismatch_rejected(self, grm_model, latent_approx, calib10, calib3,
+                                      effect_dataset):
+        # the context scores the data with the models once, for every method
         fda_data = ps.apply_rescoring(effect_dataset, ps.fda_scheme())
-        with pytest.raises(ValidationError):
-            ps.test_irt(fda_data, grm_model)
+        ctx = MethodContext(data=fda_data, grm=grm_model, approx=latent_approx,
+                            calib_items=calib10, calib_domains=calib3, maxt_tol=1e-3,
+                            rng=ps.RngStream(0))
+        with pytest.raises(ValidationError, match="fitted on scheme 'original'"):
+            run_methods(ctx, ["IRT"])
 
     def test_equal_weights_order_matches_sum_score(self, effect_dataset):
         approx = ps.LinearLatentApprox(
@@ -146,14 +159,14 @@ class TestIrtAndLmTests:
         for s_lo, s_hi in itertools.pairwise(np.unique(sums)):
             assert z[sums == s_lo].max() < z[sums == s_hi].min()
 
-    def test_detects_effect(self, grm_model, latent_approx, effect_dataset):
-        out = ps.test_irt(effect_dataset, grm_model)
+    def test_detects_effect(self, endpoints, effect_dataset):
+        out = ps.test_irt(endpoints(effect_dataset, IRT_ROW))
         assert out.p_one_sided < 0.5
 
 
 class TestObrien:
     def test_exchangeable_correlation_gls_equals_ols(self, effect_dataset):
-        fits = ps.fit_marginals(effect_dataset)
+        fits = item_fits(effect_dataset)
         R = np.full((10, 10), 0.4)
         np.fill_diagonal(R, 1.0)
         corr = CorrelationEstimate(R=R)
@@ -170,7 +183,7 @@ class TestObrien:
         )
 
     def test_gls_drop_without_negative_weights(self, effect_dataset):
-        fits = ps.fit_marginals(effect_dataset)
+        fits = item_fits(effect_dataset)
         R = np.full((10, 10), 0.3)
         np.fill_diagonal(R, 1.0)
         corr = CorrelationEstimate(R=R)
@@ -181,7 +194,7 @@ class TestObrien:
         assert drop.statistic == gls.statistic
 
     def test_gls_drop_removes_most_negative_item(self, effect_dataset):
-        fits = ps.fit_marginals(effect_dataset)
+        fits = item_fits(effect_dataset)
         # two nearly-duplicated endpoints force a negative inverse-row-sum
         R = np.eye(10) * 0.02 + 0.98 * np.ones((10, 10))
         R[0, 1] = R[1, 0] = 0.999
@@ -197,7 +210,7 @@ class TestObrien:
         assert len(drop.weights) == 9
 
     def test_singular_correlation_raises(self, effect_dataset):
-        fits = ps.fit_marginals(effect_dataset)
+        fits = item_fits(effect_dataset)
         R = np.ones((10, 10))
         corr = CorrelationEstimate(R=R)
         with pytest.raises((NumericalError, np.linalg.LinAlgError)):
@@ -211,13 +224,13 @@ class TestObrien:
 class TestBonferroniSimes:
     def test_all_half_pvalues(self):
         data = arm_symmetric_dataset()
-        out = ps.test_bonferroni(ps.fit_marginals(data))
+        out = ps.test_bonferroni(item_fits(data))
         assert out.p_one_sided == 1.0
-        simes = ps.test_simes_hommel(ps.fit_marginals(data))
+        simes = ps.test_simes_hommel(item_fits(data))
         assert simes.p_one_sided == pytest.approx(0.5)
 
     def test_per_item_vectors(self, effect_dataset):
-        fits = ps.fit_marginals(effect_dataset)
+        fits = item_fits(effect_dataset)
         p = fits.p
         out = ps.test_bonferroni(fits)
         assert out.p_one_sided == pytest.approx(min(1.0, 10 * p.min()))
@@ -285,7 +298,7 @@ class TestMaxTDecision:
     @given(case=decision_data, alpha=st.floats(min_value=1e-4, max_value=0.2))
     def test_bound_settled_skips_integral(self, reference_pool, case, alpha):
         data = _decision_dataset(reference_pool, *case)
-        fits = ps.fit_marginals(data)
+        fits = item_fits(data)
         corr = ps.estimate_corr(data, fits)
         rng = ps.RngStream(case[2])
         with mock.patch("psprsim.procedures.mvn_rect_upper",
@@ -310,7 +323,7 @@ class TestMaxTDecision:
                                              exclude_min=True, exclude_max=True))
     def test_band_decision_matches_full_precision(self, reference_pool, case, frac):
         data = _decision_dataset(reference_pool, *case)
-        fits = ps.fit_marginals(data)
+        fits = item_fits(data)
         corr = ps.estimate_corr(data, fits)
         seed = case[2]
         full = ps.test_maxt(fits, corr, tol=1e-4, rng=ps.RngStream(seed))
@@ -455,19 +468,20 @@ class TestOmnibus:
 
 
 class TestOmnibusDomains:
-    def test_symmetric_arms_lookup(self, calib3):
-        data = arm_symmetric_dataset()
-        out = ps.test_omnibus_domains(data, calib3)
-        assert np.allclose(domain_pvalues(data), 0.5)
+    def test_symmetric_arms_lookup(self, endpoints, calib3):
+        fits = endpoints(arm_symmetric_dataset(), DOMAIN_ROWS)
+        out = ps.test_omnibus_domains(fits, calib3)
+        assert np.allclose(fits.p, 0.5)
         expected = calib3.global_p(calib3.combined_statistic(np.full(3, 0.5)))
         assert out.p_one_sided == expected
 
-    def test_wrong_calibration_size(self, calib10):
-        data = arm_symmetric_dataset()
+    def test_wrong_calibration_size(self, endpoints, calib10):
+        fits = endpoints(arm_symmetric_dataset(), DOMAIN_ROWS)
         with pytest.raises(ValidationError):
-            ps.test_omnibus_domains(data, calib10)
+            ps.test_omnibus_domains(fits, calib10)
 
-    def test_single_domain_effect_beats_bonferroni(self, reference_pool, calib3):
+    def test_single_domain_effect_beats_bonferroni(self, reference_pool, grm_model,
+                                                   latent_approx, calib3):
         # history-domain-only effect (d4): the domain omnibus should win;
         # n = 25/group keeps both powers off the ceiling so the ordering
         # is resolvable
@@ -476,22 +490,22 @@ class TestOmnibusDomains:
         wins_dom = wins_bonf = 0
         for i in range(300):
             data = ps.gen_discretized_mvn(params, scen, 25, ps.RngStream(7000 + i))
-            if ps.test_omnibus_domains(data, calib3).p_one_sided <= 0.025:
+            fits = endpoint_fits(data, grm_model, latent_approx)
+            if ps.test_omnibus_domains(fits.rows(DOMAIN_ROWS), calib3).p_one_sided <= 0.025:
                 wins_dom += 1
-            if ps.test_bonferroni(ps.fit_marginals(data)).p_one_sided <= 0.025:
+            if ps.test_bonferroni(fits.rows(ITEM_ROWS)).p_one_sided <= 0.025:
                 wins_bonf += 1
         assert wins_dom > wins_bonf
 
 
 class TestOutcomeContract:
-    def test_all_procedures_unit_interval(self, grm_model, latent_approx, calib10,
-                                          calib3, effect_dataset):
-        fits = ps.fit_marginals(effect_dataset)
+    def test_all_procedures_unit_interval(self, endpoints, calib10, calib3, effect_dataset):
+        fits = endpoints(effect_dataset, ITEM_ROWS)
         corr = ps.estimate_corr(effect_dataset, fits)
         outcomes = [
-            ps.test_sum_score(effect_dataset),
-            ps.test_irt(effect_dataset, grm_model),
-            ps.test_lm_approx(effect_dataset, latent_approx),
+            ps.test_sum_score(endpoints(effect_dataset, SUM_ROW)),
+            ps.test_irt(endpoints(effect_dataset, IRT_ROW)),
+            ps.test_lm_approx(endpoints(effect_dataset, LM_ROW)),
             ps.test_obrien(fits, corr, variant="OLS"),
             ps.test_obrien(fits, corr, variant="GLS"),
             ps.test_obrien(fits, corr, variant="GLS-drop"),
@@ -499,7 +513,7 @@ class TestOutcomeContract:
             ps.test_simes_hommel(fits),
             ps.test_maxt(fits, corr, rng=ps.RngStream(8)),
             ps.test_omnibus(fits.p, calib10),
-            ps.test_omnibus_domains(effect_dataset, calib3),
+            ps.test_omnibus_domains(endpoints(effect_dataset, DOMAIN_ROWS), calib3),
         ]
         assert len(outcomes) == len(ps.METHODS)
         for out in outcomes:

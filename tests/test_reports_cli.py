@@ -23,6 +23,8 @@ from psprsim.reports import (
     write_trial_csv,
 )
 
+from conftest import item_fits
+
 
 def write_rows(path, rows):
     with open(path, "w", newline="") as fh:
@@ -147,11 +149,11 @@ class TestDescriptiveTable:
             baseline=np.tile(np.arange(6)[:, None] % 5, (1, 10)),
             week52=np.full((6, 10), 2),
         )
-        rows = descriptive_table(data, ps.fit_marginals(data))
+        rows = descriptive_table(data, item_fits(data))
         assert all(r["week52_se"] == 0.0 for r in rows)
 
     def test_spreadsheet_oracle(self, two_arm_dataset):
-        rows = descriptive_table(two_arm_dataset, ps.fit_marginals(two_arm_dataset))
+        rows = descriptive_table(two_arm_dataset, item_fits(two_arm_dataset))
         for r in rows:
             mask = two_arm_dataset.arm == (1 if r["arm"] == "treatment" else 0)
             j = list(ps.scales.ITEM_COLUMNS).index(r["item"])
@@ -176,7 +178,7 @@ class TestDescriptiveTable:
             assert r["baseline_se"] > 0
 
     def test_column_schema(self, two_arm_dataset):
-        rows = descriptive_table(two_arm_dataset, ps.fit_marginals(two_arm_dataset))
+        rows = descriptive_table(two_arm_dataset, item_fits(two_arm_dataset))
         assert len(rows) == 20
         for r in rows:
             assert tuple(r.keys()) == DESCRIPTIVE_COLUMNS
