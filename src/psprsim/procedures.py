@@ -15,7 +15,10 @@ dataset and scheme.
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
+import struct
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -392,20 +395,80 @@ def save_omnibus_calibration(calib: OmnibusCalibration, path: str | Path) -> Non
         tmp.unlink(missing_ok=True)
 
 
+# a zip local file header up to its name and extra-field lengths
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+
+
+def _read_table(path: str | Path, zf: zipfile.ZipFile, name: str, shape: tuple) -> np.ndarray:
+    """One float table of a calibration file.
+
+    A stored member is mapped where it lies in the file, as a read-only
+    view, so loading a cache reads neither the tables nor their CRC-32; a
+    deflated member (files of earlier versions) takes the full read. numpy
+    copies an unaligned array on every searchsorted, so an unaligned table
+    is copied once here instead.
+    """
+    info = zf.getinfo(f"{name}.npy")
+    if info.compress_type != zipfile.ZIP_STORED:
+        with zf.open(info) as member:
+            table = np.lib.format.read_array(member, allow_pickle=False)
+        if table.shape != shape:
+            raise ValueError(f"{name} has shape {table.shape}, expected {shape}")
+        return table
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset)
+        magic, name_len, extra_len = _LOCAL_HEADER.unpack(fh.read(_LOCAL_HEADER.size))
+        if magic != b"PK\x03\x04":
+            raise zipfile.BadZipFile(f"no local header for member {info.filename}")
+        start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+        member_end = start + info.file_size
+        # the data must end before the next member or the central directory
+        layout_end = min((i.header_offset for i in zf.infolist()
+                          if i.header_offset > info.header_offset), default=zf.start_dir)
+        if member_end > layout_end:
+            raise EOFError(
+                f"{name} runs {member_end - layout_end} bytes past its space in the file"
+            )
+        fh.seek(start)
+        version = np.lib.format.read_magic(fh)
+        if version != (1, 0):  # np.savez writes 1.0 for headers under 64 KiB
+            raise ValueError(f"{name} has .npy format version {version}")
+        got, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        if fortran_order or dtype != np.float64:
+            raise ValueError(f"{name} is not a C-ordered float64 table")
+        if got != shape:
+            raise ValueError(f"{name} has shape {got}, expected {shape}")
+        offset = fh.tell()
+        end = offset + math.prod(shape) * dtype.itemsize
+        if end > member_end:
+            raise ValueError(
+                f"{name} promises {end - offset} bytes but its member holds "
+                f"{member_end - offset}"
+            )
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    table = np.frombuffer(mapped, np.float64, math.prod(shape), offset).reshape(shape)
+    if not table.flags.aligned:
+        table = table.copy()
+        table.flags.writeable = False
+    return table
+
+
 def load_omnibus_calibration(path: str | Path) -> OmnibusCalibration:
     """Read a calibration written by save_omnibus_calibration; files that
-    older versions wrote compressed load to the same arrays."""
+    older versions wrote compressed load to the same arrays.
+
+    Only the scalar fields are read; the tables of an uncompressed file are
+    read-only views of its pages (see _read_table), so the file must be
+    replaced by renaming, as the writer does, never rewritten in place.
+    """
     try:
         with np.load(path, allow_pickle=False) as doc:
             version = int(doc["format_version"])
             transform = str(doc["transform"])
-            calib = OmnibusCalibration(
-                m=int(doc["m"]),
-                reps=int(doc["reps"]),
-                seed=int(doc["seed"]),
-                sorted_partial_stats=doc["sorted_partial_stats"],
-                sorted_null_stats=doc["sorted_null_stats"],
-            )
+            m, reps, seed = int(doc["m"]), int(doc["reps"]), int(doc["seed"])
+            if version == CALIBRATION_FORMAT_VERSION and transform == TRANSFORM:
+                partial = _read_table(path, doc.zip, "sorted_partial_stats", (m, reps))
+                null = _read_table(path, doc.zip, "sorted_null_stats", (reps,))
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValidationError(
             f"{path}: unreadable omnibus calibration ({type(exc).__name__}: {exc}); "
@@ -415,7 +478,9 @@ def load_omnibus_calibration(path: str | Path) -> OmnibusCalibration:
         raise ValidationError(f"{path}: unsupported calibration format {version}")
     if transform != TRANSFORM:
         raise ValidationError(f"{path}: unsupported omnibus transform {transform!r}")
-    return calib
+    return OmnibusCalibration(
+        m=m, reps=reps, seed=seed, sorted_partial_stats=partial, sorted_null_stats=null
+    )
 
 
 def get_omnibus_calibration(

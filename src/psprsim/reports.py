@@ -68,6 +68,8 @@ def load_trial_csv(
                     f"arm_map values must be treatment/control/drop, got {target!r}"
                 )
     records: dict[str, dict] = {}
+    # each distinct cell string is converted once; "" (missing) is -1
+    values = {"": -1}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -101,17 +103,21 @@ def load_trial_csv(
                 mapped = arm_map[arm_label]
             if mapped == "drop":
                 continue
-            scores = np.full(N_ITEMS, -1, dtype=np.int64)
-            for j, cell in enumerate(row[3:]):
-                if cell == "":
-                    continue
-                try:
-                    scores[j] = int(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: column {ITEM_COLUMNS[j]} has "
-                        f"non-integer value {cell!r}"
-                    ) from None
+            cells = row[3:]
+            try:
+                scores = [values[cell] for cell in cells]
+            except KeyError:
+                for j, cell in enumerate(cells):
+                    if cell not in values:
+                        try:
+                            # np.int64 raises OverflowError where an int64 array would
+                            values[cell] = int(np.int64(int(cell)))
+                        except ValueError:
+                            raise ValidationError(
+                                f"{path}:{lineno}: column {ITEM_COLUMNS[j]} has "
+                                f"non-integer value {cell!r}"
+                            ) from None
+                scores = [values[cell] for cell in cells]
             rec = records.setdefault(sid, {"arm": mapped, "label": arm_label})
             if rec["label"] != arm_label:
                 raise ValidationError(
@@ -129,9 +135,7 @@ def load_trial_csv(
         rec = records[sid]
         missing = [v for v in VISITS if v not in rec]
         if not missing:
-            for v in VISITS:
-                if np.any(rec[v] < 0):
-                    missing.append(v)
+            missing = [v for v in VISITS if min(rec[v]) < 0]
         if missing:
             log.info("excluding subject %s: incomplete at %s", sid, ",".join(missing))
             continue
@@ -150,8 +154,8 @@ def load_trial_csv(
     data = ItemDataset(
         ids=np.array(ids),
         arm=np.array(arm, dtype=np.int8),
-        baseline=np.array(baseline),
-        week52=np.array(week52),
+        baseline=np.array(baseline, dtype=np.int64),
+        week52=np.array(week52, dtype=np.int64),
         scheme=original_scheme(),
     )
     if return_labels:
@@ -181,10 +185,15 @@ def write_trial_csv(
             )
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    n = x.shape[0]
-    sd = float(np.std(x, ddof=1)) if n > 1 else 0.0
-    return float(np.mean(x)), sd / np.sqrt(n)
+def _mean_se(block: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per-row mean and sd / sqrt(n) of a C-contiguous (items, n) block.
+
+    Each row is reduced along its contiguous axis, the pairwise summation
+    that np.mean and np.std take on the row alone, so every value has the
+    bits of the 1-D call."""
+    n = block.shape[1]
+    sd = np.std(block, axis=1, ddof=1) if n > 1 else np.zeros(block.shape[0])
+    return np.mean(block, axis=1).tolist(), (sd / np.sqrt(n)).tolist()
 
 
 def descriptive_table(data: ItemDataset, fits: AncovaFit | None) -> list[dict]:
@@ -198,27 +207,28 @@ def descriptive_table(data: ItemDataset, fits: AncovaFit | None) -> list[dict]:
     """
     if fits is not None:
         coef, se, p = fits.coef[:, 2].tolist(), fits.se.tolist(), fits.p.tolist()
+    arms = []
+    for arm_value, arm_name in ((1, "treatment"), (0, "control")):
+        mask = data.arm == arm_value
+        base = data.baseline[mask].T.astype(float, order="C")
+        week = data.week52[mask].T.astype(float, order="C")
+        arms.append((arm_value, arm_name, int(mask.sum()),
+                     _mean_se(base), _mean_se(week), _mean_se(week - base)))
     rows = []
     for j in range(N_ITEMS):
-        for arm_value, arm_name in ((1, "treatment"), (0, "control")):
-            mask = data.arm == arm_value
-            base = data.baseline[mask, j].astype(float)
-            week = data.week52[mask, j].astype(float)
-            bm, bs = _mean_se(base)
-            wm, ws = _mean_se(week)
-            dm, ds = _mean_se(week - base)
+        for arm_value, arm_name, n, (bm, bs), (wm, ws), (dm, ds) in arms:
             fitted = fits is not None and arm_value == 1
             row = {
                 "item": ITEM_COLUMNS[j],
                 "label": ITEM_LABELS[j],
                 "arm": arm_name,
-                "n": int(mask.sum()),
-                "baseline_mean": bm,
-                "baseline_se": bs,
-                "week52_mean": wm,
-                "week52_se": ws,
-                "diff_mean": dm,
-                "diff_se": ds,
+                "n": n,
+                "baseline_mean": bm[j],
+                "baseline_se": bs[j],
+                "week52_mean": wm[j],
+                "week52_se": ws[j],
+                "diff_mean": dm[j],
+                "diff_se": ds[j],
                 "ancova_coef": coef[j] if fitted else None,
                 "ancova_se": se[j] if fitted else None,
                 "p_value": p[j] if fitted else None,
@@ -252,7 +262,7 @@ def _cell_csv(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # numpy 2 writes np.float64(...) for its own repr
     return str(v)
 
 

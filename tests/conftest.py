@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -75,3 +77,14 @@ def item_fits(data):
     """The 10 item rows of the endpoint block; fit_ancova gives every column
     the bits of its lone fit, so the item block fitted alone has them."""
     return ps.fit_ancova(data.week52, data.baseline, data.arm)
+
+
+def short_member_copy(src, dst, name="sorted_null_stats", short_by=80):
+    """Copy a stored calibration file with one member cut `short_by` bytes
+    short while its .npy header still promises the whole table."""
+    with zipfile.ZipFile(src) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    members[f"{name}.npy"] = members[f"{name}.npy"][:-short_by]
+    with zipfile.ZipFile(dst, "w", zipfile.ZIP_STORED) as zf:
+        for member, data in members.items():
+            zf.writestr(member, data)

@@ -3,7 +3,9 @@ closed-testing oracles for Hommel, dominance properties, omnibus
 calibration consistency, and MaxT's Bonferroni bound."""
 
 import itertools
+import mmap
 import os
+import pickle
 import zipfile
 from unittest import mock
 
@@ -29,7 +31,7 @@ from psprsim.procedures import (
 )
 from psprsim.scales import N_ITEMS
 
-from conftest import arm_symmetric_dataset, endpoint_fits, item_fits
+from conftest import arm_symmetric_dataset, endpoint_fits, item_fits, short_member_copy
 
 
 @pytest.fixture(scope="module")
@@ -465,6 +467,73 @@ class TestOmnibus:
         assert calib10.sorted_null_stats.shape == (calib10.reps,)
         assert np.all(np.diff(calib10.sorted_null_stats) >= 0)
         assert np.all(np.diff(calib10.sorted_partial_stats, axis=1) >= 0)
+
+
+def cut_keeping_directory(raw: bytes, cut: int) -> bytes:
+    """A zip file cut after `cut` bytes with its central directory moved up
+    behind the cut, so the directory still lists the cut member whole."""
+    eocd = raw[-22:]
+    assert eocd[:4] == b"PK\x05\x06"  # no archive comment, no zip64 records
+    directory = int.from_bytes(eocd[16:20], "little")
+    return raw[:cut] + raw[directory:-22] + eocd[:16] + cut.to_bytes(4, "little") + eocd[20:]
+
+
+def root_buffer(a):
+    """The object that owns an array's memory."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+class TestMappedCalibration:
+    """An uncompressed cache maps its tables where they lie in the file."""
+
+    @pytest.mark.parametrize("m", [10, 3])
+    def test_mapped_tables_equal_a_full_read(self, tmp_path, m):
+        built = ps.build_omnibus_calibration(m, reps=2000, seed=3)
+        path = tmp_path / "calib.npz"
+        save_omnibus_calibration(built, path)
+        back = load_omnibus_calibration(path)
+        assert (back.m, back.reps, back.seed) == (m, 2000, 3)
+        with np.load(path) as doc:
+            for name in ("sorted_partial_stats", "sorted_null_stats"):
+                mapped, full = getattr(back, name), doc[name]
+                assert mapped.dtype == full.dtype and mapped.shape == full.shape
+                assert mapped.tobytes() == full.tobytes()
+                assert not mapped.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    mapped[0] = 0.0
+        # the partial table is the file's own pages, not a copy
+        assert isinstance(root_buffer(back.sorted_partial_stats), mmap.mmap)
+        # workers receive the tables by pickle
+        again = pickle.loads(pickle.dumps(back))
+        for name in ("sorted_partial_stats", "sorted_null_stats"):
+            assert getattr(again, name).tobytes() == getattr(built, name).tobytes()
+        p = np.r_[0.001, np.full(m - 1, 0.4)]
+        assert ps.test_omnibus(p, back).p_one_sided == ps.test_omnibus(p, built).p_one_sided
+
+    def test_header_promising_more_than_its_member_holds(self, tmp_path):
+        path = tmp_path / "calib.npz"
+        save_omnibus_calibration(ps.build_omnibus_calibration(3, reps=1000, seed=5), path)
+        bad = tmp_path / "bad.npz"
+        short_member_copy(path, bad)
+        with pytest.raises(ValidationError, match="bad.npz.*promises 8000 bytes"):
+            load_omnibus_calibration(bad)
+
+    @pytest.mark.parametrize("keep_directory", [False, True], ids=["truncated", "directory-kept"])
+    def test_file_cut_inside_the_last_member(self, tmp_path, keep_directory):
+        path = tmp_path / "calib.npz"
+        save_omnibus_calibration(ps.build_omnibus_calibration(3, reps=1000, seed=5), path)
+        raw = path.read_bytes()
+        with zipfile.ZipFile(path) as zf:
+            last = max(zf.infolist(), key=lambda info: info.header_offset)
+        assert last.filename == "sorted_null_stats.npy"
+        cut = last.header_offset + last.file_size // 2
+        bad = tmp_path / "cut.npz"
+        bad.write_bytes(cut_keeping_directory(raw, cut) if keep_directory else raw[:cut])
+        match = "cut.npz.*past its space" if keep_directory else "cut.npz"
+        with pytest.raises(ValidationError, match=match):
+            load_omnibus_calibration(bad)
 
 
 class TestOmnibusDomains:

@@ -16,14 +16,16 @@ from psprsim.procedures import get_omnibus_calibration
 from psprsim.reports import (
     CSV_HEADER,
     DESCRIPTIVE_COLUMNS,
+    VISITS,
     TableDoc,
     descriptive_table,
     emit_report,
     load_trial_csv,
     write_trial_csv,
 )
+from psprsim.scales import ITEM_COLUMNS, ITEM_LABELS, N_ITEMS
 
-from conftest import item_fits
+from conftest import item_fits, short_member_copy
 
 
 def write_rows(path, rows):
@@ -141,6 +143,207 @@ class TestLoadTrialCsv:
         assert np.array_equal(data.arm[order], back.arm[order_b])
 
 
+def per_row_load_trial_csv(path, arm_map=None, drop_unmapped=False, return_labels=False):
+    """Reference trial CSV parser, one np.full per row and one int() per
+    cell; load_trial_csv must give its arrays, errors and log lines."""
+    pooled = arm_map is None
+    if not pooled:
+        for target in arm_map.values():
+            if target not in ("treatment", "control", "drop"):
+                raise ValidationError(
+                    f"arm_map values must be treatment/control/drop, got {target!r}"
+                )
+    records = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file") from None
+        if tuple(header) != CSV_HEADER:
+            raise ValidationError(
+                f"{path}: header {header} does not match required schema {list(CSV_HEADER)}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(CSV_HEADER):
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                )
+            sid, arm_label, visit = row[0], row[1], row[2]
+            if visit not in VISITS:
+                raise ValidationError(
+                    f"{path}:{lineno}: visit must be one of {VISITS}, got {visit!r}"
+                )
+            if pooled:
+                mapped = "control"
+            elif arm_label not in arm_map:
+                if drop_unmapped:
+                    continue
+                raise ValidationError(
+                    f"{path}:{lineno}: unknown arm label {arm_label!r}; "
+                    f"allowed: {sorted(arm_map)}"
+                )
+            else:
+                mapped = arm_map[arm_label]
+            if mapped == "drop":
+                continue
+            scores = np.full(N_ITEMS, -1, dtype=np.int64)
+            for j, cell in enumerate(row[3:]):
+                if cell == "":
+                    continue
+                try:
+                    scores[j] = int(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}:{lineno}: column {ITEM_COLUMNS[j]} has "
+                        f"non-integer value {cell!r}"
+                    ) from None
+            rec = records.setdefault(sid, {"arm": mapped, "label": arm_label})
+            if rec["label"] != arm_label:
+                raise ValidationError(
+                    f"{path}:{lineno}: subject {sid} appears under two arms"
+                )
+            if visit in rec:
+                raise ValidationError(
+                    f"{path}:{lineno}: duplicate row for subject {sid}, visit {visit}"
+                )
+            rec[visit] = scores
+
+    ids, arm, baseline, week52, labels = [], [], [], [], []
+    kept = {"treatment": 0, "control": 0}
+    log = logging.getLogger("psprsim.reports")
+    for sid in records:
+        rec = records[sid]
+        missing = [v for v in VISITS if v not in rec]
+        if not missing:
+            for v in VISITS:
+                if np.any(rec[v] < 0):
+                    missing.append(v)
+        if missing:
+            log.info("excluding subject %s: incomplete at %s", sid, ",".join(missing))
+            continue
+        ids.append(sid)
+        arm.append(1 if rec["arm"] == "treatment" else 0)
+        baseline.append(rec["baseline"])
+        week52.append(rec["week52"])
+        labels.append(rec["label"])
+        kept[rec["arm"]] += 1
+    if not ids:
+        raise ValidationError(f"{path}: no complete cases after filtering")
+    log.info(
+        "%s: retained %d treatment / %d control complete cases",
+        path, kept["treatment"], kept["control"],
+    )
+    data = ps.ItemDataset(
+        ids=np.array(ids),
+        arm=np.array(arm, dtype=np.int8),
+        baseline=np.array(baseline),
+        week52=np.array(week52),
+        scheme=ps.original_scheme(),
+    )
+    if return_labels:
+        return data, np.array(labels)
+    return data
+
+
+# cells and their weights: valid scores, missing ("" and negative), cells
+# int() accepts in other spellings, and cells it refuses
+CELLS = ["0", "1", "2", "3", "4", "", "-1", " 3", "+2", "3.0", "x"]
+CELL_WEIGHTS = np.array([20, 20, 20, 20, 20, 1.5, 1, 1, 1, 0, 0])
+
+
+def random_trial_rows(rng):
+    """Rows of a small trial CSV with rare defects: odd cells, a missing
+    visit, a subject under two arms, a duplicate visit, a wrong field count
+    and a bad visit name."""
+    weights = CELL_WEIGHTS.copy()
+    weights[-2:] = rng.choice([0.0, 0.15])  # refused cells in some files only
+    weights /= weights.sum()
+    rows = []
+    for i in range(rng.integers(1, 9)):
+        label = str(rng.choice(["drug", "placebo", "other", "gone"], p=[0.4, 0.4, 0.1, 0.1]))
+        for visit in VISITS:
+            if rng.random() < 0.05:
+                continue
+            row = [f"S{i}", label, visit, *rng.choice(CELLS, N_ITEMS, p=weights)]
+            defect = rng.random()
+            if defect < 0.01:
+                row[1] = "placebo" if label == "drug" else "drug"
+            elif defect < 0.02:
+                rows.append(list(row))
+            elif defect < 0.03:
+                del row[rng.integers(len(row))]
+            elif defect < 0.04:
+                row[2] = "week26"
+            rows.append(row)
+    return rows
+
+
+# rows where two checks fail at once, so the order of the checks shows
+CHECK_ORDER_CASES = [
+    subject_rows("A", "drug", [1] * 10, [1] * 10) + [["A", "drug", "baseline", "x", *[1] * 9]],
+    [["A", "drug", "baseline", *[1] * 10], ["A", "placebo", "week52", "x", *[1] * 9]],
+    [["A", "drug", "baseline", *[1] * 10], ["A", "placebo", "baseline", *[1] * 10]],
+    [["A", "mystery", "week26", *[1] * 10]],
+    [["A", "drug", "week26", 1]],
+    [["A", "mystery", "baseline", "x", *[1] * 9]],
+    [["A", "gone", "baseline", "x", *[1] * 9]],
+]
+
+ARM_MODES = {
+    "strict": (ARM_MAP, False),
+    "drop-unmapped": (ARM_MAP, True),
+    "drop-label": ({**ARM_MAP, "gone": "drop", "other": "drop"}, False),
+    "pooled": (None, False),
+}
+ERROR_KINDS = ("non-integer", "two arms", "duplicate row", "fields", "visit must",
+               "unknown arm", "no complete cases", "empty file", "header")
+
+
+class TestLoadTrialCsvAgainstPerRowParser:
+    @staticmethod
+    def outcome(loader, path, arm_map, drop, caplog):
+        caplog.clear()
+        try:
+            data, labels = loader(path, arm_map, drop_unmapped=drop, return_labels=True)
+        except ValidationError as exc:
+            return str(exc), None, [r.getMessage() for r in caplog.records]
+        return None, (data, labels), [r.getMessage() for r in caplog.records]
+
+    def test_same_arrays_or_same_error(self, tmp_path, caplog):
+        rng = np.random.default_rng(2024)
+        paths = [tmp_path / "empty.csv", tmp_path / "header.csv"]
+        paths[0].write_text("")
+        paths[1].write_text("subject_id,arm,visit\nA,drug,baseline\n")
+        for k, rows in enumerate(CHECK_ORDER_CASES):
+            paths.append(tmp_path / f"order{k}.csv")
+            write_rows(paths[-1], rows)
+        for k in range(150):
+            paths.append(tmp_path / f"t{k}.csv")
+            write_rows(paths[-1], random_trial_rows(rng))
+        loaded, errors = 0, set()
+        with caplog.at_level(logging.INFO, logger="psprsim.reports"):
+            for mode, (arm_map, drop) in ARM_MODES.items():
+                for path in paths:
+                    want = self.outcome(per_row_load_trial_csv, path, arm_map, drop, caplog)
+                    got = self.outcome(load_trial_csv, path, arm_map, drop, caplog)
+                    assert got[0] == want[0], (mode, path.name)
+                    assert got[2] == want[2], (mode, path.name)
+                    if want[0] is not None:
+                        errors.update(k for k in ERROR_KINDS if k in want[0])
+                        continue
+                    loaded += 1
+                    (data, labels), (ref, ref_labels) = got[1], want[1]
+                    for name in ("ids", "arm", "baseline", "week52"):
+                        a, b = getattr(data, name), getattr(ref, name)
+                        assert a.dtype == b.dtype and np.array_equal(a, b), (mode, path.name)
+                    assert labels.dtype == ref_labels.dtype
+                    assert np.array_equal(labels, ref_labels)
+        # the generated files reach every outcome
+        assert loaded >= 100
+        assert errors == set(ERROR_KINDS)
+
+
 class TestDescriptiveTable:
     def test_constant_item_zero_se(self):
         data = ps.ItemDataset(
@@ -184,6 +387,64 @@ class TestDescriptiveTable:
             assert tuple(r.keys()) == DESCRIPTIVE_COLUMNS
 
 
+def per_cell_descriptive_table(data, fits):
+    """Reference descriptive table, one mean and one sd call per item, arm
+    and column; descriptive_table must give its values bit for bit."""
+    def mean_se(x):
+        n = x.shape[0]
+        sd = float(np.std(x, ddof=1)) if n > 1 else 0.0
+        return float(np.mean(x)), sd / np.sqrt(n)
+
+    if fits is not None:
+        coef, se, p = fits.coef[:, 2].tolist(), fits.se.tolist(), fits.p.tolist()
+    rows = []
+    for j in range(N_ITEMS):
+        for arm_value, arm_name in ((1, "treatment"), (0, "control")):
+            mask = data.arm == arm_value
+            base = data.baseline[mask, j].astype(float)
+            week = data.week52[mask, j].astype(float)
+            bm, bs = mean_se(base)
+            wm, ws = mean_se(week)
+            dm, ds = mean_se(week - base)
+            fitted = fits is not None and arm_value == 1
+            rows.append({
+                "item": ITEM_COLUMNS[j], "label": ITEM_LABELS[j], "arm": arm_name,
+                "n": int(mask.sum()),
+                "baseline_mean": bm, "baseline_se": bs,
+                "week52_mean": wm, "week52_se": ws,
+                "diff_mean": dm, "diff_se": ds,
+                "ancova_coef": coef[j] if fitted else None,
+                "ancova_se": se[j] if fitted else None,
+                "p_value": p[j] if fitted else None,
+            })
+    return rows
+
+
+class TestDescriptiveTableAgainstPerCellTable:
+    def test_every_value_bit_for_bit(self):
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            n_treat, n_control = rng.integers(2, 81, size=2)
+            n = n_treat + n_control
+            data = ps.ItemDataset(
+                ids=np.arange(n).astype(str),
+                arm=rng.permutation(np.r_[np.ones(n_treat), np.zeros(n_control)]),
+                baseline=rng.integers(0, 5, size=(n, N_ITEMS)),
+                week52=rng.integers(0, 5, size=(n, N_ITEMS)),
+            )
+            for fits in (None, item_fits(data)):
+                got = descriptive_table(data, fits)
+                want = per_cell_descriptive_table(data, fits)
+                assert [tuple(r) for r in got] == [tuple(r) for r in want]
+                for g, w in zip(got, want):
+                    for key, value in w.items():
+                        if isinstance(value, float):
+                            assert type(g[key]) is float
+                            assert g[key].hex() == float(value).hex(), key
+                        else:
+                            assert g[key] == value, key
+
+
 class TestEmitReport:
     def test_empty_results_header_only(self, tmp_path):
         doc = TableDoc(header=["a", "b"], rows=[])
@@ -194,6 +455,11 @@ class TestEmitReport:
         doc = TableDoc(header=["v"], rows=[[0.1234567890123456789]])
         path = emit_report(doc, "csv", tmp_path / "x.csv")
         assert repr(0.1234567890123456789) in path.read_text()
+
+    def test_csv_writes_numpy_floats_as_plain_floats(self, tmp_path):
+        doc = TableDoc(header=["v", "w"], rows=[[np.float64(-1.7), np.float64(0.1)]])
+        path = emit_report(doc, "csv", tmp_path / "x.csv")
+        assert path.read_text() == "v,w\n-1.7,0.1\n"
 
     def test_structured_doc(self, tmp_path):
         doc = TableDoc(header=["k", "p"], rows=[["SumS", 0.5]])
@@ -473,3 +739,59 @@ class TestCli:
         path.write_bytes(path.read_bytes()[:1000])
         assert analyze(reference_csv, tmp_path / "x", "--cache-dir", str(cache)) == 2
         assert path.name in capsys.readouterr().err
+
+    def test_short_cache_member_exit_code(self, reference_csv, model_args, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        get_omnibus_calibration(cache, m=10, reps=2000, seed=1)
+        (path,) = cache.iterdir()
+        short = tmp_path / "short.npz"
+        short_member_copy(path, short, "sorted_partial_stats")
+        short.replace(path)
+        assert analyze(reference_csv, tmp_path / "x", "--cache-dir", str(cache), *model_args) == 2
+        err = capsys.readouterr().err
+        assert path.name in err and "promises" in err
+
+    def test_second_analyze_on_built_cache_writes_identical_files(
+        self, reference_csv, model_args, tmp_path
+    ):
+        cache = tmp_path / "cache"
+        for out in ("built", "mapped"):
+            assert analyze(reference_csv, tmp_path / out, "--cache-dir", str(cache),
+                           *model_args) == 0
+        names = sorted(p.name for p in (tmp_path / "built").iterdir())
+        assert names == ["analysis_results.csv", "analysis_results.json", "analysis_table.txt",
+                         "descriptives_fda.csv", "descriptives_original.csv"]
+        for name in names:
+            assert ((tmp_path / "built" / name).read_bytes()
+                    == (tmp_path / "mapped" / name).read_bytes()), name
+
+    def test_csv_outputs_hold_plain_numbers(self, reference_csv, model_args, tmp_path):
+        out = tmp_path / "out"
+        assert analyze(reference_csv, out, *model_args) == 0
+        tables = {"analysis_results.csv": ("statistic", "p_one_sided"),
+                  **{f"descriptives_{tag}.csv": DESCRIPTIVE_COLUMNS[3:]
+                     for tag in ("original", "fda")}}
+        for name, columns in tables.items():
+            with open(out / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows, name
+            cells = [r[c] for r in rows for c in columns if r[c] != ""]
+            assert cells, name
+            for cell in cells:
+                float(cell)  # raises on text such as np.float64(...)
+
+    def test_simulate_on_warm_cache_at_two_workers_matches_no_cache(self, tmp_path):
+        plan = ps.StudyPlan(generator="mvn", scenarios=["d0", "d6"], schemes=["original"],
+                            methods=["Omnibus", "Omnibus-dom"], n_reps=100,
+                            calibration_reps=1000, maxt_tol=1e-3)
+        plan_path = tmp_path / "plan.json"
+        plan.save(plan_path)
+        cache = tmp_path / "cache"
+        runs = {"none": [], "cold": ["--cache-dir", str(cache)],
+                "warm": ["--cache-dir", str(cache)]}
+        for name, flags in runs.items():
+            assert main(["simulate", str(plan_path), "--out", str(tmp_path / name),
+                         "--workers", "2", *flags]) == 0
+        assert len(list(cache.iterdir())) == 2
+        tables = {name: (tmp_path / name / "power_table.csv").read_bytes() for name in runs}
+        assert tables["warm"] == tables["none"] == tables["cold"]
