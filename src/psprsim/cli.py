@@ -10,6 +10,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -37,6 +38,19 @@ def _scheme_arg(tag_or_path: str):
     if tag_or_path in ("original", "fda"):
         return get_scheme(tag_or_path)
     return load_scheme(tag_or_path)
+
+
+def _arm_map_arg(text: str | None) -> dict[str, str] | None:
+    """The --arm-map flag: a JSON object mapping CSV arm labels to labels."""
+    if not text:
+        return None
+    try:
+        arm_map = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"--arm-map is not JSON ({exc}): {text!r}") from exc
+    if not isinstance(arm_map, dict) or not all(isinstance(v, str) for v in arm_map.values()):
+        raise ValidationError(f"--arm-map must be a JSON object of strings, got {text!r}")
+    return arm_map
 
 
 def _cmd_simulate(args) -> int:
@@ -145,7 +159,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_fit_irt(args) -> int:
-    arm_map = json.loads(args.arm_map) if args.arm_map else None
+    arm_map = _arm_map_arg(args.arm_map)
     data = reports.load_trial_csv(args.csv, arm_map)
     data = ensure_scheme(data, args.scheme)
     model = fit_grm(data, n_nodes=args.nodes)
@@ -156,7 +170,7 @@ def _cmd_fit_irt(args) -> int:
 
 
 def _cmd_fit_approx(args) -> int:
-    arm_map = json.loads(args.arm_map) if args.arm_map else None
+    arm_map = _arm_map_arg(args.arm_map)
     data = reports.load_trial_csv(args.csv, arm_map)
     model = GrModel.load(args.model)
     data = ensure_scheme(data, model.scheme)
@@ -169,14 +183,14 @@ def _cmd_fit_approx(args) -> int:
 
 def _cmd_calibrate_omnibus(args) -> int:
     calib = procedures.build_omnibus_calibration(args.m, args.reps, args.seed)
-    procedures.save_omnibus_calibration(calib, args.out)
-    print(f"wrote {args.out} (m={args.m}, reps={args.reps}, seed={args.seed})")
+    path = procedures.save_omnibus_calibration(calib, args.out)
+    print(f"wrote {path} (m={args.m}, reps={args.reps}, seed={args.seed})")
     return 0
 
 
 def _cmd_rescore(args) -> int:
     scheme = _scheme_arg(args.scheme)
-    arm_map = json.loads(args.arm_map) if args.arm_map else None
+    arm_map = _arm_map_arg(args.arm_map)
     data, labels = reports.load_trial_csv(args.csv, arm_map, return_labels=True)
     rescored = apply_rescoring(data, scheme)
     reports.write_trial_csv(rescored, args.out, labels=labels)
@@ -192,7 +206,9 @@ def _cmd_make_reference(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process; parse_args gives each call its own namespace."""
     ap = argparse.ArgumentParser(prog="psprsim")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -263,7 +279,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, FileNotFoundError) as exc:  # the latter names its path
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except engine.METHOD_ERRORS as exc:

@@ -354,6 +354,8 @@ def build_synthetic_reference(
     Arm labels alternate only so the dataset type validates; every consumer
     of the pool (bootstrap resampling, model fitting) ignores them."""
     config = config or ReferenceConfig()
+    if config.n_subjects < 1:
+        raise ValidationError(f"need n_subjects >= 1, got {config.n_subjects}")
     rng = rng or RngStream(0)
     spec = config.mvn_params().spec
     lo, hi = config.severity_band

@@ -322,6 +322,9 @@ def fit_grm(
     integer response matrix. The EM loop asserts a nondecreasing marginal
     log-likelihood every iteration and converges on a relative change < tol.
     """
+    if n_nodes < 2:
+        # one node puts every theta at 0, where no discrimination is identified
+        raise ValidationError(f"need n_nodes >= 2 quadrature nodes, got {n_nodes}")
     if isinstance(pooled, ItemDataset):
         y_raw = pooled.flatten_visits()
         counts_per_item = pooled.scheme.category_counts

@@ -15,11 +15,7 @@ dataset and scheme.
 
 from __future__ import annotations
 
-import math
-import mmap
 import os
-import struct
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +47,7 @@ METHODS = (
 )
 
 P_FLOOR = 1e-12  # floor inside the reciprocal transform
-CALIBRATION_FORMAT_VERSION = 1
+CALIBRATION_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -295,33 +291,48 @@ def test_maxt(
 def _reciprocal(p: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(p, P_FLOOR)
 
-TRANSFORM = "reciprocal"  # the name saved calibrations and cache files give _reciprocal
+TRANSFORM = "reciprocal"  # the name cache file names give _reciprocal
 
 
 @dataclass
 class OmnibusCalibration:
     """Monte-Carlo null tables for the omnibus combination test.
 
-    sorted_partial_stats[s] holds the ascending null distribution of the
-    partial sum S_{s+1}; sorted_null_stats holds the ascending null
-    distribution of the combined statistic (the minimum per-s marginal p).
+    tables is one (m + 1, reps) float64 array. Its rows 0..m-1 are
+    sorted_partial_stats: row s holds the ascending null distribution of
+    the partial sum S_{s+1}. Its row m is sorted_null_stats, the ascending
+    null distribution of the combined statistic (the minimum per-s
+    marginal p).
     """
 
-    m: int
-    reps: int
-    seed: int
-    sorted_partial_stats: np.ndarray
-    sorted_null_stats: np.ndarray
+    tables: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.tables.shape[0] - 1
+
+    @property
+    def reps(self) -> int:
+        return self.tables.shape[1]
+
+    @property
+    def sorted_partial_stats(self) -> np.ndarray:
+        return self.tables[:-1]
+
+    @property
+    def sorted_null_stats(self) -> np.ndarray:
+        return self.tables[-1]
 
     def partial_p(self, partial_sums: np.ndarray) -> np.ndarray:
         """Marginal Monte-Carlo p of each observed partial sum (large = extreme)."""
-        ge = self.reps - np.array(
+        tables, reps = self.tables, self.reps
+        ge = reps - np.array(
             [
-                np.searchsorted(self.sorted_partial_stats[s], partial_sums[s], side="left")
+                np.searchsorted(tables[s], partial_sums[s], side="left")
                 for s in range(self.m)
             ]
         )
-        return (1.0 + ge) / (self.reps + 1.0)
+        return (1.0 + ge) / (reps + 1.0)
 
     def combined_statistic(self, pvalues: np.ndarray) -> float:
         partial = np.cumsum(_reciprocal(np.sort(pvalues)))
@@ -346,141 +357,63 @@ def build_omnibus_calibration(m: int, reps: int = 100_000, seed: int = 0) -> Omn
     u = rng.gen.random((reps, m))
     u.sort(axis=1)
     S = np.cumsum(_reciprocal(u), axis=1)  # (reps, m)
-    sorted_partial = np.sort(S, axis=0).T.copy()  # (m, reps)
+    tables = np.empty((m + 1, reps))
+    tables[:m] = np.sort(S, axis=0).T
     # each calibration replicate's own combined statistic, same convention
     marg = np.empty((reps, m))
     for s in range(m):
-        idx = np.searchsorted(sorted_partial[s], S[:, s], side="left")
+        idx = np.searchsorted(tables[s], S[:, s], side="left")
         marg[:, s] = (1.0 + reps - idx) / (reps + 1.0)
-    T = marg.min(axis=1)
-    return OmnibusCalibration(
-        m=m,
-        reps=reps,
-        seed=seed,
-        sorted_partial_stats=sorted_partial,
-        sorted_null_stats=np.sort(T),
-    )
+    tables[m] = np.sort(marg.min(axis=1))
+    return OmnibusCalibration(tables)
 
 
-def save_omnibus_calibration(calib: OmnibusCalibration, path: str | Path) -> None:
-    """Write the calibration as an uncompressed .npz (".npz" is appended to a
-    path without it, as numpy does).
+def save_omnibus_calibration(calib: OmnibusCalibration, path: str | Path) -> Path:
+    """Write the calibration's tables as one .npy and return its path
+    (".npy" is appended to a path without it, as numpy does).
 
-    The tables are sorted random doubles on which deflate gains little, and
-    inflating them took most of an `analyze` call. The file is written next
-    to its target, flushed to disk and renamed into place, so neither a
-    killed or concurrent writer nor a crash of the machine leaves a
-    truncated file under the final name.
+    The file is written next to its target, flushed to disk and renamed
+    into place, so neither a killed or concurrent writer nor a crash of the
+    machine leaves a truncated file under the final name.
     """
     path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
+    if path.suffix != ".npy":
+        path = path.with_name(path.name + ".npy")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                format_version=CALIBRATION_FORMAT_VERSION,
-                m=calib.m,
-                transform=TRANSFORM,
-                reps=calib.reps,
-                seed=calib.seed,
-                sorted_partial_stats=calib.sorted_partial_stats,
-                sorted_null_stats=calib.sorted_null_stats,
-            )
+            np.save(fh, calib.tables, allow_pickle=False)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-# a zip local file header up to its name and extra-field lengths
-_LOCAL_HEADER = struct.Struct("<4s22xHH")
-
-
-def _read_table(path: str | Path, zf: zipfile.ZipFile, name: str, shape: tuple) -> np.ndarray:
-    """One float table of a calibration file.
-
-    A stored member is mapped where it lies in the file, as a read-only
-    view, so loading a cache reads neither the tables nor their CRC-32; a
-    deflated member (files of earlier versions) takes the full read. numpy
-    copies an unaligned array on every searchsorted, so an unaligned table
-    is copied once here instead.
-    """
-    info = zf.getinfo(f"{name}.npy")
-    if info.compress_type != zipfile.ZIP_STORED:
-        with zf.open(info) as member:
-            table = np.lib.format.read_array(member, allow_pickle=False)
-        if table.shape != shape:
-            raise ValueError(f"{name} has shape {table.shape}, expected {shape}")
-        return table
-    with open(path, "rb") as fh:
-        fh.seek(info.header_offset)
-        magic, name_len, extra_len = _LOCAL_HEADER.unpack(fh.read(_LOCAL_HEADER.size))
-        if magic != b"PK\x03\x04":
-            raise zipfile.BadZipFile(f"no local header for member {info.filename}")
-        start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
-        member_end = start + info.file_size
-        # the data must end before the next member or the central directory
-        layout_end = min((i.header_offset for i in zf.infolist()
-                          if i.header_offset > info.header_offset), default=zf.start_dir)
-        if member_end > layout_end:
-            raise EOFError(
-                f"{name} runs {member_end - layout_end} bytes past its space in the file"
-            )
-        fh.seek(start)
-        version = np.lib.format.read_magic(fh)
-        if version != (1, 0):  # np.savez writes 1.0 for headers under 64 KiB
-            raise ValueError(f"{name} has .npy format version {version}")
-        got, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-        if fortran_order or dtype != np.float64:
-            raise ValueError(f"{name} is not a C-ordered float64 table")
-        if got != shape:
-            raise ValueError(f"{name} has shape {got}, expected {shape}")
-        offset = fh.tell()
-        end = offset + math.prod(shape) * dtype.itemsize
-        if end > member_end:
-            raise ValueError(
-                f"{name} promises {end - offset} bytes but its member holds "
-                f"{member_end - offset}"
-            )
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    table = np.frombuffer(mapped, np.float64, math.prod(shape), offset).reshape(shape)
-    if not table.flags.aligned:
-        table = table.copy()
-        table.flags.writeable = False
-    return table
+    return path
 
 
 def load_omnibus_calibration(path: str | Path) -> OmnibusCalibration:
-    """Read a calibration written by save_omnibus_calibration; files that
-    older versions wrote compressed load to the same arrays.
+    """Map a calibration written by save_omnibus_calibration.
 
-    Only the scalar fields are read; the tables of an uncompressed file are
-    read-only views of its pages (see _read_table), so the file must be
-    replaced by renaming, as the writer does, never rewritten in place.
+    The tables are a read-only view of the file's pages, so the file must
+    be replaced by renaming, as the writer does, never rewritten in place.
     """
     try:
-        with np.load(path, allow_pickle=False) as doc:
-            version = int(doc["format_version"])
-            transform = str(doc["transform"])
-            m, reps, seed = int(doc["m"]), int(doc["reps"]), int(doc["seed"])
-            if version == CALIBRATION_FORMAT_VERSION and transform == TRANSFORM:
-                partial = _read_table(path, doc.zip, "sorted_partial_stats", (m, reps))
-                null = _read_table(path, doc.zip, "sorted_null_stats", (reps,))
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        tables = np.asarray(np.load(path, mmap_mode="r", allow_pickle=False))
+    except (OSError, EOFError, ValueError) as exc:
         raise ValidationError(
             f"{path}: unreadable omnibus calibration ({type(exc).__name__}: {exc}); "
             "delete the file to rebuild it"
         ) from exc
-    if version != CALIBRATION_FORMAT_VERSION:
-        raise ValidationError(f"{path}: unsupported calibration format {version}")
-    if transform != TRANSFORM:
-        raise ValidationError(f"{path}: unsupported omnibus transform {transform!r}")
-    return OmnibusCalibration(
-        m=m, reps=reps, seed=seed, sorted_partial_stats=partial, sorted_null_stats=null
-    )
+    if tables.dtype != np.float64 or tables.ndim != 2 or not tables.flags.c_contiguous:
+        raise ValidationError(
+            f"{path}: omnibus calibration is not a C-ordered 2-D float64 table "
+            f"(dtype {tables.dtype}, shape {tables.shape})"
+        )
+    if tables.shape[0] < 3:
+        raise ValidationError(
+            f"{path}: omnibus calibration has {tables.shape[0]} rows, need m + 1 >= 3"
+        )
+    return OmnibusCalibration(tables)
 
 
 def get_omnibus_calibration(
@@ -494,9 +427,15 @@ def get_omnibus_calibration(
         return build_omnibus_calibration(m, reps, seed)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"omnibus_m{m}_{TRANSFORM}_r{reps}_s{seed}_v{CALIBRATION_FORMAT_VERSION}.npz"
+    path = cache_dir / f"omnibus_m{m}_{TRANSFORM}_r{reps}_s{seed}_v{CALIBRATION_FORMAT_VERSION}.npy"
     if path.exists():
-        return load_omnibus_calibration(path)
+        calib = load_omnibus_calibration(path)
+        if calib.tables.shape != (m + 1, reps):
+            raise ValidationError(
+                f"{path}: omnibus calibration has shape {calib.tables.shape}, "
+                f"expected {(m + 1, reps)}; delete the file to rebuild it"
+            )
+        return calib
     calib = build_omnibus_calibration(m, reps, seed)
     save_omnibus_calibration(calib, path)
     return calib

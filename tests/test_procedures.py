@@ -6,7 +6,6 @@ import itertools
 import mmap
 import os
 import pickle
-import zipfile
 from unittest import mock
 
 import numpy as np
@@ -31,7 +30,7 @@ from psprsim.procedures import (
 )
 from psprsim.scales import N_ITEMS
 
-from conftest import arm_symmetric_dataset, endpoint_fits, item_fits, short_member_copy
+from conftest import arm_symmetric_dataset, endpoint_fits, item_fits
 
 
 @pytest.fixture(scope="module")
@@ -380,62 +379,41 @@ class TestOmnibus:
         assert out.p_one_sided < 0.01
 
     def test_cache_round_trip(self, calib10, tmp_path):
-        path = tmp_path / "calib.npz"
+        path = tmp_path / "calib.npy"
         save_omnibus_calibration(calib10, path)
         back = load_omnibus_calibration(path)
         assert back.m == calib10.m and back.reps == calib10.reps
-        assert back.seed == calib10.seed
-        with np.load(path) as doc:
-            assert str(doc["transform"]) == "reciprocal"
         assert np.array_equal(back.sorted_null_stats, calib10.sorted_null_stats)
         assert np.array_equal(back.sorted_partial_stats, calib10.sorted_partial_stats)
         # keyed cache: same parameters come back from disk
-        c1 = get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
-        c2 = get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
+        c1 = get_omnibus_calibration(tmp_path / "cache", m=3, reps=1000, seed=5)
+        c2 = get_omnibus_calibration(tmp_path / "cache", m=3, reps=1000, seed=5)
         assert np.array_equal(c1.sorted_null_stats, c2.sorted_null_stats)
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [
+            f"omnibus_m3_reciprocal_r1000_s5_v{CALIBRATION_FORMAT_VERSION}.npy"
+        ]
 
     def test_saved_calibration_is_uncompressed(self, calib10, tmp_path):
-        path = tmp_path / "calib.npz"
-        save_omnibus_calibration(calib10, path)
-        with zipfile.ZipFile(path) as zf:
-            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
-        assert [p.name for p in tmp_path.iterdir()] == ["calib.npz"]
-
-    def test_legacy_compressed_cache_loads_bit_identically(self, tmp_path):
-        built = get_omnibus_calibration(None, m=3, reps=1000, seed=5)
-        get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
-        (path,) = tmp_path.iterdir()
-        # the writer of earlier versions, same keys, deflated members
-        np.savez_compressed(
-            path,
-            format_version=CALIBRATION_FORMAT_VERSION,
-            m=built.m,
-            transform="reciprocal",
-            reps=built.reps,
-            seed=built.seed,
-            sorted_partial_stats=built.sorted_partial_stats,
-            sorted_null_stats=built.sorted_null_stats,
-        )
-        with zipfile.ZipFile(path) as zf:
-            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
-        back = get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
-        assert (back.m, back.reps, back.seed) == (3, 1000, 5)
-        for name in ("sorted_partial_stats", "sorted_null_stats"):
-            a, b = getattr(back, name), getattr(built, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # one .npy: a header, then the (m + 1, reps) table's raw bytes
+        save_omnibus_calibration(calib10, tmp_path / "calib")
+        assert [p.name for p in tmp_path.iterdir()] == ["calib.npy"]
+        raw = (tmp_path / "calib.npy").read_bytes()
+        table = np.vstack([calib10.sorted_partial_stats, calib10.sorted_null_stats])
+        assert table.shape == (11, calib10.reps)
+        assert raw.endswith(table.tobytes()) and len(raw) - table.nbytes <= 128
 
     def test_interrupted_save_leaves_no_file(self, calib10, tmp_path):
-        def dies_midway(fh, **arrays):
-            fh.write(b"PK\x03\x04 partial member")
+        def dies_midway(fh, arr, **kwargs):
+            fh.write(b"\x93NUMPY partial header")
             raise OSError("no space left on device")
 
-        with mock.patch.object(np, "savez", dies_midway):
+        with mock.patch.object(np, "save", dies_midway):
             with pytest.raises(OSError, match="no space"):
-                save_omnibus_calibration(calib10, tmp_path / "calib.npz")
+                save_omnibus_calibration(calib10, tmp_path / "calib.npy")
         assert list(tmp_path.iterdir()) == []
 
     def test_save_syncs_the_whole_file_before_renaming(self, calib10, tmp_path):
-        path = tmp_path / "calib.npz"
+        path = tmp_path / "calib.npy"
         synced = []
 
         def fsync(fd):
@@ -446,20 +424,24 @@ class TestOmnibus:
             save_omnibus_calibration(calib10, path)
         assert synced == [path.stat().st_size]
 
-    @pytest.mark.parametrize("damage", ["truncate", "empty", "missing-key", "other-transform"])
+    @pytest.mark.parametrize("damage", ["truncate", "empty", "float32", "fortran", "shape",
+                                        "two-rows"])
     def test_unreadable_cache_is_a_validation_error(self, tmp_path, damage):
         get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
         (path,) = tmp_path.iterdir()
+        table = np.load(path)
         if damage == "truncate":
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         elif damage == "empty":
             path.write_bytes(b"")
-        elif damage == "missing-key":
-            np.savez(path, format_version=CALIBRATION_FORMAT_VERSION, m=3)
+        elif damage == "float32":
+            np.save(path, table.astype(np.float32))
+        elif damage == "fortran":
+            np.save(path, np.asfortranarray(table))
+        elif damage == "shape":  # a readable table that is not the key's (m + 1, reps)
+            np.save(path, table[:, :999])
         else:
-            with np.load(path) as doc:
-                arrays = dict(doc)
-            np.savez(path, **{**arrays, "transform": "fisher"})
+            np.save(path, table[:2])
         with pytest.raises(ValidationError, match=path.name):
             get_omnibus_calibration(tmp_path, m=3, reps=1000, seed=5)
 
@@ -467,15 +449,6 @@ class TestOmnibus:
         assert calib10.sorted_null_stats.shape == (calib10.reps,)
         assert np.all(np.diff(calib10.sorted_null_stats) >= 0)
         assert np.all(np.diff(calib10.sorted_partial_stats, axis=1) >= 0)
-
-
-def cut_keeping_directory(raw: bytes, cut: int) -> bytes:
-    """A zip file cut after `cut` bytes with its central directory moved up
-    behind the cut, so the directory still lists the cut member whole."""
-    eocd = raw[-22:]
-    assert eocd[:4] == b"PK\x05\x06"  # no archive comment, no zip64 records
-    directory = int.from_bytes(eocd[16:20], "little")
-    return raw[:cut] + raw[directory:-22] + eocd[:16] + cut.to_bytes(4, "little") + eocd[20:]
 
 
 def root_buffer(a):
@@ -486,54 +459,32 @@ def root_buffer(a):
 
 
 class TestMappedCalibration:
-    """An uncompressed cache maps its tables where they lie in the file."""
+    """A cached calibration maps its tables where they lie in the file."""
 
     @pytest.mark.parametrize("m", [10, 3])
     def test_mapped_tables_equal_a_full_read(self, tmp_path, m):
         built = ps.build_omnibus_calibration(m, reps=2000, seed=3)
-        path = tmp_path / "calib.npz"
+        path = tmp_path / "calib.npy"
         save_omnibus_calibration(built, path)
         back = load_omnibus_calibration(path)
-        assert (back.m, back.reps, back.seed) == (m, 2000, 3)
-        with np.load(path) as doc:
-            for name in ("sorted_partial_stats", "sorted_null_stats"):
-                mapped, full = getattr(back, name), doc[name]
-                assert mapped.dtype == full.dtype and mapped.shape == full.shape
-                assert mapped.tobytes() == full.tobytes()
-                assert not mapped.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    mapped[0] = 0.0
-        # the partial table is the file's own pages, not a copy
-        assert isinstance(root_buffer(back.sorted_partial_stats), mmap.mmap)
+        assert (back.m, back.reps) == (m, 2000)
+        full = np.load(path)  # a plain read into memory
+        for name, rows in (("sorted_partial_stats", slice(0, m)), ("sorted_null_stats", m)):
+            mapped = getattr(back, name)
+            assert type(mapped) is np.ndarray and mapped.dtype == np.float64
+            assert mapped.tobytes() == getattr(built, name).tobytes() == full[rows].tobytes()
+            assert not mapped.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                mapped[0] = 0.0
+            # the tables are the file's own pages, not a copy
+            assert isinstance(root_buffer(mapped), mmap.mmap)
         # workers receive the tables by pickle
         again = pickle.loads(pickle.dumps(back))
         for name in ("sorted_partial_stats", "sorted_null_stats"):
             assert getattr(again, name).tobytes() == getattr(built, name).tobytes()
-        p = np.r_[0.001, np.full(m - 1, 0.4)]
-        assert ps.test_omnibus(p, back).p_one_sided == ps.test_omnibus(p, built).p_one_sided
-
-    def test_header_promising_more_than_its_member_holds(self, tmp_path):
-        path = tmp_path / "calib.npz"
-        save_omnibus_calibration(ps.build_omnibus_calibration(3, reps=1000, seed=5), path)
-        bad = tmp_path / "bad.npz"
-        short_member_copy(path, bad)
-        with pytest.raises(ValidationError, match="bad.npz.*promises 8000 bytes"):
-            load_omnibus_calibration(bad)
-
-    @pytest.mark.parametrize("keep_directory", [False, True], ids=["truncated", "directory-kept"])
-    def test_file_cut_inside_the_last_member(self, tmp_path, keep_directory):
-        path = tmp_path / "calib.npz"
-        save_omnibus_calibration(ps.build_omnibus_calibration(3, reps=1000, seed=5), path)
-        raw = path.read_bytes()
-        with zipfile.ZipFile(path) as zf:
-            last = max(zf.infolist(), key=lambda info: info.header_offset)
-        assert last.filename == "sorted_null_stats.npy"
-        cut = last.header_offset + last.file_size // 2
-        bad = tmp_path / "cut.npz"
-        bad.write_bytes(cut_keeping_directory(raw, cut) if keep_directory else raw[:cut])
-        match = "cut.npz.*past its space" if keep_directory else "cut.npz"
-        with pytest.raises(ValidationError, match=match):
-            load_omnibus_calibration(bad)
+        rng = np.random.default_rng(m)
+        for p in (np.r_[0.001, np.full(m - 1, 0.4)], *rng.uniform(size=(20, m))):
+            assert ps.test_omnibus(p, back).p_one_sided == ps.test_omnibus(p, built).p_one_sided
 
 
 class TestOmnibusDomains:

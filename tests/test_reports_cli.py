@@ -4,12 +4,12 @@ command-line workflow end to end."""
 import csv
 import json
 import logging
-import zipfile
 
 import numpy as np
 import pytest
 
 import psprsim as ps
+from psprsim import cli
 from psprsim.cli import main
 from psprsim.errors import ValidationError
 from psprsim.procedures import get_omnibus_calibration
@@ -25,7 +25,7 @@ from psprsim.reports import (
 )
 from psprsim.scales import ITEM_COLUMNS, ITEM_LABELS, N_ITEMS
 
-from conftest import item_fits, short_member_copy
+from conftest import item_fits
 
 
 def write_rows(path, rows):
@@ -574,7 +574,7 @@ class TestCli:
         assert rescored.baseline.sum() <= original.baseline.sum()
 
     def test_calibrate_omnibus(self, tmp_path):
-        out = tmp_path / "calib.npz"
+        out = tmp_path / "calib.npy"
         rc = main(["calibrate-omnibus", "--m", "3", "--reps", "1000",
                    "--seed", "2", "--out", str(out)])
         assert rc == 0
@@ -672,6 +672,56 @@ class TestCli:
                    "--out", str(tmp_path / "x"), "--calibration-reps", "2000"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["fit-irt", "{csv}", "--nodes", "0", "--out", "{tmp}/g.json"],
+                     "n_nodes >= 2", id="fit-irt-nodes-0"),
+        pytest.param(["make-reference", "--n", "0", "--out", "{tmp}/r.csv"],
+                     "n_subjects >= 1, got 0", id="make-reference-n-0"),
+        pytest.param(["make-reference", "--n", "-3", "--out", "{tmp}/r.csv"],
+                     "n_subjects >= 1, got -3", id="make-reference-n-negative"),
+        pytest.param(["analyze", "{tmp}/missing.csv", "--arm-a", "dose-a", "--arm-b", "placebo",
+                      "--out", "{tmp}/o"], "{tmp}/missing.csv", id="analyze-csv"),
+        pytest.param(["fit-approx", "{csv}", "--model", "{tmp}/missing.json",
+                      "--out", "{tmp}/a.json"], "{tmp}/missing.json", id="fit-approx-model"),
+        pytest.param(["rescore", "{csv}", "--scheme", "{tmp}/missing_scheme.json",
+                      "--out", "{tmp}/r.csv"], "{tmp}/missing_scheme.json", id="rescore-scheme"),
+        pytest.param(["simulate", "{tmp}/missing_plan.json", "--out", "{tmp}/o"],
+                     "{tmp}/missing_plan.json", id="simulate-plan"),
+        pytest.param(["fit-irt", "{csv}", "--arm-map", "notjson", "--out", "{tmp}/g.json"],
+                     "--arm-map is not JSON", id="arm-map-notjson"),
+        pytest.param(["rescore", "{csv}", "--arm-map", '{{"placebo": 1}}', "--out", "{tmp}/r.csv"],
+                     "--arm-map must be a JSON object of strings", id="arm-map-not-strings"),
+    ])
+    def test_bad_input_exit_code(self, reference_csv, tmp_path, capsys, argv, message):
+        def fill(text):
+            return text.format(csv=reference_csv, tmp=tmp_path)
+
+        assert main([fill(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert fill(message) in err
+
+    def test_parser_is_built_once_and_parses_each_call_afresh(self, tmp_path):
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        first = parser.parse_args(["simulate", "a.json", "--out", "o1", "--workers", "2",
+                                   "--cache-dir", "c"])
+        middle = parser.parse_args(["analyze", "t.csv", "--arm-a", "x", "--arm-b", "y",
+                                    "--seed", "4"])
+        last = parser.parse_args(["simulate", "b.json"])
+        assert (first.plan, first.out, first.workers, first.cache_dir) == ("a.json", "o1", 2, "c")
+        assert (middle.csv, middle.arm_a, middle.seed, middle.out) == ("t.csv", "x", 4,
+                                                                      "reanalysis")
+        assert (last.plan, last.out, last.workers, last.cache_dir) == ("b.json", "results",
+                                                                      None, None)
+        assert not hasattr(middle, "plan") and not hasattr(last, "csv")
+        assert [a.func for a in (first, middle, last)] == [
+            cli._cmd_simulate, cli._cmd_analyze, cli._cmd_simulate]
+        for _ in range(2):
+            assert main(["make-reference", "--n", "0", "--out", str(tmp_path / "r.csv")]) == 2
+        assert cli.build_parser() is parser
+        assert cli.build_parser.cache_info().misses == 1
+
     def test_numerical_exit_code(self, tmp_path):
         # constant baseline for one item makes every marginal design singular
         rows = []
@@ -720,17 +770,30 @@ class TestCli:
     def test_legacy_compressed_cache_gives_identical_results(
         self, reference_csv, model_args, tmp_path
     ):
-        fresh, legacy = tmp_path / "fresh", tmp_path / "legacy"
-        assert analyze(reference_csv, tmp_path / "a", "--cache-dir", str(fresh), *model_args) == 0
+        # the v1 cache of earlier versions: one .npz per calibration with the
+        # same keys, stored (m = 10) or deflated (m = 3); it is never opened
+        legacy = tmp_path / "legacy"
         legacy.mkdir()
-        for path in fresh.iterdir():
-            with np.load(path) as doc:
-                np.savez_compressed(legacy / path.name, **doc)
-            with zipfile.ZipFile(legacy / path.name) as zf:
-                assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        v1_files = {}
+        for m, write in ((10, np.savez), (3, np.savez_compressed)):
+            built = ps.build_omnibus_calibration(m, reps=2000, seed=1)
+            path = legacy / f"omnibus_m{m}_reciprocal_r2000_s1_v1.npz"
+            write(path, format_version=1, m=m, transform="reciprocal", reps=2000, seed=1,
+                  sorted_partial_stats=built.sorted_partial_stats,
+                  sorted_null_stats=built.sorted_null_stats)
+            v1_files[path.name] = path.read_bytes()
+        assert analyze(reference_csv, tmp_path / "a", "--cache-dir", str(tmp_path / "empty"),
+                       *model_args) == 0
         assert analyze(reference_csv, tmp_path / "b", "--cache-dir", str(legacy), *model_args) == 0
-        assert ((tmp_path / "a" / "analysis_results.json").read_bytes()
-                == (tmp_path / "b" / "analysis_results.json").read_bytes())
+        assert sorted(p.name for p in legacy.iterdir()) == sorted(
+            [*v1_files, "omnibus_m10_reciprocal_r2000_s1_v2.npy",
+             "omnibus_m3_reciprocal_r2000_s1_v2.npy"])
+        for name, raw in v1_files.items():
+            assert (legacy / name).read_bytes() == raw
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert len(names) == 5
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_truncated_cache_exit_code(self, reference_csv, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -739,17 +802,6 @@ class TestCli:
         path.write_bytes(path.read_bytes()[:1000])
         assert analyze(reference_csv, tmp_path / "x", "--cache-dir", str(cache)) == 2
         assert path.name in capsys.readouterr().err
-
-    def test_short_cache_member_exit_code(self, reference_csv, model_args, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        get_omnibus_calibration(cache, m=10, reps=2000, seed=1)
-        (path,) = cache.iterdir()
-        short = tmp_path / "short.npz"
-        short_member_copy(path, short, "sorted_partial_stats")
-        short.replace(path)
-        assert analyze(reference_csv, tmp_path / "x", "--cache-dir", str(cache), *model_args) == 2
-        err = capsys.readouterr().err
-        assert path.name in err and "promises" in err
 
     def test_second_analyze_on_built_cache_writes_identical_files(
         self, reference_csv, model_args, tmp_path
