@@ -26,10 +26,8 @@ from .errors import (
 from .irt import (
     GrItemParams,
     GrModel,
-    LatentTrait,
     LinearLatentApprox,
     approx_latent,
-    eap_score,
     eap_scores,
     fit_grm,
     fit_linear_latent_approx,

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ValidationError
-from .irt import GrModel, grm_survival_grid
+from .irt import GrModel
 from .mvnorm import MvnSpec, sample_mvn
 from .numkit import RngStream
 from .scales import DOMAINS, N_ITEMS, RAW_LEVELS, ItemDataset, original_scheme
@@ -253,13 +253,8 @@ def progressed_latent(psi0, slope, rho=1.0, horizon_years: float = 1.0):
 
 def sample_grm_scores(model: GrModel, thetas: np.ndarray, rng: RngStream) -> np.ndarray:
     """Sample one response row per theta from the graded-response model."""
-    n = thetas.shape[0]
-    out = np.empty((n, model.n_items), dtype=np.int64)
-    u = rng.gen.random((n, model.n_items))
-    for k, item in enumerate(model.items):
-        sf = grm_survival_grid(item, thetas)  # P(Y >= c), c = 1..C-1
-        out[:, k] = (u[:, k][:, None] < sf).sum(axis=1)
-    return out
+    u = rng.gen.random((thetas.shape[0], model.n_items))
+    return (u[:, :, None] < model.survival(thetas)).sum(axis=2)
 
 
 def gen_irt_longitudinal(

@@ -30,7 +30,7 @@ from .datagen import (
     gen_discretized_mvn,
     gen_irt_longitudinal,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, read_json_object
 from .irt import (
     GrModel,
     LinearLatentApprox,
@@ -246,11 +246,7 @@ class StudyPlan:
 
     @classmethod
     def load(cls, path: str | Path) -> "StudyPlan":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"plan file {path} is not valid JSON: {exc}") from exc
-        return cls.from_doc(doc)
+        return cls.from_doc(read_json_object(path, "plan"))
 
 
 @dataclass

@@ -4,6 +4,9 @@ Two failure families matter downstream: bad inputs/config (CLI exit code 2)
 and numerical breakdowns inside an otherwise valid computation (exit code 3).
 """
 
+import json
+from pathlib import Path
+
 
 class PsprsimError(Exception):
     """Base class for all package errors."""
@@ -50,3 +53,16 @@ class NonConvergenceError(NumericalError):
     def __init__(self, message: str, trace: list[float]):
         super().__init__(message)
         self.trace = list(trace)
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in a ``what`` file (plan, model, ...); anything else
+    in it is a ValidationError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} file {path} must hold a JSON object, "
+                              f"got {type(doc).__name__}")
+    return doc

@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 from scipy import special
 
-from .errors import NonConvergenceError, ValidationError
+from .errors import NonConvergenceError, ValidationError, read_json_object
 from .scales import ITEM_COLUMNS, N_ITEMS, ItemDataset
 
 log = logging.getLogger(__name__)
@@ -59,13 +59,6 @@ class GrItemParams:
         return self.thresholds.size + 1
 
 
-@dataclass
-class LatentTrait:
-    """Disease severity on the latent scale; higher = more severe."""
-
-    theta: float
-
-
 def grm_category_probs(item: GrItemParams, theta: float) -> np.ndarray:
     """P(Y = c | theta) for c = 0..C-1; sums to 1.
 
@@ -78,9 +71,12 @@ def grm_category_probs(item: GrItemParams, theta: float) -> np.ndarray:
     return upper - lower
 
 
-def grm_survival_grid(item: GrItemParams, thetas: np.ndarray) -> np.ndarray:
-    """P(Y >= c) for c = 1..C-1 at each theta; shape (len(thetas), C-1)."""
-    return special.expit(item.discrimination * (thetas[:, None] - item.thresholds))
+def _category_probs(sf: np.ndarray) -> np.ndarray:
+    """P(Y = c) from P(Y >= c), c = 1..C-1, on the last axis; floored at 1e-300."""
+    edge = sf.shape[:-1] + (1,)
+    upper = np.concatenate([np.ones(edge), sf], axis=-1)
+    lower = np.concatenate([sf, np.zeros(edge)], axis=-1)
+    return np.clip(upper - lower, 1e-300, None)
 
 
 @dataclass
@@ -95,11 +91,27 @@ class GrModel:
     def __post_init__(self):
         if self.category_maps is None:
             self.category_maps = [np.arange(it.n_categories) for it in self.items]
-        self._table_cache: dict[int, list[np.ndarray]] = {}
+        # one padded table of the items: thresholds past an item's last are
+        # +inf (survival 0), map entries past its last level are never read
+        n_cats = np.array([it.n_categories for it in self.items])
+        self._levels = np.array([m.size for m in self.category_maps])
+        self._a = np.array([it.discrimination for it in self.items])
+        self._B = np.full((self.n_items, n_cats.max() - 1), np.inf)
+        self._maps = np.zeros((self.n_items, self._levels.max()), dtype=np.int64)
+        for k, (it, cmap) in enumerate(zip(self.items, self.category_maps)):
+            self._B[k, :it.thresholds.size] = it.thresholds
+            self._maps[k, :cmap.size] = cmap
+        if np.any((self._maps < 0) | (self._maps >= n_cats[:, None])):
+            raise ValidationError("category maps must map into each item's categories")
 
     @property
     def n_items(self) -> int:
         return len(self.items)
+
+    def survival(self, thetas: np.ndarray) -> np.ndarray:
+        """P(Y >= c) for c = 1..C_max-1; shape (len(thetas), items, C_max-1),
+        0 past an item's last category."""
+        return special.expit(self._a[:, None] * (thetas[:, None, None] - self._B))
 
     def map_responses(self, responses: np.ndarray) -> np.ndarray:
         """Validate raw responses against the scheme ranges and recode them."""
@@ -110,28 +122,25 @@ class GrModel:
             raise ValidationError(
                 f"expected {self.n_items} item responses per row, got {y.shape[1]}"
             )
-        out = np.empty_like(y)
-        for k, cmap in enumerate(self.category_maps):
-            col = y[:, k]
-            bad = (col < 0) | (col >= cmap.size)
-            if np.any(bad):
-                v = int(col[np.argmax(bad)])
-                raise ValidationError(
-                    f"response {v} out of range 0..{cmap.size - 1} for item "
-                    f"{ITEM_COLUMNS[k] if self.n_items == N_ITEMS else k}"
-                )
-            out[:, k] = cmap[col]
+        bad = (y < 0) | (y >= self._levels)
+        if np.any(bad):
+            k = int(np.argmax(bad.any(axis=0)))
+            v = int(y[np.argmax(bad[:, k]), k])
+            raise ValidationError(
+                f"response {v} out of range 0..{self._levels[k] - 1} for item "
+                f"{ITEM_COLUMNS[k] if self.n_items == N_ITEMS else k}"
+            )
+        out = self._maps[np.arange(self.n_items), y]
         return out[0] if squeeze else out
 
-    def log_prob_tables(self, thetas: np.ndarray) -> list[np.ndarray]:
-        """Per-item log P(Y = c | theta) tables, shape (len(thetas), C_k)."""
-        tables = []
-        for it in self.items:
-            sf = grm_survival_grid(it, thetas)
-            upper = np.concatenate([np.ones((thetas.size, 1)), sf], axis=1)
-            lower = np.concatenate([sf, np.zeros((thetas.size, 1))], axis=1)
-            tables.append(np.log(np.clip(upper - lower, 1e-300, None)))
-        return tables
+    def log_prob_tables(self, thetas: np.ndarray) -> np.ndarray:
+        """log P(Y = c | theta), shape (items, len(thetas), C_max); an item's
+        categories past its last are never read."""
+        return np.log(_category_probs(self.survival(thetas).transpose(1, 0, 2)))
+
+    @cached_property
+    def _eap_tables(self) -> np.ndarray:
+        return self.log_prob_tables(_gauss_hermite(DEFAULT_NODES)[0])
 
     # -- serialization (JSON; floats round-trip bit-exactly via repr) --
 
@@ -155,34 +164,36 @@ class GrModel:
         Path(path).write_text(json.dumps(self.to_doc(), indent=2), encoding="utf-8")
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "GrModel":
+    def from_doc(cls, doc: dict, source: str = "model document") -> "GrModel":
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValidationError(
-                f"unsupported model format version {doc.get('format_version')}"
+                f"unsupported model format version {doc.get('format_version')} in {source}"
             )
-        items = [
-            GrItemParams(d["discrimination"], np.array(d["thresholds"], dtype=float))
-            for d in doc["items"]
-        ]
-        maps = [np.array(d["category_map"], dtype=np.int64) for d in doc["items"]]
-        return cls(items=items, scheme=doc["scheme"], category_maps=maps,
-                   fit_meta=doc.get("fit_meta", {}))
+        try:
+            items = [
+                GrItemParams(d["discrimination"], np.array(d["thresholds"], dtype=float))
+                for d in doc["items"]
+            ]
+            maps = [np.array(d["category_map"], dtype=np.int64) for d in doc["items"]]
+            return cls(items=items, scheme=doc["scheme"], category_maps=maps,
+                       fit_meta=doc.get("fit_meta", {}))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad model file {source}: {exc!r}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "GrModel":
-        return cls.from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_doc(read_json_object(path, "model"), source=str(path))
 
 
-def _row_loglik(tables: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+def _row_loglik(tables: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sum of per-item log-probs; shape (n_nodes, n_rows)."""
-    n_nodes = tables[0].shape[0]
-    ll = np.zeros((n_nodes, y.shape[0]))
+    ll = np.zeros((tables.shape[1], y.shape[0]))
     for k, tab in enumerate(tables):
         ll += tab[:, y[:, k]]
     return ll
 
 
-def eap_scores(model: GrModel, responses: np.ndarray, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
+def eap_scores(model: GrModel, responses: np.ndarray) -> np.ndarray:
     """Posterior means of theta for each response row (vectorized).
 
     ``responses`` is one (rows, items) block, or a (k, rows, items) stack of
@@ -195,25 +206,13 @@ def eap_scores(model: GrModel, responses: np.ndarray, n_nodes: int = DEFAULT_NOD
         raise ValidationError(f"responses must be rows or a stack of row blocks, got {r.shape}")
     k, rows = (1, r.shape[0]) if r.ndim == 2 else r.shape[:2]
     y = model.map_responses(r.reshape(-1, r.shape[-1]))
-    thetas, weights = _gauss_hermite(n_nodes)
-    tables = model._table_cache.get(n_nodes)
-    if tables is None:
-        tables = model.log_prob_tables(thetas)
-        model._table_cache[n_nodes] = tables
-    ll = _row_loglik(tables, y)
+    thetas, weights = _gauss_hermite(DEFAULT_NODES)
+    ll = _row_loglik(model._eap_tables, y)
     ll -= ll.max(axis=0, keepdims=True)
     post = weights[:, None] * np.exp(ll)
-    blocks = post.reshape(n_nodes, k, rows)
+    blocks = post.reshape(DEFAULT_NODES, k, rows)
     num = np.stack([thetas @ np.ascontiguousarray(blocks[:, j]) for j in range(k)])
     return (num / post.sum(axis=0).reshape(k, rows)).reshape(r.shape[:-1])
-
-
-def eap_score(model: GrModel, responses, n_nodes: int = DEFAULT_NODES) -> LatentTrait:
-    """EAP estimate for a single response pattern."""
-    y = np.asarray(responses, dtype=np.int64)
-    if y.ndim != 1:
-        raise ValidationError("eap_score expects a single response vector")
-    return LatentTrait(theta=float(eap_scores(model, y[None, :], n_nodes)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +231,7 @@ def _item_objective_grad(phi: np.ndarray, theta: np.ndarray, counts: np.ndarray)
     b = np.concatenate(([phi[1]], phi[1] + np.cumsum(steps)))
     C = b.size + 1
     sf = special.expit(a * (theta[:, None] - b))  # (Q, C-1)
-    upper = np.concatenate([np.ones((theta.size, 1)), sf], axis=1)
-    lower = np.concatenate([sf, np.zeros((theta.size, 1))], axis=1)
-    p = np.clip(upper - lower, 1e-300, None)
+    p = _category_probs(sf)
     f = float((counts * np.log(p)).sum())
 
     ratio = np.where(counts > 0, counts / p, 0.0)  # (Q, C)
@@ -469,17 +466,20 @@ class LinearLatentApprox:
         Path(path).write_text(json.dumps(self.to_doc(), indent=2), encoding="utf-8")
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "LinearLatentApprox":
-        return cls(
-            intercept=float(doc["intercept"]),
-            weights=np.array(doc["weights"], dtype=float),
-            r_squared=float(doc["r_squared"]),
-            scheme=doc["scheme"],
-        )
+    def from_doc(cls, doc: dict, source: str = "approximation document") -> "LinearLatentApprox":
+        try:
+            return cls(
+                intercept=float(doc["intercept"]),
+                weights=np.array(doc["weights"], dtype=float),
+                r_squared=float(doc["r_squared"]),
+                scheme=doc["scheme"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad approximation file {source}: {exc!r}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearLatentApprox":
-        return cls.from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_doc(read_json_object(path, "approximation"), source=str(path))
 
 
 def fit_linear_latent_approx(

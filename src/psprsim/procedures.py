@@ -168,14 +168,8 @@ def test_obrien(fits: AncovaFit, corr: CorrelationEstimate,
 
     R = corr.R
     ones = np.ones(t.size)
-    if variant == "OLS":
-        denom = float(ones @ R @ ones)
-        if denom <= 0:
-            raise NumericalError("nonpositive OLS variance (degenerate correlation)")
-        stat = float(ones @ t) / np.sqrt(denom)
-        weights = ones
-        m_active = t.size
-    else:
+    w = ones  # OLS is GLS with unit weights
+    if variant != "OLS":
         try:
             w = np.linalg.solve(R, ones)
         except np.linalg.LinAlgError as exc:
@@ -196,19 +190,18 @@ def test_obrien(fits: AncovaFit, corr: CorrelationEstimate,
                 diagnostics["negative_weights_after_drop"] = keep[w < 0].tolist()
         elif variant == "GLS-drop":
             diagnostics["no_negative_weight"] = True
-        denom = float(w @ R @ w)
-        if denom <= 0:
-            raise NumericalError("nonpositive GLS variance (degenerate correlation)")
-        stat = float(w @ t) / np.sqrt(denom)
-        weights = w
-        m_active = t.size
+    denom = float(w @ R @ w)
+    if denom <= 0:
+        raise NumericalError(f"nonpositive {variant[:3]} variance (degenerate correlation)")
+    stat = float(w @ t) / np.sqrt(denom)
+    m_active = t.size
     df_mod = modified_df(n_group, m_active)
     p = student_t_cdf(stat, df_mod)
     return TestOutcome(
         method=variant,
         statistic=stat,
         p_one_sided=p,
-        weights=weights,
+        weights=w,
         dropped_items=dropped,
         diagnostics={**diagnostics, "df_modified": df_mod, "m_active": m_active},
     )

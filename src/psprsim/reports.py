@@ -9,7 +9,6 @@ place missing values exist; everything downstream is complete-case.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,7 +240,7 @@ def descriptive_table(data: ItemDataset, fits: AncovaFit | None) -> list[dict]:
 # generic report emission
 # ---------------------------------------------------------------------------
 
-REPORT_FORMATS = ("csv", "structured-doc", "plain-table")
+REPORT_FORMATS = ("csv", "plain-table")
 
 
 @dataclass
@@ -278,17 +277,14 @@ def emit_report(results: TableDoc, fmt: str, path: str | Path) -> Path:
     """Write one table in the requested format; deterministic row order is
     the caller's responsibility. Empty results produce a header-only file.
 
-    csv: full-precision floats. structured-doc: JSON records, full
-    precision. plain-table: fixed-width display with floats at 2 decimals.
+    csv: full-precision floats. plain-table: fixed-width display with
+    floats at 2 decimals.
     """
     path = Path(path)
     if fmt == "csv":
         lines = [",".join(results.header)]
         lines += [",".join(_cell_csv(v) for v in row) for row in results.rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif fmt == "structured-doc":
-        docs = [dict(zip(results.header, row)) for row in results.rows]
-        path.write_text(json.dumps(docs, indent=2), encoding="utf-8")
     elif fmt == "plain-table":
         cells = [results.header] + [
             [_cell_display(v) for v in row] for row in results.rows

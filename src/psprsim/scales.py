@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_json_object
 
 # column order is fixed everywhere: History, Bulbar, Gait/Midline
 ITEM_COLUMNS = (
@@ -101,9 +101,7 @@ def original_scheme() -> ScoringScheme:
 
 def load_scheme(path: str | Path) -> ScoringScheme:
     """Load a scheme config (JSON: {"name": ..., "maps": {item: [5 ints]}})."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return _scheme_from_doc(doc, source=str(path))
+    return _scheme_from_doc(read_json_object(path, "scheme"), source=str(path))
 
 
 def _scheme_from_doc(doc: dict, source: str) -> ScoringScheme:
@@ -111,7 +109,7 @@ def _scheme_from_doc(doc: dict, source: str) -> ScoringScheme:
         name = doc["name"]
         maps_doc = doc["maps"]
         maps = np.array([maps_doc[col] for col in ITEM_COLUMNS], dtype=np.int64)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad scheme config {source}: {exc}") from exc
     return ScoringScheme(name, maps)
 

@@ -230,7 +230,7 @@ class TestCriterion7OracleSuites:
             log_post += np.log(np.clip(probs, 1e-300, None))
         w = np.exp(log_post - log_post.max())
         oracle = float(np.trapezoid(grid * w, grid) / np.trapezoid(w, grid))
-        fast = ps.eap_score(model, resp).theta
+        fast = ps.eap_scores(model, resp[None])[0]
         report("7b EAP dense-grid oracle", abs(fast - oracle) < 1e-6,
                f"delta {abs(fast - oracle):.2e}")
 

@@ -1,15 +1,18 @@
 """IRT tests: category-probability identities, EAP against a 20001-point
-dense-grid oracle, EM parameter recovery, a direct-MML 2PL oracle for the
-binary special case, and the weighted-sum approximation."""
+dense-grid oracle, the padded model arrays against per-item reference code,
+EM parameter recovery, a direct-MML 2PL oracle for the binary special case,
+and the weighted-sum approximation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import optimize, special
 
 import psprsim as ps
 from psprsim.datagen import sample_grm_scores
 from psprsim.errors import ValidationError
-from psprsim.irt import GrModel, eap_scores
+from psprsim.irt import DEFAULT_NODES, GrModel, _gauss_hermite, eap_scores
+from psprsim.scales import ITEM_COLUMNS, N_ITEMS
 
 
 def sigmoid(x):
@@ -87,16 +90,15 @@ class TestEapScore:
             ps.GrItemParams(1.4, np.array([-1.5, -0.5, 0.5, 1.5])) for _ in range(4)
         ]
         model = GrModel(items=items)
-        out = ps.eap_score(model, np.array([2, 2, 2, 2]))
-        assert isinstance(out, ps.LatentTrait)
-        assert abs(out.theta) < 1e-8
+        theta = eap_scores(model, np.array([[2, 2, 2, 2]]))[0]
+        assert abs(theta) < 1e-8
 
     def test_dense_grid_oracle(self):
         model = small_model(n_items=3, seed=4)
         rng = np.random.default_rng(5)
         for _ in range(12):
             resp = rng.integers(0, 5, size=3)
-            fast = ps.eap_score(model, resp).theta
+            fast = eap_scores(model, resp[None])[0]
             slow = _dense_grid_eap(model, resp)
             assert fast == pytest.approx(slow, abs=1e-6)
 
@@ -105,7 +107,7 @@ class TestEapScore:
         tops = np.array([it.n_categories for it in grm_model.items])
         for _ in range(4):
             resp = rng.integers(0, tops)
-            fast = ps.eap_score(grm_model, resp).theta
+            fast = eap_scores(grm_model, resp[None])[0]
             slow = _dense_grid_eap(grm_model, resp)
             assert fast == pytest.approx(slow, abs=1e-6)
 
@@ -128,10 +130,10 @@ class TestEapScore:
         resp = np.zeros(10, dtype=int)
         resp[3] = 9
         with pytest.raises(ValidationError, match="item12"):
-            ps.eap_score(grm_model, resp)
+            eap_scores(grm_model, resp[None])
         resp[3] = -1
         with pytest.raises(ValidationError):
-            ps.eap_score(grm_model, resp)
+            eap_scores(grm_model, resp[None])
 
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 70, 141])
@@ -145,6 +147,128 @@ class TestEapScore:
         for k in range(2):
             assert theta[k].tobytes() == eap_scores(grm_model, visits[k]).tobytes()
             assert latent[k].tobytes() == ps.approx_latent(latent_approx, visits[k]).tobytes()
+
+
+# Per-item reference code: the graded-response evaluation as it ran item by
+# item before the model kept one padded parameter table. The padded kernel
+# must reproduce it bit for bit.
+
+
+def _ref_survival(item, thetas):
+    return special.expit(item.discrimination * (thetas[:, None] - item.thresholds))
+
+
+def _ref_log_prob_tables(model, thetas):
+    tables = []
+    for it in model.items:
+        sf = _ref_survival(it, thetas)
+        upper = np.concatenate([np.ones((thetas.size, 1)), sf], axis=1)
+        lower = np.concatenate([sf, np.zeros((thetas.size, 1))], axis=1)
+        tables.append(np.log(np.clip(upper - lower, 1e-300, None)))
+    return tables
+
+
+def _ref_map_responses(model, responses):
+    y = np.atleast_2d(np.asarray(responses, dtype=np.int64))
+    out = np.empty_like(y)
+    for k, cmap in enumerate(model.category_maps):
+        col = y[:, k]
+        bad = (col < 0) | (col >= cmap.size)
+        if np.any(bad):
+            v = int(col[np.argmax(bad)])
+            raise ValidationError(
+                f"response {v} out of range 0..{cmap.size - 1} for item "
+                f"{ITEM_COLUMNS[k] if model.n_items == N_ITEMS else k}"
+            )
+        out[:, k] = cmap[col]
+    return out
+
+
+def _ref_sample_grm_scores(model, thetas, rng):
+    n = thetas.shape[0]
+    out = np.empty((n, model.n_items), dtype=np.int64)
+    u = rng.gen.random((n, model.n_items))
+    for k, item in enumerate(model.items):
+        out[:, k] = (u[:, k][:, None] < _ref_survival(item, thetas)).sum(axis=1)
+    return out
+
+
+def _ref_eap_scores(model, responses):
+    thetas, weights = _gauss_hermite(DEFAULT_NODES)
+    y = _ref_map_responses(model, responses)
+    ll = np.zeros((DEFAULT_NODES, y.shape[0]))
+    for k, tab in enumerate(_ref_log_prob_tables(model, thetas)):
+        ll += tab[:, y[:, k]]
+    ll -= ll.max(axis=0, keepdims=True)
+    post = weights[:, None] * np.exp(ll)
+    return (thetas @ post) / post.sum(axis=0)
+
+
+@st.composite
+def ragged_models(draw):
+    """1-10 items of 2-5 fitted categories each, raw levels up to 5; a raw
+    level count above the category count merges neighbouring levels."""
+    items, maps = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        n_cats = draw(st.integers(2, 5))
+        levels = draw(st.integers(n_cats, 5))
+        steps = draw(st.lists(st.floats(0.05, 2.0), min_size=n_cats - 2, max_size=n_cats - 2))
+        b = draw(st.floats(-3.0, 1.0)) + np.r_[0.0, np.cumsum(steps)]
+        items.append(ps.GrItemParams(draw(st.floats(0.3, 3.0)), b))
+        rises = draw(st.sets(st.integers(1, levels - 1), min_size=n_cats - 1,
+                             max_size=n_cats - 1))
+        maps.append(np.cumsum(np.isin(np.arange(levels), sorted(rises))))
+    return GrModel(items=items, category_maps=maps)
+
+
+class TestPaddedKernel:
+    @given(model=ragged_models(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150))
+    def test_matches_per_item_reference_bit_for_bit(self, model, seed, n):
+        gen = np.random.default_rng(seed)
+        thetas = np.r_[gen.normal(0.0, 2.0, n), -40.0, 40.0]
+        tables = model.log_prob_tables(thetas)
+        for tab, ref in zip(tables, _ref_log_prob_tables(model, thetas), strict=True):
+            assert np.array_equal(tab[:, :ref.shape[1]], ref)
+
+        drawn = sample_grm_scores(model, thetas, ps.RngStream(seed))
+        assert np.array_equal(drawn, _ref_sample_grm_scores(model, thetas, ps.RngStream(seed)))
+
+        levels = np.array([m.size for m in model.category_maps])
+        y = gen.integers(0, levels, size=(n, model.n_items))
+        assert np.array_equal(model.map_responses(y), _ref_map_responses(model, y))
+        assert np.array_equal(model.map_responses(y[0]), _ref_map_responses(model, y[0])[0])
+        assert eap_scores(model, y).tobytes() == _ref_eap_scores(model, y).tobytes()
+
+    @given(model=ragged_models(), seed=st.integers(0, 2**32 - 1))
+    def test_out_of_range_message_matches_reference(self, model, seed):
+        gen = np.random.default_rng(seed)
+        levels = np.array([m.size for m in model.category_maps])
+        y = gen.integers(0, levels, size=(9, model.n_items))
+        for _ in range(gen.integers(1, 4)):  # one to three bad cells
+            r, k = gen.integers(9), gen.integers(model.n_items)
+            y[r, k] = levels[k] + gen.integers(3) if gen.random() < 0.5 else -1 - gen.integers(3)
+        with pytest.raises(ValidationError) as ref:
+            _ref_map_responses(model, y)
+        with pytest.raises(ValidationError) as got:
+            model.map_responses(y)
+        assert str(got.value) == str(ref.value)
+
+    def test_eap_bits_pinned(self, reference_pool, grm_model):
+        # float.hex of the per-item code's scores of the reference pool
+        theta = eap_scores(grm_model, np.stack([reference_pool.baseline,
+                                                reference_pool.week52]))
+        pinned = {
+            (0, 0): "-0x1.4d4fefab84187p+0", (0, 1): "-0x1.abea17bf4ba55p+0",
+            (0, 137): "0x1.8b88dde205bf4p-1", (0, 379): "-0x1.4f6d94d848a04p-2",
+            (1, 0): "-0x1.4db74ce081e25p-1", (1, 1): "-0x1.015b937509a46p-2",
+            (1, 137): "0x1.8d6a0f02a330fp+0", (1, 379): "0x1.5830ee910a9b7p-3",
+        }
+        assert {key: float(theta[key]).hex() for key in pinned} == pinned
+
+    def test_category_map_outside_item_rejected(self):
+        item = ps.GrItemParams(1.0, np.array([-1.0, 1.0]))
+        with pytest.raises(ValidationError, match="category maps"):
+            GrModel(items=[item], category_maps=[np.array([0, 1, 3])])
 
 
 class TestFitGrm:
@@ -266,6 +390,15 @@ class TestLinearLatentApprox:
 
     def test_normalized_weights_sum_to_one(self, latent_approx):
         assert latent_approx.normalized_weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("text", ["not json", "[0.5]", '{"intercept": 0.5}',
+                                      '{"intercept": "x", "weights": [], "r_squared": 1, '
+                                      '"scheme": "original"}'])
+    def test_bad_file_named(self, tmp_path, text):
+        path = tmp_path / "approx.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="approx.json"):
+            ps.LinearLatentApprox.load(path)
 
     def test_serialization_round_trip(self, latent_approx, tmp_path):
         path = tmp_path / "approx.json"

@@ -221,6 +221,16 @@ class TestObrien:
         with pytest.raises(ValidationError):
             ps.test_obrien(*marginals(effect_dataset), variant="WLS")
 
+    @pytest.mark.parametrize("variant, name", [("OLS", "OLS"), ("GLS", "GLS"),
+                                               ("GLS-drop", "GLS")])
+    def test_nonpositive_variance_names_variant(self, effect_dataset, variant, name):
+        # an indefinite equicorrelation: both 1'R1 and 1'R^-1 1 are negative,
+        # and so is 1'R^-1 1 of the 9 items left after the drop
+        R = np.full((10, 10), -0.5)
+        np.fill_diagonal(R, 1.0)
+        with pytest.raises(NumericalError, match=f"nonpositive {name} variance"):
+            ps.test_obrien(item_fits(effect_dataset), CorrelationEstimate(R=R), variant=variant)
+
 
 class TestBonferroniSimes:
     def test_all_half_pvalues(self):

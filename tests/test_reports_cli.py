@@ -461,11 +461,6 @@ class TestEmitReport:
         path = emit_report(doc, "csv", tmp_path / "x.csv")
         assert path.read_text() == "v,w\n-1.7,0.1\n"
 
-    def test_structured_doc(self, tmp_path):
-        doc = TableDoc(header=["k", "p"], rows=[["SumS", 0.5]])
-        path = emit_report(doc, "structured-doc", tmp_path / "x.json")
-        assert json.loads(path.read_text()) == [{"k": "SumS", "p": 0.5}]
-
     def test_plain_table_rounds(self, tmp_path):
         doc = TableDoc(header=["method", "p"], rows=[["SumS", 0.23456]])
         path = emit_report(doc, "plain-table", tmp_path / "x.txt")
@@ -473,8 +468,9 @@ class TestEmitReport:
         assert "0.2345" not in path.read_text()
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValidationError):
-            emit_report(TableDoc(["a"], []), "parquet", tmp_path / "x")
+        for fmt in ("parquet", "structured-doc"):
+            with pytest.raises(ValidationError):
+                emit_report(TableDoc(["a"], []), fmt, tmp_path / "x")
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
@@ -700,6 +696,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert fill(message) in err
+
+    # a model or scheme file that is not a JSON object of the expected fields
+    @pytest.mark.parametrize("argv, bad", [
+        pytest.param(["fit-approx", "{csv}", "--model", "{bad}", "--out", "{tmp}/a.json"],
+                     "not json", id="fit-approx-model-notjson"),
+        pytest.param(["fit-approx", "{csv}", "--model", "{bad}", "--out", "{tmp}/a.json"],
+                     "[1, 2]", id="fit-approx-model-list"),
+        pytest.param(["fit-approx", "{csv}", "--model", "{bad}", "--out", "{tmp}/a.json"],
+                     '{"format_version": 1}', id="fit-approx-model-no-items"),
+        pytest.param(["fit-approx", "{csv}", "--model", "{bad}", "--out", "{tmp}/a.json"],
+                     json.dumps({"format_version": 1, "scheme": "original", "items": [
+                         {"discrimination": "1", "thresholds": [0.0], "category_map": [0, 1]}]}),
+                     id="fit-approx-model-mistyped"),
+        pytest.param(["analyze", "{csv}", "--arm-a", "dose-a", "--arm-b", "placebo",
+                      "--scheme", "original", "--model", "{bad}", "--calibration-reps", "1000",
+                      "--out", "{tmp}/o"], '{"format_version": 1}', id="analyze-model-no-items"),
+        pytest.param(["rescore", "{csv}", "--scheme", "{bad}", "--out", "{tmp}/r.csv"],
+                     "not json", id="rescore-scheme-notjson"),
+        pytest.param(["rescore", "{csv}", "--scheme", "{bad}", "--out", "{tmp}/r.csv"],
+                     json.dumps({"name": "x", "maps": {c: ["a"] * 5 for c in ITEM_COLUMNS}}),
+                     id="rescore-scheme-string-levels"),
+    ])
+    def test_bad_model_or_scheme_file_exit_code(self, reference_csv, tmp_path, capsys,
+                                                argv, bad):
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(bad)
+        argv = [a.format(csv=reference_csv, tmp=tmp_path, bad=bad_path) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(bad_path) in err
 
     def test_parser_is_built_once_and_parses_each_call_afresh(self, tmp_path):
         cli.build_parser.cache_clear()
