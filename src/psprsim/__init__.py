@@ -34,7 +34,7 @@ from .irt import (
     grm_category_probs,
 )
 from .marginal import CorrelationEstimate, endpoint_rows, estimate_corr, fit_marginals
-from .mvnorm import MvnSpec, mvn_rect_upper, sample_mvn
+from .mvnorm import mvn_rect_upper, sample_mvn
 from .numkit import AncovaFit, RngStream, cholesky, fit_ancova, normal_quantile, student_t_cdf
 from .procedures import (
     METHODS,

@@ -138,16 +138,12 @@ def _cmd_analyze(args) -> int:
                            else dict(zip(ITEM_COLUMNS, fits.p.tolist()))),
         }
         desc = reports.descriptive_table(data, fits)
-        reports.emit_report(
-            reports.TableDoc.from_dicts(desc, list(reports.DESCRIPTIVE_COLUMNS)),
-            "csv",
-            out / f"descriptives_{tag}.csv",
-        )
+        reports.emit_report(list(reports.DESCRIPTIVE_COLUMNS), desc, "csv",
+                            out / f"descriptives_{tag}.csv")
 
     header = ["comparison", "scheme", "method", "statistic", "p_one_sided"]
-    doc = reports.TableDoc.from_dicts(result_rows, header)
-    reports.emit_report(doc, "csv", out / "analysis_results.csv")
-    reports.emit_report(doc, "plain-table", out / "analysis_table.txt")
+    reports.emit_report(header, result_rows, "csv", out / "analysis_results.csv")
+    reports.emit_report(header, result_rows, "plain-table", out / "analysis_table.txt")
     full = {"results": result_rows, "notes": notes, "diagnostics": diag}
     (out / "analysis_results.json").write_text(json.dumps(full, indent=2), encoding="utf-8")
     print(f"wrote {out / 'analysis_results.json'} ({len(result_rows)} p-values)")
@@ -279,7 +275,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:  # the latter names its path
+    # a path that is missing or of the wrong kind: each OSError names its path
+    except (ValidationError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except engine.METHOD_ERRORS as exc:

@@ -7,7 +7,7 @@ of their RngStream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -15,7 +15,7 @@ from scipy import special
 
 from .errors import ValidationError
 from .irt import GrModel
-from .mvnorm import MvnSpec, sample_mvn
+from .mvnorm import psd_factor, sample_mvn
 from .numkit import RngStream
 from .scales import DOMAINS, N_ITEMS, RAW_LEVELS, ItemDataset, original_scheme
 
@@ -87,24 +87,30 @@ class DiscretizedMvnParams:
     """20-dim mean/covariance: baseline items 1-10 then week-52 items 11-20.
 
     Immutable: the arrays are read-only copies, and the covariance is
-    factored once here (``spec``), not on every generated replicate.
+    factored once here (``factor``, F @ F.T == cov20), not on every
+    generated replicate.
     """
 
     mean20: np.ndarray
     cov20: np.ndarray
-    spec: MvnSpec = field(init=False, repr=False, compare=False)
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean20 = np.array(self.mean20, dtype=float)
         cov20 = np.array(self.cov20, dtype=float)
         if mean20.shape != (2 * N_ITEMS,) or cov20.shape != (2 * N_ITEMS, 2 * N_ITEMS):
             raise ValidationError("discretized-MVN parameters must be 20-dimensional")
-        spec = MvnSpec(mean20, cov20)
-        for a in (mean20, cov20, spec.factor()):
+        sym_err = float(np.abs(cov20 - cov20.T).max(initial=0.0))
+        if sym_err > 1e-12 * max(1.0, float(np.abs(cov20).max(initial=1.0))):
+            raise ValidationError(f"covariance not symmetric (max asymmetry {sym_err:.2e})")
+        if np.any(np.diag(cov20) < 0):
+            raise ValidationError("covariance has a negative diagonal entry")
+        factor = psd_factor(cov20)
+        for a in (mean20, cov20, factor):
             a.flags.writeable = False
         object.__setattr__(self, "mean20", mean20)
         object.__setattr__(self, "cov20", cov20)
-        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "factor", factor)
 
     @classmethod
     def estimate(cls, pool: ItemDataset) -> "DiscretizedMvnParams":
@@ -140,9 +146,8 @@ def gen_discretized_mvn(
         raise ValidationError("the discretized-MVN generator needs an item-shift scenario")
     check_group_size(n)
     shift = np.concatenate([np.zeros(N_ITEMS), scenario.d])
-    control = sample_mvn(params.spec, n, rng)
-    # same covariance and factor, shifted mean
-    treated = sample_mvn(replace(params.spec, mean=params.mean20 - shift), n, rng)
+    control = sample_mvn(params.mean20, params.factor, n, rng)
+    treated = sample_mvn(params.mean20 - shift, params.factor, n, rng)
     scores = _discretize(np.vstack([control, treated]))
     return ItemDataset(
         ids=_make_ids(n),
@@ -352,12 +357,12 @@ def build_synthetic_reference(
     if config.n_subjects < 1:
         raise ValidationError(f"need n_subjects >= 1, got {config.n_subjects}")
     rng = rng or RngStream(0)
-    spec = config.mvn_params().spec
+    params = config.mvn_params()
     lo, hi = config.severity_band
     chunks: list[np.ndarray] = []
     total = 0
     while total < config.n_subjects:
-        scores = _discretize(sample_mvn(spec, config.n_subjects, rng))
+        scores = _discretize(sample_mvn(params.mean20, params.factor, config.n_subjects, rng))
         t_base = scores[:, :N_ITEMS].sum(axis=1)
         t_week = scores[:, N_ITEMS:].sum(axis=1)
         ok = (t_base >= lo) & (t_base <= hi) & (t_week >= lo) & (t_week <= hi)

@@ -22,7 +22,6 @@ from .datagen import (
     DiscretizedMvnParams,
     EffectScenario,
     IrtPopulationParams,
-    ReferenceConfig,
     build_synthetic_reference,
     builtin_scenarios,
     check_group_size,
@@ -67,7 +66,7 @@ from .procedures import (
     test_simes_hommel,
     test_sum_score,
 )
-from .scales import DOMAINS, ItemDataset, ScoringScheme, ensure_scheme, get_scheme
+from .scales import DOMAINS, ItemDataset, ensure_scheme, get_scheme
 
 WORKER_ENV_VAR = "PSPRSIM_WORKERS"
 # each generator and the scenario kind it applies
@@ -309,7 +308,6 @@ class StudyAuxiliaries:
 
     pool: ItemDataset
     mvn_params: DiscretizedMvnParams
-    schemes: dict[str, ScoringScheme]
     grm: dict[str, GrModel]
     approx: dict[str, LinearLatentApprox]
     calib_items: OmnibusCalibration
@@ -317,18 +315,14 @@ class StudyAuxiliaries:
 
 
 def prepare_auxiliaries(
-    plan: StudyPlan,
-    cache_dir: str | Path | None = None,
-    reference_config: ReferenceConfig | None = None,
+    plan: StudyPlan, cache_dir: str | Path | None = None
 ) -> StudyAuxiliaries:
     """Fit-once phase: reference pool, per-scheme models, omnibus tables."""
-    pool = build_synthetic_reference(reference_config, RngStream(plan.reference_seed))
-    scheme_tags = list(dict.fromkeys(["original", *plan.schemes]))
-    schemes = {tag: get_scheme(tag) for tag in scheme_tags}
+    pool = build_synthetic_reference(rng=RngStream(plan.reference_seed))
     grm: dict[str, GrModel] = {}
     approx: dict[str, LinearLatentApprox] = {}
-    for tag, scheme in schemes.items():
-        data = ensure_scheme(pool, scheme)
+    for tag in dict.fromkeys(["original", *plan.schemes]):
+        data = ensure_scheme(pool, tag)
         model = fit_grm(data)
         thetas = eap_scores(model, data.flatten_visits())
         grm[tag] = model
@@ -342,7 +336,6 @@ def prepare_auxiliaries(
     return StudyAuxiliaries(
         pool=pool,
         mvn_params=DiscretizedMvnParams.estimate(pool),
-        schemes=schemes,
         grm=grm,
         approx=approx,
         calib_items=calib_items,
@@ -474,7 +467,7 @@ def run_single_replicate(
     messages: list[str] = []
     for si, tag in enumerate(plan.schemes):
         ctx = MethodContext(
-            data=ensure_scheme(data0, aux.schemes[tag]), grm=aux.grm[tag],
+            data=ensure_scheme(data0, tag), grm=aux.grm[tag],
             approx=aux.approx[tag], calib_items=aux.calib_items,
             calib_domains=aux.calib_domains, maxt_tol=plan.maxt_tol,
             rng=base.child(1 + si), alpha=plan.alpha,

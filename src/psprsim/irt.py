@@ -468,7 +468,7 @@ class LinearLatentApprox:
     @classmethod
     def from_doc(cls, doc: dict, source: str = "approximation document") -> "LinearLatentApprox":
         try:
-            return cls(
+            approx = cls(
                 intercept=float(doc["intercept"]),
                 weights=np.array(doc["weights"], dtype=float),
                 r_squared=float(doc["r_squared"]),
@@ -476,6 +476,10 @@ class LinearLatentApprox:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad approximation file {source}: {exc!r}") from exc
+        if approx.weights.ndim != 1:
+            raise ValidationError(f"bad approximation file {source}: weights must be a "
+                                  f"list of numbers, got shape {approx.weights.shape}")
+        return approx
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearLatentApprox":
@@ -514,6 +518,10 @@ def fit_linear_latent_approx(
 def approx_latent(approx: LinearLatentApprox, responses: np.ndarray):
     """Back-transformed weighted sum; clamps into (0,1) before the logit."""
     y = np.asarray(responses, dtype=float)
+    n_items = y.shape[-1] if y.ndim else 0
+    if n_items != approx.weights.size:
+        raise ValidationError(f"approximation has {approx.weights.size} weights, "
+                              f"responses have {n_items} items")
     u = approx.intercept + y @ approx.weights
     u = np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
     out = special.logit(u)

@@ -12,7 +12,6 @@ shifts gives the reported error estimate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -35,39 +34,6 @@ def _sobol_base(dim: int, log2_n: int) -> np.ndarray:
     return pts
 
 
-@dataclass
-class MvnSpec:
-    """Mean and covariance of a k-variate normal, with a cached factor."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    _factor: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        k = self.mean.shape[0]
-        if self.covariance.shape != (k, k):
-            raise ValidationError(
-                f"covariance shape {self.covariance.shape} does not match mean length {k}"
-            )
-        sym_err = float(np.abs(self.covariance - self.covariance.T).max(initial=0.0))
-        if sym_err > 1e-12 * max(1.0, float(np.abs(self.covariance).max(initial=1.0))):
-            raise ValidationError(f"covariance not symmetric (max asymmetry {sym_err:.2e})")
-        if np.any(np.diag(self.covariance) < 0):
-            raise ValidationError("covariance has a negative diagonal entry")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def factor(self) -> np.ndarray:
-        """Lower factor F with F @ F.T == covariance; tolerates PSD-singular input."""
-        if self._factor is None:
-            self._factor = psd_factor(self.covariance)
-        return self._factor
-
-
 def psd_factor(S: np.ndarray) -> np.ndarray:
     """Factor a symmetric PSD matrix, falling back to eigh for singular S."""
     try:
@@ -79,12 +45,12 @@ def psd_factor(S: np.ndarray) -> np.ndarray:
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def sample_mvn(spec: MvnSpec, n: int, rng: RngStream) -> np.ndarray:
-    """Draw n i.i.d. rows from N(spec.mean, spec.covariance)."""
+def sample_mvn(mean: np.ndarray, factor: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
+    """Draw n i.i.d. rows from N(mean, factor @ factor.T)."""
     if n < 1:
         raise ValidationError(f"need n >= 1 draws, got {n}")
-    z = rng.gen.standard_normal((n, spec.dim))
-    return spec.mean + z @ spec.factor().T
+    z = rng.gen.standard_normal((n, factor.shape[0]))
+    return mean + z @ factor.T
 
 
 def repair_correlation(R: np.ndarray) -> np.ndarray:
@@ -169,14 +135,9 @@ def mvn_rect_upper(
     order = np.argsort(special.ndtr(b), kind="stable")
     b = b[order]
     R = R[np.ix_(order, order)]
-    try:
-        L = cholesky(R)
-    except FactorizationError:
-        L = psd_factor(R)
-        # guard the conditional scale against exact zeros from the fallback
-        d = np.sqrt(np.clip(np.diag(L @ L.T), 1e-12, None))
-        L = np.tril(L)
-        np.fill_diagonal(L, np.maximum(np.diag(L), 1e-6 * d))
+    # R has eigenvalues >= EIGENVALUE_FLOOR and k <= 20, so the Cholesky
+    # pivots stay positive; a failure is a FactorizationError to the caller
+    L = cholesky(R)
 
     n_shifts = 10
     log2_n = 8

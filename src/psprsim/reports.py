@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -243,20 +242,6 @@ def descriptive_table(data: ItemDataset, fits: AncovaFit | None) -> list[dict]:
 REPORT_FORMATS = ("csv", "plain-table")
 
 
-@dataclass
-class TableDoc:
-    """A header plus rows of primitives, ready for any emission format."""
-
-    header: list[str]
-    rows: list[list]
-
-    @classmethod
-    def from_dicts(cls, rows: list[dict], header: list[str] | None = None) -> "TableDoc":
-        if header is None:
-            header = list(rows[0]) if rows else []
-        return cls(header=header, rows=[[r.get(h) for h in header] for r in rows])
-
-
 def _cell_csv(v) -> str:
     if v is None:
         return ""
@@ -273,23 +258,23 @@ def _cell_display(v) -> str:
     return str(v)
 
 
-def emit_report(results: TableDoc, fmt: str, path: str | Path) -> Path:
-    """Write one table in the requested format; deterministic row order is
-    the caller's responsibility. Empty results produce a header-only file.
+def emit_report(header: list[str], rows: list[dict], fmt: str, path: str | Path) -> Path:
+    """Write the `header` columns of dict rows in the requested format (a
+    key missing from a row is a null cell); deterministic row order is the
+    caller's responsibility. No rows produce a header-only file.
 
     csv: full-precision floats. plain-table: fixed-width display with
     floats at 2 decimals.
     """
     path = Path(path)
+    values = [[r.get(h) for h in header] for r in rows]
     if fmt == "csv":
-        lines = [",".join(results.header)]
-        lines += [",".join(_cell_csv(v) for v in row) for row in results.rows]
+        lines = [",".join(header)]
+        lines += [",".join(_cell_csv(v) for v in row) for row in values]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif fmt == "plain-table":
-        cells = [results.header] + [
-            [_cell_display(v) for v in row] for row in results.rows
-        ]
-        widths = [max(len(r[c]) for r in cells) for c in range(len(results.header))]
+        cells = [header] + [[_cell_display(v) for v in row] for row in values]
+        widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
         lines = [
             "  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip()
             for row in cells

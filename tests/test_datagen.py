@@ -2,6 +2,8 @@
 bootstrap injection bookkeeping identity, latent progression, and the
 synthetic reference pool's calibration checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,13 @@ from psprsim.datagen import (
 )
 from psprsim.errors import ValidationError
 from psprsim.scales import N_ITEMS, get_scheme, load_scheme
+
+
+def score_digest(data) -> str:
+    h = hashlib.sha256()
+    for a in (data.baseline, data.week52):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 class TestSchemes:
@@ -111,11 +120,12 @@ class TestSharedReadOnly:
 
     def test_mvn_params_factor_once_and_read_only(self, reference_pool):
         params = ps.DiscretizedMvnParams.estimate(reference_pool)
-        F = params.spec.factor()
-        assert np.array_equal(F, ps.cholesky(params.cov20))
-        for a in (params.mean20, params.cov20, F):
+        assert np.array_equal(params.factor, ps.cholesky(params.cov20))
+        for a in (params.mean20, params.cov20, params.factor):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+        with pytest.raises(AttributeError):
+            params.factor = np.eye(20)
 
 
 class TestDiscretizedMvn:
@@ -171,6 +181,23 @@ class TestDiscretizedMvn:
     def test_score_ranges(self, two_arm_dataset):
         for a in (two_arm_dataset.baseline, two_arm_dataset.week52):
             assert a.min() >= 0 and a.max() <= 4
+
+    # sha256 of the generated baseline then week52 bytes (n = 70 per arm):
+    # the power tables rest on these draws, so any change to how the
+    # generator samples must keep every bit
+    @pytest.mark.parametrize("label, seed, digest", [
+        ("d0", 1, "b3d2153f89cea6e4212ad26a528f592d65bc3945b711b3b84856142505cd947d"),
+        ("d0", 2, "26480afb82971cff2e215799ecc2f52ef3fe6a0011bfe43cd100b199500d3f4a"),
+        ("d3", 1, "a9c9101376d643c69a2ab1398fe02a358fd664eb2b96a87c00f7742e31c8df8c"),
+        ("d3", 3, "ece90e26518a26e6f317ab92fe5a080027446048b900e956bdafffdab5a6b27b"),
+        ("d10", 1, "19b3bda7fbf4fbf78c42459be4b0f87d229482cff8bcff6fac1650c556e5ec48"),
+        ("d10", 2, "f31120cab08c24d0969afe7c4af261ddb27759f9f670f3ca1931a0a0c94b589b"),
+    ])
+    def test_bytes_pinned(self, reference_pool, label, seed, digest):
+        params = ps.DiscretizedMvnParams.estimate(reference_pool)
+        data = ps.gen_discretized_mvn(params, ps.builtin_scenarios()[label], 70,
+                                      ps.RngStream(seed))
+        assert score_digest(data) == digest
 
 
 class TestBootstrap:
@@ -269,6 +296,12 @@ class TestIrtGenerator:
 
 
 class TestSyntheticReference:
+    def test_pool_bytes_pinned(self, reference_pool):
+        # the seed-1 pool every session fixture and `make-reference --seed 1`
+        # build on
+        assert score_digest(reference_pool) == (
+            "52d967a4adcf74fbf066c9a932e574fbc4d240216231e0dc3c335baf07ca9026")
+
     def test_fixed_seed_bit_identical(self):
         a = ps.build_synthetic_reference(rng=ps.RngStream(9))
         b = ps.build_synthetic_reference(rng=ps.RngStream(9))

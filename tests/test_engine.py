@@ -286,7 +286,7 @@ class TestMethodTable:
         got = {}
         for si, tag in enumerate(small_plan.schemes):
             ctx = eng.MethodContext(
-                data=eng.ensure_scheme(data0, aux.schemes[tag]), grm=aux.grm[tag],
+                data=eng.ensure_scheme(data0, tag), grm=aux.grm[tag],
                 approx=aux.approx[tag], calib_items=aux.calib_items,
                 calib_domains=aux.calib_domains, maxt_tol=small_plan.maxt_tol,
                 rng=base.child(1 + si),
@@ -477,8 +477,7 @@ class TestMaxTDecisionPath:
             hits = 0
             for rep in range(plan.n_reps):
                 base = ps.RngStream(derive_replicate_seed(plan.master_seed, 0, rep))
-                data = eng.ensure_scheme(eng._generate(plan, scen, aux, base.child(0)),
-                                         aux.schemes[tag])
+                data = eng.ensure_scheme(eng._generate(plan, scen, aux, base.child(0)), tag)
                 fits = item_fits(data)
                 out = ps.test_maxt(fits, ps.estimate_corr(data, fits), tol=plan.maxt_tol,
                                    rng=base.child(1 + si))

@@ -393,6 +393,10 @@ class TestLinearLatentApprox:
 
     @pytest.mark.parametrize("text", ["not json", "[0.5]", '{"intercept": 0.5}',
                                       '{"intercept": "x", "weights": [], "r_squared": 1, '
+                                      '"scheme": "original"}',
+                                      '{"intercept": 0.5, "weights": [[0.1, 0.2]], '
+                                      '"r_squared": 1, "scheme": "original"}',
+                                      '{"intercept": 0.5, "weights": 0.1, "r_squared": 1, '
                                       '"scheme": "original"}'])
     def test_bad_file_named(self, tmp_path, text):
         path = tmp_path / "approx.json"
@@ -422,6 +426,12 @@ class TestApproxLatent:
         assert ps.approx_latent(low, np.zeros(10)) == pytest.approx(
             float(special.logit(1e-6)), abs=1e-12
         )
+
+    def test_weight_count_must_match_items(self):
+        approx = ps.LinearLatentApprox(intercept=0.5, weights=np.zeros(3), r_squared=1.0)
+        for responses in (np.zeros(10), np.zeros((2, 4, 10)), np.float64(0.0)):
+            with pytest.raises(ValidationError, match="3 weights, responses have"):
+                ps.approx_latent(approx, responses)
 
     def test_tracks_eap_on_reference(self, reference_pool, grm_model, eap_thetas, latent_approx):
         z = ps.approx_latent(latent_approx, reference_pool.flatten_visits())

@@ -8,32 +8,36 @@ from scipy.special import ndtr
 
 import psprsim as ps
 from psprsim.errors import ValidationError
-from psprsim.mvnorm import repair_correlation
+from psprsim.mvnorm import _validate_correlation, psd_factor, repair_correlation
 
 
 class TestSampleMvn:
     def test_zero_covariance_returns_mean(self):
-        spec = ps.MvnSpec(mean=np.array([1.0, -2.0, 3.0]), covariance=np.zeros((3, 3)))
-        draws = ps.sample_mvn(spec, 20, ps.RngStream(4))
+        factor = psd_factor(np.zeros((3, 3)))
+        draws = ps.sample_mvn(np.array([1.0, -2.0, 3.0]), factor, 20, ps.RngStream(4))
         assert np.array_equal(draws, np.tile([1.0, -2.0, 3.0], (20, 1)))
 
     def test_law_of_large_numbers(self):
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-        spec = ps.MvnSpec(mean=np.zeros(2), covariance=cov)
-        draws = ps.sample_mvn(spec, 50_000, ps.RngStream(8))
+        draws = ps.sample_mvn(np.zeros(2), psd_factor(cov), 50_000, ps.RngStream(8))
         sample_cov = np.cov(draws, rowvar=False)
         assert np.abs(sample_cov - cov).max() < 0.03
         assert np.abs(draws.mean(axis=0)).max() < 0.03
 
     def test_fixed_seed_reproducible(self):
-        spec = ps.MvnSpec(mean=np.zeros(4), covariance=np.eye(4))
-        a = ps.sample_mvn(spec, 100, ps.RngStream(77))
-        b = ps.sample_mvn(spec, 100, ps.RngStream(77))
+        a = ps.sample_mvn(np.zeros(4), np.eye(4), 100, ps.RngStream(77))
+        b = ps.sample_mvn(np.zeros(4), np.eye(4), 100, ps.RngStream(77))
         assert np.array_equal(a, b)
 
     def test_asymmetric_covariance_rejected(self):
-        with pytest.raises(ValidationError):
-            ps.MvnSpec(mean=np.zeros(2), covariance=np.array([[1.0, 0.2], [0.4, 1.0]]))
+        cov = np.eye(20)
+        cov[0, 1], cov[1, 0] = 0.2, 0.4
+        with pytest.raises(ValidationError, match="not symmetric"):
+            ps.DiscretizedMvnParams(mean20=np.zeros(20), cov20=cov)
+        cov = np.eye(20)
+        cov[3, 3] = -1.0
+        with pytest.raises(ValidationError, match="negative diagonal"):
+            ps.DiscretizedMvnParams(mean20=np.zeros(20), cov20=cov)
 
 
 def exchangeable(k, rho):
@@ -199,3 +203,24 @@ class TestRepairCorrelation:
         R = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         with pytest.raises(ValidationError):
             repair_correlation(R)
+
+    @given(st.data())
+    def test_sorted_repaired_correlation_factors(self, data):
+        """mvn_rect_upper factors R without a fallback: every correlation that
+        _validate_correlation returns, rank-deficient input included, keeps
+        positive Cholesky pivots under any reordering of its variables."""
+        k = data.draw(st.integers(min_value=2, max_value=20), label="k")
+        rank = data.draw(st.integers(min_value=1, max_value=k), label="rank")
+        scales = data.draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                                    min_size=rank, max_size=rank), label="log10 scales")
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((k, rank)) * 10.0 ** np.array(scales)
+        S = A @ A.T
+        d = np.sqrt(np.diag(S))
+        R = S / np.outer(d, d)
+        R = (R + R.T) / 2.0
+        np.fill_diagonal(R, 1.0)
+        order = rng.permutation(k)
+        L = ps.cholesky(_validate_correlation(R)[np.ix_(order, order)])
+        assert np.all(np.diag(L) > 0)

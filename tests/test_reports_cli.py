@@ -17,7 +17,6 @@ from psprsim.reports import (
     CSV_HEADER,
     DESCRIPTIVE_COLUMNS,
     VISITS,
-    TableDoc,
     descriptive_table,
     emit_report,
     load_trial_csv,
@@ -447,34 +446,39 @@ class TestDescriptiveTableAgainstPerCellTable:
 
 class TestEmitReport:
     def test_empty_results_header_only(self, tmp_path):
-        doc = TableDoc(header=["a", "b"], rows=[])
-        path = emit_report(doc, "csv", tmp_path / "x.csv")
+        path = emit_report(["a", "b"], [], "csv", tmp_path / "x.csv")
         assert path.read_text() == "a,b\n"
 
     def test_csv_full_precision(self, tmp_path):
-        doc = TableDoc(header=["v"], rows=[[0.1234567890123456789]])
-        path = emit_report(doc, "csv", tmp_path / "x.csv")
+        path = emit_report(["v"], [{"v": 0.1234567890123456789}], "csv", tmp_path / "x.csv")
         assert repr(0.1234567890123456789) in path.read_text()
 
     def test_csv_writes_numpy_floats_as_plain_floats(self, tmp_path):
-        doc = TableDoc(header=["v", "w"], rows=[[np.float64(-1.7), np.float64(0.1)]])
-        path = emit_report(doc, "csv", tmp_path / "x.csv")
+        rows = [{"v": np.float64(-1.7), "w": np.float64(0.1)}]
+        path = emit_report(["v", "w"], rows, "csv", tmp_path / "x.csv")
         assert path.read_text() == "v,w\n-1.7,0.1\n"
 
+    def test_missing_key_is_empty_cell(self, tmp_path):
+        rows = [{"a": 1, "extra": 5}, {"b": 2.5}]
+        assert emit_report(["a", "b"], rows, "csv", tmp_path / "x.csv").read_text() == (
+            "a,b\n1,\n,2.5\n")
+        table = emit_report(["a", "b"], rows, "plain-table", tmp_path / "x.txt").read_text()
+        assert table.splitlines() == ["a  b", "1  -", "-  2.50"]
+
     def test_plain_table_rounds(self, tmp_path):
-        doc = TableDoc(header=["method", "p"], rows=[["SumS", 0.23456]])
-        path = emit_report(doc, "plain-table", tmp_path / "x.txt")
+        rows = [{"method": "SumS", "p": 0.23456}]
+        path = emit_report(["method", "p"], rows, "plain-table", tmp_path / "x.txt")
         assert "0.23" in path.read_text()
         assert "0.2345" not in path.read_text()
 
     def test_unknown_format(self, tmp_path):
         for fmt in ("parquet", "structured-doc"):
             with pytest.raises(ValidationError):
-                emit_report(TableDoc(["a"], []), fmt, tmp_path / "x")
+                emit_report(["a"], [], fmt, tmp_path / "x")
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
-            emit_report(TableDoc(["a"], []), "csv", tmp_path / "no" / "dir" / "x.csv")
+            emit_report(["a"], [], "csv", tmp_path / "no" / "dir" / "x.csv")
 
 
 @pytest.fixture(scope="module")
@@ -687,10 +691,38 @@ class TestCli:
                      "--arm-map is not JSON", id="arm-map-notjson"),
         pytest.param(["rescore", "{csv}", "--arm-map", '{{"placebo": 1}}', "--out", "{tmp}/r.csv"],
                      "--arm-map must be a JSON object of strings", id="arm-map-not-strings"),
+        # a path of the wrong kind: a directory, a file used as a directory
+        pytest.param(["fit-approx", "{csv}", "--model", "{tmp}", "--out", "{tmp}/a.json"],
+                     "Is a directory: '{tmp}'", id="fit-approx-model-dir"),
+        pytest.param(["analyze", "{tmp}", "--arm-a", "dose-a", "--arm-b", "placebo",
+                      "--out", "{tmp}/o"], "Is a directory: '{tmp}'", id="analyze-csv-dir"),
+        pytest.param(["simulate", "{tmp}", "--out", "{tmp}/o"],
+                     "Is a directory: '{tmp}'", id="simulate-plan-dir"),
+        pytest.param(["rescore", "{csv}", "--scheme", "{tmp}", "--out", "{tmp}/r.csv"],
+                     "Is a directory: '{tmp}'", id="rescore-scheme-dir"),
+        pytest.param(["fit-approx", "{csv}", "--model", "{csv}/x.json", "--out", "{tmp}/a.json"],
+                     "Not a directory: '{csv}/x.json'", id="fit-approx-model-under-file"),
+        pytest.param(["analyze", "{csv}", "--arm-a", "dose-a", "--arm-b", "placebo",
+                      "--out", "{csv}"], "File exists: '{csv}'", id="analyze-out-file"),
+        pytest.param(["analyze", "{csv}", "--arm-a", "dose-a", "--arm-b", "placebo",
+                      "--out", "{tmp}/o", "--calibration-reps", "1000", "--cache-dir", "{csv}"],
+                     "File exists: '{csv}'", id="analyze-cache-dir-file"),
+        pytest.param(["analyze", "{csv}", "--arm-a", "dose-a", "--arm-b", "placebo",
+                      "--scheme", "original", "--model", "{model}", "--approx", "{approx3}",
+                      "--calibration-reps", "1000", "--out", "{tmp}/o"],
+                     "approximation has 3 weights, responses have 10 items",
+                     id="analyze-approx-3-weights"),
     ])
-    def test_bad_input_exit_code(self, reference_csv, tmp_path, capsys, argv, message):
+    def test_bad_input_exit_code(self, reference_csv, model_args, tmp_path, capsys, argv,
+                                 message):
+        approx3 = tmp_path / "approx3.json"
+        approx3.write_text(json.dumps({"format_version": 1, "scheme": "original",
+                                       "intercept": 0.5, "weights": [0.1, 0.2, 0.3],
+                                       "r_squared": 0.9}))
+
         def fill(text):
-            return text.format(csv=reference_csv, tmp=tmp_path)
+            return text.format(csv=reference_csv, tmp=tmp_path, approx3=approx3,
+                               model=model_args[model_args.index("--model") + 1])
 
         assert main([fill(a) for a in argv]) == 2
         err = capsys.readouterr().err
