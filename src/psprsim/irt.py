@@ -2,8 +2,8 @@
 
 Category probabilities, EAP latent-trait scoring under a standard-normal
 prior (fixed-node Gauss-Hermite), marginal maximum likelihood via EM with
-damped-Newton per-item updates, and the linear weighted-sum approximation
-of the latent trait.
+damped-Newton item updates run in lockstep blocks, and the linear
+weighted-sum approximation of the latent trait.
 
 Identifiability: the latent prior is fixed at N(0,1) and discriminations are
 kept positive, so higher theta always means higher (worse) item scores.
@@ -139,8 +139,10 @@ class GrModel:
         return np.log(_category_probs(self.survival(thetas).transpose(1, 0, 2)))
 
     @cached_property
-    def _eap_tables(self) -> np.ndarray:
-        return self.log_prob_tables(_gauss_hermite(DEFAULT_NODES)[0])
+    def _eap_tables_t(self) -> np.ndarray:
+        """log_prob_tables at the EAP nodes as (items, C_max, nodes), the
+        layout _row_loglik gathers."""
+        return _transposed(self.log_prob_tables(_gauss_hermite(DEFAULT_NODES)[0]))
 
     # -- serialization (JSON; floats round-trip bit-exactly via repr) --
 
@@ -185,12 +187,24 @@ class GrModel:
         return cls.from_doc(read_json_object(path, "model"), source=str(path))
 
 
-def _row_loglik(tables: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum of per-item log-probs; shape (n_nodes, n_rows)."""
-    ll = np.zeros((tables.shape[1], y.shape[0]))
-    for k, tab in enumerate(tables):
-        ll += tab[:, y[:, k]]
-    return ll
+def _transposed(tables: np.ndarray) -> np.ndarray:
+    """(items, nodes, C) log-probability tables as contiguous (items, C, nodes)."""
+    return np.ascontiguousarray(tables.transpose(0, 2, 1))
+
+
+def _row_loglik(tables_t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of per-item log-probs; C-contiguous, shape (n_nodes, n_rows).
+
+    Gathers whole rows of each item's transposed (C, nodes) table and adds
+    them item by item from zeros, the same adds as gathering node columns.
+    The result is returned C-contiguous: the callers' sums over nodes then
+    take the same sequential path, where an F-ordered array would sum
+    pairwise and change the last bits.
+    """
+    ll = np.zeros((y.shape[0], tables_t.shape[2]))
+    for tab, col in zip(tables_t, y.T):
+        ll += tab[col]
+    return np.ascontiguousarray(ll.T)
 
 
 def eap_scores(model: GrModel, responses: np.ndarray) -> np.ndarray:
@@ -207,7 +221,7 @@ def eap_scores(model: GrModel, responses: np.ndarray) -> np.ndarray:
     k, rows = (1, r.shape[0]) if r.ndim == 2 else r.shape[:2]
     y = model.map_responses(r.reshape(-1, r.shape[-1]))
     thetas, weights = _gauss_hermite(DEFAULT_NODES)
-    ll = _row_loglik(model._eap_tables, y)
+    ll = _row_loglik(model._eap_tables_t, y)
     ll -= ll.max(axis=0, keepdims=True)
     post = weights[:, None] * np.exp(ll)
     blocks = post.reshape(DEFAULT_NODES, k, rows)
@@ -220,79 +234,128 @@ def eap_scores(model: GrModel, responses: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _item_objective_grad(phi: np.ndarray, theta: np.ndarray, counts: np.ndarray):
-    """Expected complete-data log-likelihood and gradient for one item.
+def _objective_grads(Phi: np.ndarray, theta: np.ndarray, counts: np.ndarray,
+                     grad: bool = True):
+    """Expected complete-data log-likelihood, and its gradient, of B items.
 
-    phi packs (log a, b_1, log step_2, ..., log step_{C-1}) so the Newton
-    update moves in an unconstrained space.
+    Row j of Phi (B, n) packs (log a, b_1, log step_2, ..., log step_{C-1})
+    of one item, so the Newton update moves in an unconstrained space, and
+    counts[j] is its (Q, C) table of expected counts; every row has the same
+    C = n. Returns f (B,), and G (B, n) when ``grad``. Each row's values
+    equal that row evaluated alone, bit for bit: the sums over its (Q, C)
+    block run over the contiguous block, the sums over Q along axis 1.
     """
-    a = np.exp(phi[0])
-    steps = np.exp(phi[2:])
-    b = np.concatenate(([phi[1]], phi[1] + np.cumsum(steps)))
-    C = b.size + 1
-    sf = special.expit(a * (theta[:, None] - b))  # (Q, C-1)
+    B = Phi.shape[0]
+    a = np.exp(Phi[:, 0])
+    steps = np.exp(Phi[:, 2:])
+    b = np.concatenate((Phi[:, 1:2], Phi[:, 1:2] + np.cumsum(steps, axis=1)), axis=1)
+    dev = theta[:, None] - b[:, None, :]  # (B, Q, C-1)
+    sf = special.expit(a[:, None, None] * dev)
     p = _category_probs(sf)
-    f = float((counts * np.log(p)).sum())
+    f = (counts * np.log(p)).reshape(B, -1).sum(axis=1)
+    if not grad:
+        return f
 
-    ratio = np.where(counts > 0, counts / p, 0.0)  # (Q, C)
+    ratio = np.where(counts > 0, counts / p, 0.0)  # (B, Q, C)
     dsf = sf * (1.0 - sf)
     # d f / d sf_c  for c = 1..C-1: sf_c enters p_{c-1} with -1 and p_c with +1
-    coef = ratio[:, 1:] - ratio[:, :-1]
-    grad_b = (coef * dsf).sum(axis=0) * (-a)
-    grad_a = float((coef * dsf * (theta[:, None] - b)).sum())
+    coef_dsf = (ratio[..., 1:] - ratio[..., :-1]) * dsf
+    grad_b = coef_dsf.sum(axis=1) * (-a[:, None])  # (B, C-1)
+    grad_a = (coef_dsf * dev).reshape(B, -1).sum(axis=1)
 
     # chain rule into phi space
-    g = np.empty_like(phi)
-    g[0] = grad_a * a
-    g[1] = grad_b.sum()
-    if C > 2:
+    G = np.empty_like(Phi)
+    G[:, 0] = grad_a * a
+    G[:, 1] = grad_b.sum(axis=1)
+    if Phi.shape[1] > 2:
         # b_j depends on step_i for i <= j; d b_j / d log step_i = step_i
-        tail = np.cumsum(grad_b[::-1])[::-1]
-        g[2:] = tail[1:] * steps
-    return f, g
+        tail = np.cumsum(grad_b[:, ::-1], axis=1)[:, ::-1]
+        G[:, 2:] = tail[:, 1:] * steps
+    return f, G
 
 
-def _item_newton(phi: np.ndarray, theta: np.ndarray, counts: np.ndarray,
-                 max_iter: int = 40, gtol: float = 1e-9) -> np.ndarray:
-    """Damped Newton ascent; never decreases the objective."""
-    f, g = _item_objective_grad(phi, theta, counts)
+def _clip(step: np.ndarray) -> np.ndarray:
+    n = np.abs(step).max()
+    return step * (4.0 / n) if n > 4.0 else step  # trust region, unconstrained scale
+
+
+# the line search's halvings after the full step, in the chunks they are tried
+_HALVINGS = (0.5 ** np.arange(1, 4), 0.5 ** np.arange(4, 30))
+
+
+def _newton_block(Phi: np.ndarray, theta: np.ndarray, counts: np.ndarray,
+                  max_iter: int = 40, gtol: float = 1e-9) -> np.ndarray:
+    """Damped Newton ascent of k items in lockstep; never decreases an objective.
+
+    Row j of Phi (k, n) starts item j's solve against counts[j] (Q, n). Each
+    step takes a finite-difference Hessian, clips the Newton step (or the
+    gradient where that fails or does not ascend) to a max-norm of 4, and
+    halves it up to 29 times until the objective does not fall. A row stops
+    at max_iter steps, at max |g| < gtol, or when no halving is accepted.
+    The rows share only their objective calls, so row j of the result equals
+    solving row j alone, bit for bit.
+    """
+    Phi = np.array(Phi, dtype=float)
+    k, n = Phi.shape
+    h = 1e-6
+    probe = h * np.eye(n)
+    f, G = _objective_grads(Phi, theta, counts)
+    live = np.ones(k, dtype=bool)
     for _ in range(max_iter):
-        if np.abs(g).max() < gtol:
+        live &= ~(np.abs(G).max(axis=1) < gtol)
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
-        h = 1e-6
-        H = np.empty((phi.size, phi.size))
-        for i in range(phi.size):
-            e = np.zeros_like(phi)
-            e[i] = h
-            _, gp = _item_objective_grad(phi + e, theta, counts)
-            H[:, i] = (gp - g) / h
-        H = (H + H.T) / 2.0
-        def clip(s):
-            n = np.abs(s).max()
-            return s * (4.0 / n) if n > 4.0 else s  # trust region, unconstrained scale
+        phi, g, f0, cnt = Phi[rows], G[rows], f[rows], counts[rows]
+        m = rows.size
 
+        _, Gp = _objective_grads((phi[:, None, :] + probe).reshape(m * n, n), theta,
+                                 np.repeat(cnt, n, axis=0))
+        H = ((Gp.reshape(m, n, n) - g[:, None, :]) / h).transpose(0, 2, 1)
+        H = (H + H.transpose(0, 2, 1)) / 2.0
         try:
-            step = np.linalg.solve(H, -g)
+            steps = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            step = g.copy()
-        if not np.all(np.isfinite(step)):  # near-singular Hessian
-            step = g.copy()
-        step = clip(step)
-        if step @ g <= 0:  # not an ascent direction; fall back to gradient
-            step = clip(g.copy())
-        scale = 1.0
-        improved = False
-        for _ in range(30):
-            f_new, g_new = _item_objective_grad(phi + scale * step, theta, counts)
-            if f_new >= f:
-                phi = phi + scale * step
-                f, g = f_new, g_new
-                improved = True
+            steps = np.empty_like(g)
+            for r in range(m):
+                try:
+                    steps[r] = np.linalg.solve(H[r], -g[r])
+                except np.linalg.LinAlgError:
+                    steps[r] = g[r]
+        for r in range(m):
+            step = steps[r] if np.all(np.isfinite(steps[r])) else g[r].copy()  # near-singular
+            step = _clip(step)
+            if step @ g[r] <= 0:  # not an ascent direction; fall back to gradient
+                step = _clip(g[r].copy())
+            steps[r] = step
+
+        # line search: the full step for every row at once, then the halvings
+        # of the rows it fails, each row taking its first scale that does
+        # not decrease f
+        trial = phi + steps
+        f_new, G_new = _objective_grads(trial, theta, cnt)
+        full = f_new >= f0
+        ok = full.copy()
+        todo = np.flatnonzero(~full)
+        for scales in _HALVINGS:
+            if not todo.size:
                 break
-            scale *= 0.5
-        if not improved:
-            break
-    return phi
+            cand = phi[todo, None, :] + scales[:, None] * steps[todo, None, :]
+            f_s = _objective_grads(cand.reshape(-1, n), theta,
+                                   np.repeat(cnt[todo], scales.size, axis=0),
+                                   grad=False).reshape(todo.size, scales.size)
+            hit = f_s >= f0[todo, None]
+            found = hit.any(axis=1)
+            trial[todo[found]] = cand[found, hit[found].argmax(axis=1)]
+            ok[todo[found]] = True
+            todo = todo[~found]
+        live[rows[todo]] = False  # no scale accepted: the solve stops here
+        redo = np.flatnonzero(ok & ~full)
+        if redo.size:
+            f_new[redo], G_new[redo] = _objective_grads(trial[redo], theta, cnt[redo])
+        done = rows[ok]
+        Phi[done], f[done], G[done] = trial[ok], f_new[ok], G_new[ok]
+    return Phi
 
 
 def _merge_unobserved(y: np.ndarray, n_categories: int, label: str):
@@ -318,6 +381,7 @@ def fit_grm(
     Accepts a visit-flattened ItemDataset (each visit one row) or a raw
     integer response matrix. The EM loop asserts a nondecreasing marginal
     log-likelihood every iteration and converges on a relative change < tol.
+    Its M-step runs one lockstep Newton block per fitted category count.
     """
     if n_nodes < 2:
         # one node puts every theta at 0, where no discrimination is identified
@@ -329,12 +393,28 @@ def fit_grm(
         labels = ITEM_COLUMNS
     else:
         y_raw = np.asarray(pooled, dtype=np.int64)
+        if y_raw.ndim != 2 or y_raw.size == 0:
+            raise ValidationError(
+                f"responses must be a non-empty (rows, items) matrix, got shape {y_raw.shape}"
+            )
+        labels = [f"item{k}" for k in range(y_raw.shape[1])]
         if category_counts is not None:
             counts_per_item = np.asarray(category_counts, dtype=np.int64)
+            if counts_per_item.shape != (y_raw.shape[1],):
+                raise ValidationError(
+                    f"category_counts has shape {counts_per_item.shape}, "
+                    f"need one count per item ({y_raw.shape[1]})"
+                )
         else:
             counts_per_item = y_raw.max(axis=0) + 1
+        bad = (y_raw < 0) | (y_raw >= counts_per_item)
+        if np.any(bad):
+            k = int(np.argmax(bad.any(axis=0)))
+            v = int(y_raw[np.argmax(bad[:, k]), k])
+            raise ValidationError(
+                f"response {v} out of range 0..{counts_per_item[k] - 1} for item {labels[k]}"
+            )
         scheme = "original"
-        labels = [f"item{k}" for k in range(y_raw.shape[1])]
     n_rows, n_items = y_raw.shape
     if n_rows < 200:
         log.warning("fit_grm on %d rows; >= 200 recommended", n_rows)
@@ -382,13 +462,17 @@ def fit_grm(
         b = np.concatenate(([phi[1]], phi[1] + np.cumsum(np.exp(phi[2:]))))
         return GrItemParams(a, b)
 
+    # items of one fitted category count share one Newton block; items of
+    # different counts are not padded together, which would change the sums
+    blocks = [np.flatnonzero(fitted_cats == c) for c in np.unique(fitted_cats)]
+
     trace: list[float] = []
     ll_old = -np.inf
     for iteration in range(max_iter):
         items = [unpack(phi) for phi in phis]
         model = GrModel(items=items, scheme=scheme,
                         category_maps=[np.arange(c) for c in fitted_cats])
-        ll_rows = _row_loglik(model.log_prob_tables(thetas), y) + log_w[:, None]
+        ll_rows = _row_loglik(_transposed(model.log_prob_tables(thetas)), y) + log_w[:, None]
         top = ll_rows.max(axis=0)
         post = np.exp(ll_rows - top)
         norm = post.sum(axis=0)
@@ -403,9 +487,11 @@ def fit_grm(
             break
         ll_old = ll
         post /= norm
-        for k in range(n_items):
-            counts = post @ onehots[k]  # (Q, C_k)
-            phis[k] = _item_newton(phis[k], thetas, counts)
+        for block in blocks:
+            counts = np.stack([post @ onehots[k] for k in block])  # (items, Q, C)
+            fitted = _newton_block(np.stack([phis[k] for k in block]), thetas, counts)
+            for k, phi in zip(block, fitted):
+                phis[k] = phi
     else:
         raise NonConvergenceError(
             f"EM did not converge in {max_iter} iterations", trace

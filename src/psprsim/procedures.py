@@ -351,13 +351,18 @@ def build_omnibus_calibration(m: int, reps: int = 100_000, seed: int = 0) -> Omn
     u.sort(axis=1)
     S = np.cumsum(_reciprocal(u), axis=1)  # (reps, m)
     tables = np.empty((m + 1, reps))
-    tables[:m] = np.sort(S, axis=0).T
-    # each calibration replicate's own combined statistic, same convention
-    marg = np.empty((reps, m))
+    # each calibration replicate's own combined statistic, same convention:
+    # a row ranks its replicates by its own sort, and ties rank by value, so
+    # any sort order gives each replicate the left index of its value
+    idx = np.empty(reps, dtype=np.intp)
+    low = np.full(reps, np.inf)
     for s in range(m):
-        idx = np.searchsorted(tables[s], S[:, s], side="left")
-        marg[:, s] = (1.0 + reps - idx) / (reps + 1.0)
-    tables[m] = np.sort(marg.min(axis=1))
+        col = np.ascontiguousarray(S[:, s])
+        order = np.argsort(col)
+        tables[s] = col[order]
+        idx[order] = np.searchsorted(tables[s], tables[s], side="left")
+        np.minimum(low, (1.0 + reps - idx) / (reps + 1.0), out=low)
+    tables[m] = np.sort(low)
     return OmnibusCalibration(tables)
 
 

@@ -1,7 +1,10 @@
 """IRT tests: category-probability identities, EAP against a 20001-point
-dense-grid oracle, the padded model arrays against per-item reference code,
-EM parameter recovery, a direct-MML 2PL oracle for the binary special case,
-and the weighted-sum approximation."""
+dense-grid oracle, the padded model arrays and the lockstep M-step against
+per-item reference code, EM parameter recovery, a direct-MML 2PL oracle for
+the binary special case, and the weighted-sum approximation."""
+
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +14,15 @@ from scipy import optimize, special
 import psprsim as ps
 from psprsim.datagen import sample_grm_scores
 from psprsim.errors import ValidationError
-from psprsim.irt import DEFAULT_NODES, GrModel, _gauss_hermite, eap_scores
+from psprsim.irt import (
+    DEFAULT_NODES,
+    GrModel,
+    _category_probs,
+    _gauss_hermite,
+    _newton_block,
+    _objective_grads,
+    eap_scores,
+)
 from psprsim.scales import ITEM_COLUMNS, N_ITEMS
 
 
@@ -271,6 +282,174 @@ class TestPaddedKernel:
             GrModel(items=[item], category_maps=[np.array([0, 1, 3])])
 
 
+# Per-item reference code: the item M-step as it ran item by item before
+# the items of one category count were solved as one lockstep block. The
+# block forms must reproduce it bit for bit.
+
+
+def _ref_item_objective_grad(phi, theta, counts):
+    a = np.exp(phi[0])
+    steps = np.exp(phi[2:])
+    b = np.concatenate(([phi[1]], phi[1] + np.cumsum(steps)))
+    C = b.size + 1
+    sf = special.expit(a * (theta[:, None] - b))  # (Q, C-1)
+    p = _category_probs(sf)
+    f = float((counts * np.log(p)).sum())
+
+    ratio = np.where(counts > 0, counts / p, 0.0)  # (Q, C)
+    dsf = sf * (1.0 - sf)
+    coef = ratio[:, 1:] - ratio[:, :-1]
+    grad_b = (coef * dsf).sum(axis=0) * (-a)
+    grad_a = float((coef * dsf * (theta[:, None] - b)).sum())
+
+    g = np.empty_like(phi)
+    g[0] = grad_a * a
+    g[1] = grad_b.sum()
+    if C > 2:
+        tail = np.cumsum(grad_b[::-1])[::-1]
+        g[2:] = tail[1:] * steps
+    return f, g
+
+
+def _ref_item_newton(phi, theta, counts, max_iter=40, gtol=1e-9):
+    f, g = _ref_item_objective_grad(phi, theta, counts)
+    for _ in range(max_iter):
+        if np.abs(g).max() < gtol:
+            break
+        h = 1e-6
+        H = np.empty((phi.size, phi.size))
+        for i in range(phi.size):
+            e = np.zeros_like(phi)
+            e[i] = h
+            _, gp = _ref_item_objective_grad(phi + e, theta, counts)
+            H[:, i] = (gp - g) / h
+        H = (H + H.T) / 2.0
+        def clip(s):
+            n = np.abs(s).max()
+            return s * (4.0 / n) if n > 4.0 else s
+
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            step = g.copy()
+        if not np.all(np.isfinite(step)):
+            step = g.copy()
+        step = clip(step)
+        if step @ g <= 0:
+            step = clip(g.copy())
+        scale = 1.0
+        improved = False
+        for _ in range(30):
+            f_new, g_new = _ref_item_objective_grad(phi + scale * step, theta, counts)
+            if f_new >= f:
+                phi = phi + scale * step
+                f, g = f_new, g_new
+                improved = True
+                break
+            scale *= 0.5
+        if not improved:
+            break
+    return phi
+
+
+def _ref_first_step_is_gradient(phi, theta, counts):
+    """Whether the reference's first step falls back to the gradient."""
+    _, g = _ref_item_objective_grad(phi, theta, counts)
+    H = np.column_stack([(_ref_item_objective_grad(phi + e, theta, counts)[1] - g) / 1e-6
+                         for e in 1e-6 * np.eye(phi.size)])
+    H = (H + H.T) / 2.0
+    try:
+        step = np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:
+        return True
+    return not np.all(np.isfinite(step)) or step @ g <= 0
+
+
+def _item_rows(seed, k, n, q, zero_frac=0.0, spread=1.0):
+    """k start rows of n parameters and their (q, n) expected counts.
+
+    The counts are graded-response expectations of a true item, from 10 to
+    10^4 respondents, jittered by +-20% and with a share zero_frac set to 0;
+    the start rows lie about ``spread`` from the true parameters.
+    """
+    gen = np.random.default_rng(seed)
+    theta, w = _gauss_hermite(q)
+    true = np.column_stack([gen.normal(0.0, 0.5, k), gen.normal(0.0, 1.0, k),
+                            gen.normal(-0.5, 0.5, (k, n - 2))])
+    a = np.exp(true[:, 0])
+    b = np.column_stack([true[:, 1], true[:, 1:2] + np.cumsum(np.exp(true[:, 2:]), axis=1)])
+    p = _category_probs(special.expit(a[:, None, None] * (theta[:, None] - b[:, None, :])))
+    counts = (10 ** gen.uniform(1, 4, k))[:, None, None] * w[:, None] * p
+    counts *= gen.uniform(0.8, 1.2, p.shape) * (gen.random(p.shape) >= zero_frac)
+    return true + gen.normal(0.0, spread, true.shape), theta, counts
+
+
+def _assert_rows_match_reference(phi, theta, counts, **kw):
+    block = _newton_block(phi, theta, counts, **kw)
+    assert block.shape == phi.shape
+    for j in range(phi.shape[0]):
+        assert block[j].tobytes() == _ref_item_newton(phi[j], theta, counts[j], **kw).tobytes()
+
+
+class TestBlockMStep:
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), n=st.integers(2, 5),
+           q=st.sampled_from([2, 7, 21, 101]), zero_frac=st.sampled_from([0.0, 0.5, 0.95]),
+           empty_row=st.booleans())
+    def test_objective_rows_equal_items_alone(self, seed, k, n, q, zero_frac, empty_row):
+        phi, theta, counts = _item_rows(seed, k, n, q, zero_frac, spread=2.0)
+        if empty_row:
+            counts[0] = 0.0
+        f, G = _objective_grads(phi, theta, counts)
+        assert f.shape == (k,) and G.shape == (k, n)
+        assert _objective_grads(phi, theta, counts, grad=False).tobytes() == f.tobytes()
+        for j in range(k):
+            f_ref, g_ref = _ref_item_objective_grad(phi[j], theta, counts[j])
+            assert f[j].tobytes() == np.float64(f_ref).tobytes()
+            assert G[j].tobytes() == g_ref.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), n=st.integers(2, 5),
+           q=st.sampled_from([7, 21, 101]), spread=st.sampled_from([0.5, 2.0, 4.0]),
+           max_iter=st.sampled_from([1, 3, 40]), gtol=st.sampled_from([0.0, 1e-9, 1e-3]))
+    def test_newton_rows_equal_items_alone(self, seed, k, n, q, spread, max_iter, gtol):
+        phi, theta, counts = _item_rows(seed, k, n, q, spread=spread)
+        _assert_rows_match_reference(phi, theta, counts, max_iter=max_iter, gtol=gtol)
+
+    def test_rows_stopping_every_way_equal_items_alone(self):
+        # one block whose rows stop on the gradient tolerance, at max_iter,
+        # and on an exhausted line search, some after gradient steps
+        phi, theta, counts = _item_rows(1, 24, 5, 101)
+        stop = {"gtol": 0, "max_iter": 0, "line search": 0}
+        for j in range(24):
+            ref = _ref_item_newton(phi[j], theta, counts[j], max_iter=12)
+            if ref.tobytes() != _ref_item_newton(phi[j], theta, counts[j], max_iter=11).tobytes():
+                stop["max_iter"] += 1
+            elif np.abs(_ref_item_objective_grad(ref, theta, counts[j])[1]).max() < 1e-9:
+                stop["gtol"] += 1
+            else:
+                stop["line search"] += 1
+        assert min(stop.values()) > 0, stop
+        assert sum(_ref_first_step_is_gradient(*row) for row in zip(phi, [theta] * 24, counts)) > 0
+        _assert_rows_match_reference(phi, theta, counts, max_iter=12)
+
+    def test_singular_solve_in_stack_falls_back_row_by_row(self):
+        # a solve that raises for some Hessians: the stacked solve fails and
+        # each row re-solves alone, those rows stepping along the gradient
+        solve = np.linalg.solve
+        raised = {"stacked": 0, "row": 0}
+
+        def flaky_solve(H, rhs):
+            poisoned = [zlib.crc32(h.tobytes()) % 3 == 0 for h in H.reshape(-1, *H.shape[-2:])]
+            if any(poisoned):
+                raised["stacked" if H.ndim == 3 else "row"] += 1
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(H, rhs)
+
+        phi, theta, counts = _item_rows(5, 6, 4, 21)
+        with mock.patch.object(np.linalg, "solve", flaky_solve):
+            _assert_rows_match_reference(phi, theta, counts)
+        assert raised["stacked"] > 0 and raised["row"] > 0
+
+
 class TestFitGrm:
     def test_parameter_recovery(self):
         true_items = [
@@ -348,6 +527,18 @@ class TestFitGrm:
         t_lo = eap_scores(model, np.array([[0, 0]]))[0]
         t_hi = eap_scores(model, np.array([[4, 4]]))[0]
         assert t_hi > t_lo
+
+    @pytest.mark.parametrize("rows, counts, match", [
+        ([[0, 1], [-1, 2], [1, 0]], None, r"response -1 out of range 0\.\.1 for item item0"),
+        ([[0, 1], [1, 2], [1, 0]], [2, 2], r"response 2 out of range 0\.\.1 for item item1"),
+        ([[0, 1], [1, 2], [1, 0]], [2, 3, 3], r"category_counts has shape \(3,\), need one count "
+                                              r"per item \(2\)"),
+        (np.zeros((0, 3), dtype=int), None, r"non-empty \(rows, items\) matrix, got shape \(0, 3\)"),
+        ([0, 1, 2, 1], None, r"non-empty \(rows, items\) matrix, got shape \(4,\)"),
+    ], ids=["negative", "above-count", "counts-length", "empty", "1-d"])
+    def test_bad_raw_matrix_named(self, rows, counts, match):
+        with pytest.raises(ValidationError, match=match):
+            ps.fit_grm(np.asarray(rows), category_counts=counts)
 
     def test_loglik_trace_is_clean(self, grm_model):
         assert grm_model.fit_meta["iterations"] < 500

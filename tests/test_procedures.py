@@ -362,6 +362,22 @@ class TestMaxTDecision:
         assert out.p_one_sided == float.fromhex("0x1.f6b95958ee8c0p-7")
 
 
+def _ref_build_omnibus_calibration(m, reps, seed):
+    """The calibration as built before each row was ranked by its own sort:
+    every replicate's partial sums looked up in the sorted tables."""
+    u = ps.RngStream(seed).gen.random((reps, m))
+    u.sort(axis=1)
+    S = np.cumsum(ps.procedures._reciprocal(u), axis=1)
+    tables = np.empty((m + 1, reps))
+    tables[:m] = np.sort(S, axis=0).T
+    marg = np.empty((reps, m))
+    for s in range(m):
+        idx = np.searchsorted(tables[s], S[:, s], side="left")
+        marg[:, s] = (1.0 + reps - idx) / (reps + 1.0)
+    tables[m] = np.sort(marg.min(axis=1))
+    return tables
+
+
 class TestOmnibus:
     def test_all_ones_give_global_one(self, calib10):
         out = ps.test_omnibus(np.ones(10), calib10)
@@ -378,6 +394,21 @@ class TestOmnibus:
                 rejections += 1
         rate = rejections / n_draws
         assert abs(rate - alpha) < 0.005
+
+    @given(m=st.integers(2, 10), reps=st.integers(100, 2000), seed=st.integers(0, 2**32 - 1))
+    def test_build_matches_reference_bit_for_bit(self, m, reps, seed):
+        built = ps.build_omnibus_calibration(m, reps, seed).tables
+        assert built.tobytes() == _ref_build_omnibus_calibration(m, reps, seed).tobytes()
+
+    def test_build_with_tied_partial_sums_matches_reference(self):
+        # whole-number reciprocals tie many partial sums, so the sorted rows
+        # hold runs of equal values: every tie must rank at the left of its run
+        seed = 4
+        with mock.patch.object(ps.procedures, "_reciprocal", lambda p: np.round(1.0 / p)):
+            built = ps.build_omnibus_calibration(3, 500, seed).tables
+            ref = _ref_build_omnibus_calibration(3, 500, seed)
+        assert np.any(np.diff(ref[0]) == 0)
+        assert built.tobytes() == ref.tobytes()
 
     def test_length_mismatch(self, calib10):
         with pytest.raises(ValidationError):

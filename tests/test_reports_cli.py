@@ -2,6 +2,7 @@
 command-line workflow end to end."""
 
 import csv
+import hashlib
 import json
 import logging
 
@@ -515,6 +516,20 @@ class TestCli:
         data = load_trial_csv(reference_csv, {"placebo": "control", "dose-a": "treatment"})
         assert data.n_subjects == 120
 
+    def test_fit_irt_outputs_pinned(self, tmp_path):
+        # sha256 of the model files the per-item M-step wrote for the
+        # reference pool; the lockstep M-step must write the same bytes
+        pool = tmp_path / "pool.csv"
+        assert main(["make-reference", "--seed", "1", "--out", str(pool)]) == 0
+        pinned = {
+            "original": "c9568ab8f39080be9eccd09a3db4c2f45ac336b918051df5a5685fdbd8257ece",
+            "fda": "d4261728ce7cfe68ab4d613d43b36bb4c2f03fbe4b7fb1997f990377f7ac4fff",
+        }
+        for tag, digest in pinned.items():
+            out = tmp_path / f"{tag}.json"
+            assert main(["fit-irt", str(pool), "--scheme", tag, "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, tag
+
     def test_fit_irt_and_approx_and_analyze(self, reference_csv, tmp_path):
         model_path = tmp_path / "grm.json"
         rc = main(["fit-irt", str(reference_csv), "--out", str(model_path)])
@@ -781,7 +796,7 @@ class TestCli:
         assert cli.build_parser() is parser
         assert cli.build_parser.cache_info().misses == 1
 
-    def test_numerical_exit_code(self, tmp_path):
+    def test_numerical_exit_code(self, tmp_path, monkeypatch):
         # constant baseline for one item makes every marginal design singular
         rows = []
         rng = np.random.default_rng(5)
@@ -792,9 +807,23 @@ class TestCli:
                                  rng.integers(0, 5, 10).tolist())
         path = tmp_path / "degenerate.csv"
         write_rows(path, rows)
+        fitted = []
+
+        def spy_fit_grm(data):
+            model = ps.fit_grm(data)
+            fitted.append(hashlib.sha256(json.dumps(model.to_doc(), indent=2).encode()).hexdigest())
+            return model
+
+        monkeypatch.setattr(cli, "fit_grm", spy_fit_grm)
         rc = main(["analyze", str(path), "--arm-a", "drug", "--arm-b", "placebo",
                    "--out", str(tmp_path / "y"), "--calibration-reps", "2000"])
         assert rc == 3
+        # the self-fitted models (189 and 238 EM iterations) are byte for
+        # byte those of the per-item M-step
+        assert fitted == [
+            "eb5953df54e06040183bcd7649531151de823255e6ff4955f8283781e6fe975c",
+            "0426af33cbd82b536251fb276981246684fae8c71a11c4c7c3022c2964a401c6",
+        ]
 
     def test_failed_methods_give_null_rows_and_exit_code(
         self, reference_csv, model_args, tmp_path, capsys
