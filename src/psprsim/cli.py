@@ -92,14 +92,14 @@ def _cmd_analyze(args) -> int:
         else:
             model = fit_grm(data)
             self_fitted = True
+        thetas = None
         if approx_path:
             approx = LinearLatentApprox.load(approx_path)
         else:
             # weighted-sum surrogate derived from the active model's EAP
-            # scores on the analyzed data
-            approx = fit_linear_latent_approx(
-                data, eap_scores(model, data.flatten_visits())
-            )
+            # scores on the analyzed data, which the IRT row reuses
+            thetas = engine.visit_thetas(model, data)
+            approx = fit_linear_latent_approx(data, thetas.reshape(-1))
             self_fitted = True
         if self_fitted:
             log.warning("%s scheme: %s", tag, SELF_FIT_CAVEAT)
@@ -107,7 +107,7 @@ def _cmd_analyze(args) -> int:
 
         ctx = engine.MethodContext(
             data=data, grm=model, approx=approx, calib_items=calib10, calib_domains=calib3,
-            maxt_tol=args.maxt_tol, rng=RngStream(args.seed),
+            maxt_tol=args.maxt_tol, rng=RngStream(args.seed), thetas=thetas,
         )
         outcomes = {}
         for method, o in zip(METHODS, engine.run_methods(ctx, METHODS)):

@@ -375,6 +375,12 @@ METHOD_TABLE = {
 METHOD_ERRORS = (NumericalError, np.linalg.LinAlgError)
 
 
+def visit_thetas(grm: GrModel, data: ItemDataset) -> np.ndarray:
+    """The (2, subjects) EAP scores of the baseline and week-52 visits, from
+    one eap_scores call; reshaped to one row they follow flatten_visits."""
+    return eap_scores(grm, np.stack([data.baseline, data.week52]))
+
+
 @dataclass
 class MethodContext:
     """What the procedures read for one dataset in one scoring scheme. alpha
@@ -384,7 +390,8 @@ class MethodContext:
     from one eap_scores call), its item rows and their correlation are
     computed on first use, and a METHOD_ERRORS exception from one of them is
     raised again on each later use. A singular row fails only the methods
-    that read it.
+    that read it. thetas, when given, are those model scores already
+    computed (visit_thetas), and the context does not score again.
     """
 
     data: ItemDataset
@@ -395,6 +402,7 @@ class MethodContext:
     maxt_tol: float
     rng: RngStream
     alpha: float | None = None
+    thetas: np.ndarray | None = None
 
     def _once(self, name: str, compute):
         cache = vars(self)
@@ -415,8 +423,8 @@ class MethodContext:
                     f"{what} was fitted on scheme {fitted!r}, data uses {data.scheme.name!r}"
                 )
         visits = np.stack([data.baseline, data.week52])
-        return fit_marginals(data, eap_scores(self.grm, visits),
-                             approx_latent(self.approx, visits))
+        thetas = visit_thetas(self.grm, data) if self.thetas is None else self.thetas
+        return fit_marginals(data, thetas, approx_latent(self.approx, visits))
 
     @property
     def endpoints(self) -> AncovaFit:

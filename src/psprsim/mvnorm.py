@@ -7,11 +7,16 @@ randomized quasi-Monte-Carlo rule (Sobol base points, Cranley-Patterson
 shifts, tent folding). The randomization shifts come from the caller's
 RngStream, so results are deterministic by seed, and the spread across
 shifts gives the reported error estimate.
+
+The union of the upper tails {Z_i > h} also has exact second-order bounds,
+the Dawson-Sankoff lower and the Hunter-Worsley upper bound. Both need only
+the pair probabilities, which have a closed form in Owen's T function.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -79,7 +84,9 @@ def repair_correlation(R: np.ndarray) -> np.ndarray:
     return S
 
 
-def _validate_correlation(R: np.ndarray) -> np.ndarray:
+def validate_correlation(R: np.ndarray) -> np.ndarray:
+    """Check that R is a symmetric unit-diagonal k x k matrix, k <= 20, and
+    return it repaired by repair_correlation."""
     R = np.asarray(R, dtype=float)
     k = R.shape[0]
     if R.shape != (k, k):
@@ -105,6 +112,8 @@ def mvn_rect_upper(
     rng: RngStream | None = None,
     max_points: int = 1 << 17,
     decide_at: float | None = None,
+    *,
+    validated: bool = False,
 ) -> tuple[float, float]:
     """P(Z <= upper componentwise) for Z ~ N(0, corr).
 
@@ -118,10 +127,13 @@ def mvn_rect_upper(
     exceeds the error estimate, which may then be larger than tol. Every
     round draws its shifts from rng exactly as without decide_at, so the
     estimate it stops at is the one the full-precision call passes through.
+
+    validated=True says corr is already validate_correlation's output, so
+    it is integrated as it is rather than checked and repaired again.
     """
     check_tol(tol)
     b = np.asarray(upper, dtype=float)
-    R = _validate_correlation(corr)
+    R = np.asarray(corr, dtype=float) if validated else validate_correlation(corr)
     k = b.shape[0]
     if R.shape[0] != k:
         raise ValidationError(f"upper has length {k} but corr is {R.shape[0]}x{R.shape[0]}")
@@ -168,3 +180,57 @@ def mvn_rect_upper(
             log.warning("mvn_rect_upper budget cap reached (err %.2e > tol %.2e)", err, tol)
             return min(max(p, 0.0), 1.0), err
         log2_n += 1
+
+
+# ---------------------------------------------------------------------------
+# second-order bounds on P(Z_i > h for some i)
+# ---------------------------------------------------------------------------
+
+
+def bivariate_upper_orthant(h: float, r) -> np.ndarray:
+    """P(Z_1 > h, Z_2 > h) for standard normals of correlation r, vectorized
+    over r.
+
+    Owen's (1956) closed form Phi(-h) - 2 T(h, sqrt((1 - r) / (1 + r))),
+    with T Owen's T function. r = 1 gives Phi(-h) (T(h, 0) = 0) and r = -1
+    gives max(0, Phi(-h) - Phi(h)), both exactly. r is first clipped to
+    [-1, 1], which rounding in a correlation estimate can leave.
+    """
+    r = np.minimum(np.maximum(np.asarray(r, dtype=float), -1.0), 1.0)
+    tail = float(special.ndtr(-h))
+    with np.errstate(divide="ignore"):
+        slope = np.sqrt((1.0 - r) / (1.0 + r))  # r = -1 gives inf
+    p = np.where(r == -1.0, max(0.0, tail - float(special.ndtr(h))),
+                 tail - 2.0 * special.owens_t(h, slope))
+    return np.maximum(p, 0.0)  # T >= 0 keeps p <= Phi(-h)
+
+
+def dawson_sankoff_lower(s1: float, s2: float) -> float:
+    """Dawson & Sankoff's (1967) lower bound on the probability of a union
+    from S1 > 0 (the sum of the events' probabilities) and S2 (the sum over
+    pairs of their intersections): 2 S1/(k+1) - 2 S2/(k(k+1)) with
+    k = 1 + floor(2 S2 / S1), which any integer k >= 1 keeps valid."""
+    k = 1.0 + math.floor(2.0 * s2 / s1)
+    return 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0))
+
+
+def max_spanning_tree_weight(W: np.ndarray) -> float:
+    """Total weight of a maximum spanning tree of the complete graph on the
+    rows of the symmetric weight matrix W (Prim's algorithm, one vectorized
+    update per added vertex; the diagonal is ignored).
+
+    S1 minus this weight of the pair intersections is the Hunter (1976) /
+    Worsley (1982) upper bound on a union, the tightest over trees.
+    """
+    W = np.array(W, dtype=float)  # a copy: the tree's columns become -inf
+    n = W.shape[0]
+    W[:, 0] = -np.inf
+    best = W[0].copy()  # the heaviest edge from the tree to each vertex
+    total = 0.0
+    for _ in range(n - 1):
+        j = best.argmax()
+        total += best[j]
+        W[:, j] = -np.inf
+        best[j] = -np.inf
+        np.maximum(best, W[j], out=best)
+    return float(total)

@@ -24,7 +24,13 @@ from scipy import special
 
 from .errors import NumericalError, ValidationError
 from .marginal import CorrelationEstimate, subset_corr
-from .mvnorm import mvn_rect_upper
+from .mvnorm import (
+    bivariate_upper_orthant,
+    dawson_sankoff_lower,
+    max_spanning_tree_weight,
+    mvn_rect_upper,
+    validate_correlation,
+)
 from .numkit import AncovaFit, RngStream, normal_cdf, student_t_cdf
 from .scales import N_ITEMS
 
@@ -47,6 +53,7 @@ METHODS = (
 )
 
 P_FLOOR = 1e-12  # floor inside the reciprocal transform
+SETTLE_MARGIN = 1e-12  # a second-order bound settles p <= alpha only this clear of alpha
 CALIBRATION_FORMAT_VERSION = 2
 
 
@@ -230,6 +237,33 @@ def test_simes_hommel(fits: AncovaFit) -> TestOutcome:
     return TestOutcome(method="Simes", statistic=g, p_one_sided=g)
 
 
+_PAIRS = np.triu_indices(N_ITEMS, 1)
+
+
+def _second_order_bounds(h: float, R: np.ndarray, p_min: float, p_max: float,
+                         alpha: float) -> tuple[float, float] | None:
+    """Bounds (lower, upper) on P(Z_i > h for some i), Z ~ N(0, R), when one
+    of them clears alpha by SETTLE_MARGIN; None when neither does.
+
+    S1 = m p_min and S2 is the sum of the pair probabilities. The
+    Dawson-Sankoff lower bound needs only S1 and S2, so it comes first; the
+    Hunter-Worsley upper bound S1 - (maximum spanning tree of the pair
+    probabilities) is computed only when the lower bound does not settle.
+    Each is tightened by its Bonferroni counterpart p_min or p_max.
+    """
+    pairs = bivariate_upper_orthant(h, R[_PAIRS])
+    s1 = N_ITEMS * p_min
+    lower = max(p_min, dawson_sankoff_lower(s1, float(pairs.sum())))
+    if lower > alpha + SETTLE_MARGIN:
+        return lower, p_max
+    W = np.zeros((N_ITEMS, N_ITEMS))
+    W[_PAIRS] = pairs
+    upper = min(p_max, s1 - max_spanning_tree_weight(W + W.T))
+    if upper <= alpha - SETTLE_MARGIN:
+        return lower, upper
+    return None
+
+
 def test_maxt(
     fits: AncovaFit,
     corr: CorrelationEstimate,
@@ -240,14 +274,27 @@ def test_maxt(
     """Correlation-aware max test on transformed z-values.
 
     z_i = Phi^-1(F_t(-t_i, df)) with the marginal df, so large positive z
-    means benefit; the adjusted p is 1 - P(Z <= z_max 1) under N(0, R).
+    means benefit; the adjusted p is 1 - P(Z <= z_max 1) under N(0, R),
+    the probability that some Z_i exceeds z_max.
 
     Without alpha the p-value is integrated to tol. With alpha only the
-    decision p <= alpha is guaranteed: the exact Bonferroni bounds
-    p_min <= p <= min(1, m p_min) over the m items, p_min = 1 - Phi(z_max),
-    settle it without integrating (rng is then not used, and the bound on
-    alpha's side is returned), and otherwise the integration stops once its
-    error estimate excludes alpha.
+    decision p <= alpha is guaranteed, and exact bounds on p settle it
+    without integrating where they can, in this order:
+
+    1. the Bonferroni bounds p_min <= p <= min(1, m p_min) over the m
+       items, p_min = 1 - Phi(z_max), when alpha lies outside them
+       (bound_settled="bonferroni");
+    2. the second-order bounds from the m(m-1)/2 pair probabilities, the
+       Dawson-Sankoff (1967) lower bound and then the Hunter (1976) /
+       Worsley (1982) upper bound, when one clears alpha by SETTLE_MARGIN
+       (bound_settled="second-order"). They read the correlation as
+       mvn_rect_upper would integrate it, validated and, if needed,
+       repaired once.
+
+    A settled p is the bound on alpha's side, diagnostics["p_bounds"]
+    holds both bounds, and rng is not used. Otherwise the integration stops
+    once its error estimate excludes alpha, on the same rng and the same
+    correlation as without the bounds.
     """
     t = fits.t
     u = np.clip(special.stdtr(fits.df, -t), 1e-300, 1.0 - 1e-16)
@@ -257,14 +304,26 @@ def test_maxt(
     diagnostics: dict = {"z_values": z}
     p_min = float(normal_cdf(-z_max))
     p_max = min(1.0, N_ITEMS * p_min)
-    if alpha is not None and (p_min > alpha or p_max <= alpha):
-        p = p_min if p_min > alpha else p_max
-        diagnostics.update(bound_settled=True, p_bounds=(p_min, p_max))
+    R, bounds = corr.R, None
+    if alpha is not None:
+        if p_min > alpha or p_max <= alpha:
+            bounds = "bonferroni", (p_min, p_max)
+        else:
+            R = validate_correlation(R)
+            found = _second_order_bounds(z_max, R, p_min, p_max, alpha)
+            if found is not None:
+                bounds = "second-order", found
+    if bounds is not None:
+        kind, (lower, upper) = bounds
+        p = lower if lower > alpha else upper
+        diagnostics.update(bound_settled=kind, p_bounds=(lower, upper))
     else:
-        # mvn_rect_upper validates and, if needed, repairs the correlation
+        # without alpha, mvn_rect_upper validates and, if needed, repairs
+        # the correlation itself
         prob, err = mvn_rect_upper(
-            np.full(N_ITEMS, z_max), corr.R, tol=tol, rng=rng,
+            np.full(N_ITEMS, z_max), R, tol=tol, rng=rng,
             decide_at=None if alpha is None else 1.0 - alpha,
+            validated=alpha is not None,
         )
         p = float(min(max(1.0 - prob, 0.0), 1.0))
         diagnostics["mvn_error_estimate"] = err

@@ -1,5 +1,6 @@
 """MVN sampling and rectangle-probability tests, including the 10^7-draw
-plain Monte-Carlo oracle and the independence factorization check."""
+plain Monte-Carlo oracle and the independence factorization check, and the
+second-order union bounds against scipy oracles."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from scipy.special import ndtr
 
 import psprsim as ps
 from psprsim.errors import ValidationError
-from psprsim.mvnorm import _validate_correlation, psd_factor, repair_correlation
+from psprsim.mvnorm import (
+    bivariate_upper_orthant,
+    dawson_sankoff_lower,
+    max_spanning_tree_weight,
+    psd_factor,
+    repair_correlation,
+    validate_correlation,
+)
 
 
 class TestSampleMvn:
@@ -207,7 +215,7 @@ class TestRepairCorrelation:
     @given(st.data())
     def test_sorted_repaired_correlation_factors(self, data):
         """mvn_rect_upper factors R without a fallback: every correlation that
-        _validate_correlation returns, rank-deficient input included, keeps
+        validate_correlation returns, rank-deficient input included, keeps
         positive Cholesky pivots under any reordering of its variables."""
         k = data.draw(st.integers(min_value=2, max_value=20), label="k")
         rank = data.draw(st.integers(min_value=1, max_value=k), label="rank")
@@ -222,5 +230,47 @@ class TestRepairCorrelation:
         R = (R + R.T) / 2.0
         np.fill_diagonal(R, 1.0)
         order = rng.permutation(k)
-        L = ps.cholesky(_validate_correlation(R)[np.ix_(order, order)])
+        L = ps.cholesky(validate_correlation(R)[np.ix_(order, order)])
         assert np.all(np.diag(L) > 0)
+
+
+class TestUnionBounds:
+    @pytest.mark.parametrize("h", [-0.7, 0.0, 1.3])
+    @pytest.mark.parametrize("r", [-1.0, -0.5, 0.0, 0.8, 1.0])
+    def test_pair_probability_matches_scipy(self, h, r):
+        from scipy.stats import multivariate_normal
+
+        # (-Z_1, -Z_2) has the same correlation, so P(Z > h) = F(-h, -h)
+        oracle = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, r], [r, 1.0]],
+                                     allow_singular=True).cdf([-h, -h])
+        assert bivariate_upper_orthant(h, r) == pytest.approx(oracle, abs=1e-12)
+
+    def test_pair_probability_at_perfect_correlation_is_exact(self):
+        h = np.array([-1.5, 0.0, 0.4, 2.0])
+        for hi in h:
+            same, opposite = bivariate_upper_orthant(hi, np.array([1.0, -1.0]))
+            assert same == ndtr(-hi)
+            assert opposite == max(0.0, ndtr(-hi) - ndtr(hi))
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=1, max_value=12), ties=st.booleans())
+    def test_spanning_tree_weight_matches_scipy(self, seed, n, ties):
+        from scipy.sparse.csgraph import minimum_spanning_tree
+
+        rng = np.random.default_rng(seed)
+        W = rng.uniform(0.01, 1.0, (n, n))
+        if ties:
+            W = np.round(W, 1)
+        W = np.triu(W, 1)
+        W = W + W.T
+        # csgraph reads zero entries as missing edges; every off-diagonal
+        # weight here is positive, so the negated graph is complete
+        oracle = -minimum_spanning_tree(-W).sum()
+        assert max_spanning_tree_weight(W) == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+
+    def test_dawson_sankoff_reaches_both_extremes(self):
+        # disjoint events (S2 = 0): the union is S1 exactly
+        assert dawson_sankoff_lower(0.3, 0.0) == pytest.approx(0.3, rel=1e-15)
+        # ten copies of one event of probability p: the union is p exactly
+        p = 0.02
+        assert dawson_sankoff_lower(10 * p, 45 * p) == pytest.approx(p, rel=1e-12)

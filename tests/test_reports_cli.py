@@ -825,6 +825,29 @@ class TestCli:
             "0426af33cbd82b536251fb276981246684fae8c71a11c4c7c3022c2964a401c6",
         ]
 
+    def test_self_fit_scores_each_visit_once(self, reference_csv, tmp_path, monkeypatch):
+        # without --model/--approx the LM self-fit and the IRT row share one
+        # eap_scores call per scheme; the digest is of the results written
+        # when the self-fit scored the visits a second time, as one
+        # 240-row block. (With an odd subject count that block's weighted
+        # sums round differently in the last bit from the per-visit ones,
+        # and the self-fitted LM weights move by about 1e-16.)
+        from psprsim import engine
+
+        shapes = []
+
+        def counted(model, responses):
+            shapes.append(np.shape(responses))
+            return ps.eap_scores(model, responses)
+
+        monkeypatch.setattr(cli, "eap_scores", counted)
+        monkeypatch.setattr(engine, "eap_scores", counted)
+        assert analyze(reference_csv, tmp_path / "out") == 0
+        assert shapes == [(2, 120, N_ITEMS)] * 2
+        results = (tmp_path / "out" / "analysis_results.json").read_bytes()
+        assert hashlib.sha256(results).hexdigest() == (
+            "fe56f168703e6012814c3d56e3398826e4d07c2d618f60e73d4579ac93dfe6db")
+
     def test_failed_methods_give_null_rows_and_exit_code(
         self, reference_csv, model_args, tmp_path, capsys
     ):
