@@ -14,10 +14,10 @@ from psprsim import (
     ReferenceConfig,
     RngStream,
     build_synthetic_reference,
-    eap_scores,
     fit_grm,
     fit_linear_latent_approx,
 )
+from psprsim.engine import visit_thetas
 from psprsim.reports import write_trial_csv
 from psprsim.scales import ensure_scheme
 
@@ -39,8 +39,7 @@ def main():
         data = ensure_scheme(pool, tag)
         model = fit_grm(data)
         model.save(out / f"grm_{tag}.json")
-        thetas = eap_scores(model, data.flatten_visits())
-        approx = fit_linear_latent_approx(data, thetas)
+        approx = fit_linear_latent_approx(data, visit_thetas(model, data).reshape(-1))
         approx.save(out / f"approx_{tag}.json")
         print(f"{tag}: GRM LL {model.fit_meta['log_likelihood']:.1f} "
               f"({model.fit_meta['iterations']} iters), approx R^2 {approx.r_squared:.4f}")

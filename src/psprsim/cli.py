@@ -19,8 +19,9 @@ from pathlib import Path
 from . import engine, procedures, reports
 from .datagen import ReferenceConfig, build_synthetic_reference
 from .errors import ValidationError
-from .irt import GrModel, LinearLatentApprox, eap_scores, fit_grm, fit_linear_latent_approx
+from .irt import GrModel, LinearLatentApprox, fit_grm, fit_linear_latent_approx
 # unused here, but perfbench/tracing.py patches these names
+from .irt import eap_scores  # noqa: F401
 from .marginal import estimate_corr, fit_marginals  # noqa: F401
 from .numkit import RngStream
 from .scales import ITEM_COLUMNS, apply_rescoring, ensure_scheme, get_scheme, load_scheme
@@ -170,8 +171,7 @@ def _cmd_fit_approx(args) -> int:
     data = reports.load_trial_csv(args.csv, arm_map)
     model = GrModel.load(args.model)
     data = ensure_scheme(data, model.scheme)
-    thetas = eap_scores(model, data.flatten_visits())
-    approx = fit_linear_latent_approx(data, thetas)
+    approx = fit_linear_latent_approx(data, engine.visit_thetas(model, data).reshape(-1))
     approx.save(args.out)
     print(f"wrote {args.out} (R^2 {approx.r_squared:.4f})")
     return 0

@@ -314,6 +314,19 @@ class StudyAuxiliaries:
     calib_domains: OmnibusCalibration
 
 
+def visit_thetas(grm: GrModel, data: ItemDataset) -> np.ndarray:
+    """The (2, subjects) EAP scores of the baseline and week-52 visits,
+    scored as one stack, as MethodContext scores them for the IRT row.
+
+    Every LM approximation is fitted from these scores reshaped to one row
+    (which follows flatten_visits): scoring the 2 x subjects visit rows as
+    one block rounds some scores differently in the last bit when the
+    subject count is odd, so one way of scoring keeps the self-fit,
+    fit-approx and simulate's approximations alike.
+    """
+    return eap_scores(grm, np.stack([data.baseline, data.week52]))
+
+
 def prepare_auxiliaries(
     plan: StudyPlan, cache_dir: str | Path | None = None
 ) -> StudyAuxiliaries:
@@ -324,9 +337,8 @@ def prepare_auxiliaries(
     for tag in dict.fromkeys(["original", *plan.schemes]):
         data = ensure_scheme(pool, tag)
         model = fit_grm(data)
-        thetas = eap_scores(model, data.flatten_visits())
         grm[tag] = model
-        approx[tag] = fit_linear_latent_approx(data, thetas)
+        approx[tag] = fit_linear_latent_approx(data, visit_thetas(model, data).reshape(-1))
     calib_items = get_omnibus_calibration(
         cache_dir, m=10, reps=plan.calibration_reps, seed=plan.calibration_seed
     )
@@ -375,12 +387,6 @@ METHOD_TABLE = {
 METHOD_ERRORS = (NumericalError, np.linalg.LinAlgError)
 
 
-def visit_thetas(grm: GrModel, data: ItemDataset) -> np.ndarray:
-    """The (2, subjects) EAP scores of the baseline and week-52 visits, from
-    one eap_scores call; reshaped to one row they follow flatten_visits."""
-    return eap_scores(grm, np.stack([data.baseline, data.week52]))
-
-
 @dataclass
 class MethodContext:
     """What the procedures read for one dataset in one scoring scheme. alpha
@@ -423,7 +429,7 @@ class MethodContext:
                     f"{what} was fitted on scheme {fitted!r}, data uses {data.scheme.name!r}"
                 )
         visits = np.stack([data.baseline, data.week52])
-        thetas = visit_thetas(self.grm, data) if self.thetas is None else self.thetas
+        thetas = eap_scores(self.grm, visits) if self.thetas is None else self.thetas
         return fit_marginals(data, thetas, approx_latent(self.approx, visits))
 
     @property

@@ -112,8 +112,6 @@ def mvn_rect_upper(
     rng: RngStream | None = None,
     max_points: int = 1 << 17,
     decide_at: float | None = None,
-    *,
-    validated: bool = False,
 ) -> tuple[float, float]:
     """P(Z <= upper componentwise) for Z ~ N(0, corr).
 
@@ -127,13 +125,10 @@ def mvn_rect_upper(
     exceeds the error estimate, which may then be larger than tol. Every
     round draws its shifts from rng exactly as without decide_at, so the
     estimate it stops at is the one the full-precision call passes through.
-
-    validated=True says corr is already validate_correlation's output, so
-    it is integrated as it is rather than checked and repaired again.
     """
     check_tol(tol)
     b = np.asarray(upper, dtype=float)
-    R = np.asarray(corr, dtype=float) if validated else validate_correlation(corr)
+    R = validate_correlation(corr)
     k = b.shape[0]
     if R.shape[0] != k:
         raise ValidationError(f"upper has length {k} but corr is {R.shape[0]}x{R.shape[0]}")

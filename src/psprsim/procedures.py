@@ -288,8 +288,8 @@ def test_maxt(
        Dawson-Sankoff (1967) lower bound and then the Hunter (1976) /
        Worsley (1982) upper bound, when one clears alpha by SETTLE_MARGIN
        (bound_settled="second-order"). They read the correlation as
-       mvn_rect_upper would integrate it, validated and, if needed,
-       repaired once.
+       mvn_rect_upper integrates it, validated and, if needed, repaired
+       by validate_correlation.
 
     A settled p is the bound on alpha's side, diagnostics["p_bounds"]
     holds both bounds, and rng is not used. Otherwise the integration stops
@@ -304,12 +304,12 @@ def test_maxt(
     diagnostics: dict = {"z_values": z}
     p_min = float(normal_cdf(-z_max))
     p_max = min(1.0, N_ITEMS * p_min)
-    R, bounds = corr.R, None
+    bounds = None
     if alpha is not None:
         if p_min > alpha or p_max <= alpha:
             bounds = "bonferroni", (p_min, p_max)
         else:
-            R = validate_correlation(R)
+            R = validate_correlation(corr.R)
             found = _second_order_bounds(z_max, R, p_min, p_max, alpha)
             if found is not None:
                 bounds = "second-order", found
@@ -318,12 +318,10 @@ def test_maxt(
         p = lower if lower > alpha else upper
         diagnostics.update(bound_settled=kind, p_bounds=(lower, upper))
     else:
-        # without alpha, mvn_rect_upper validates and, if needed, repairs
-        # the correlation itself
+        # mvn_rect_upper validates and, if needed, repairs the correlation
         prob, err = mvn_rect_upper(
-            np.full(N_ITEMS, z_max), R, tol=tol, rng=rng,
+            np.full(N_ITEMS, z_max), corr.R, tol=tol, rng=rng,
             decide_at=None if alpha is None else 1.0 - alpha,
-            validated=alpha is not None,
         )
         p = float(min(max(1.0 - prob, 0.0), 1.0))
         diagnostics["mvn_error_estimate"] = err

@@ -828,10 +828,9 @@ class TestCli:
     def test_self_fit_scores_each_visit_once(self, reference_csv, tmp_path, monkeypatch):
         # without --model/--approx the LM self-fit and the IRT row share one
         # eap_scores call per scheme; the digest is of the results written
-        # when the self-fit scored the visits a second time, as one
-        # 240-row block. (With an odd subject count that block's weighted
-        # sums round differently in the last bit from the per-visit ones,
-        # and the self-fitted LM weights move by about 1e-16.)
+        # when the self-fit scored the visits a second time, as one 240-row
+        # block, which gives the same bits as the stack at an even subject
+        # count (test_self_fit_approx_equals_fit_approx covers an odd one)
         from psprsim import engine
 
         shapes = []
@@ -847,6 +846,34 @@ class TestCli:
         results = (tmp_path / "out" / "analysis_results.json").read_bytes()
         assert hashlib.sha256(results).hexdigest() == (
             "fe56f168703e6012814c3d56e3398826e4d07c2d618f60e73d4579ac93dfe6db")
+
+    def test_self_fit_approx_equals_fit_approx(self, tmp_path, monkeypatch):
+        # with an odd subject count, scoring the visits as one block rounds
+        # some EAP scores differently in the last bit from scoring them as
+        # the (2, subjects) stack; analyze's self-fit, fit-approx and the
+        # IRT row all score the stack, so the self-fitted approximation and
+        # every result row equal those of analyze --approx bit for bit
+        trial = tmp_path / "odd.csv"
+        assert main(["make-reference", "--n", "119", "--seed", "3",
+                     "--two-arm-labels", "--out", str(trial)]) == 0
+        model, approx = tmp_path / "grm.json", tmp_path / "approx.json"
+        assert main(["fit-irt", str(trial), "--out", str(model)]) == 0
+        assert main(["fit-approx", str(trial), "--model", str(model),
+                     "--out", str(approx)]) == 0
+        fitted = []
+
+        def fit(data, thetas):
+            fitted.append(ps.fit_linear_latent_approx(data, thetas))
+            return fitted[-1]
+
+        monkeypatch.setattr(cli, "fit_linear_latent_approx", fit)
+        common = ("--scheme", "original", "--model", str(model))
+        assert analyze(trial, tmp_path / "self", *common) == 0
+        assert analyze(trial, tmp_path / "file", *common, "--approx", str(approx)) == 0
+        assert [a.to_doc() for a in fitted] == [ps.LinearLatentApprox.load(approx).to_doc()]
+        rows = [json.loads((tmp_path / out / "analysis_results.json").read_text())["results"]
+                for out in ("self", "file")]
+        assert rows[0] == rows[1]
 
     def test_failed_methods_give_null_rows_and_exit_code(
         self, reference_csv, model_args, tmp_path, capsys
