@@ -35,7 +35,7 @@ from .irt import (
 )
 from .marginal import CorrelationEstimate, endpoint_rows, estimate_corr, fit_marginals
 from .mvnorm import mvn_rect_upper, sample_mvn
-from .numkit import AncovaFit, RngStream, cholesky, fit_ancova, normal_quantile, student_t_cdf
+from .numkit import AncovaFit, RngStream, cholesky, fit_ancova, student_t_cdf
 from .procedures import (
     METHODS,
     OmnibusCalibration,

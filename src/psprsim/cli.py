@@ -61,6 +61,7 @@ def _cmd_simulate(args) -> int:
     table = engine.run_study(plan, workers=args.workers, cache_dir=args.cache_dir)
     table.save_csv(out / "power_table.csv")
     table.save_json(out / "power_table.json")
+    table.save_pivot(plan, out / "power_pivot.txt")
     plan.save(out / "plan_echo.json")
     print(f"wrote {out / 'power_table.csv'} ({len(table.rows)} rows)")
     return 0

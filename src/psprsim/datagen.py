@@ -46,6 +46,11 @@ class EffectScenario:
         else:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
 
+    @property
+    def is_null(self) -> bool:
+        """No effect: an all-zero item shift, or a slope ratio of 1."""
+        return not self.d.any() if self.kind == "item-shift" else self.rho == 1.0
+
 
 def _shift(label: str, pattern: dict[str, float] | float) -> EffectScenario:
     d = np.zeros(N_ITEMS)

@@ -9,6 +9,7 @@ byte-identical regardless of worker count or execution order.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -66,6 +67,7 @@ from .procedures import (
     test_simes_hommel,
     test_sum_score,
 )
+from .reports import emit_report
 from .scales import DOMAINS, ItemDataset, ensure_scheme, get_scheme
 
 WORKER_ENV_VAR = "PSPRSIM_WORKERS"
@@ -301,6 +303,23 @@ class PowerTable:
     def save_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_doc(), indent=2), encoding="utf-8")
 
+    def save_pivot(self, plan: StudyPlan, path: str | Path) -> None:
+        """The plan's rates as a plain table: one row per scheme and scenario,
+        in plan order, and one column per method. A null scenario's rate above
+        alpha + 3 Monte-Carlo SEs of alpha is starred as a size excess."""
+        bound = plan.alpha + 3 * math.sqrt(plan.alpha * (1 - plan.alpha) / plan.n_reps)
+        scenarios = plan.resolve_scenarios()
+        rows = []
+        for scheme in plan.schemes:
+            for scenario in scenarios:
+                row = {"scheme": scheme, "scenario": scenario.label}
+                for method in plan.methods:
+                    rate = self.rate(scenario.label, scheme, method)
+                    excess = scenario.is_null and rate > bound
+                    row[method] = f"{rate:.4f}" + ("*" if excess else "")
+                rows.append(row)
+        emit_report(["scheme", "scenario", *plan.methods], rows, "plain-table", path)
+
 
 @dataclass
 class StudyAuxiliaries:
@@ -525,17 +544,23 @@ def _run_chunk(args):
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKER_ENV_VAR)
-    if env:
+    """The explicit count, else WORKER_ENV_VAR, else the CPU count; an
+    explicit or environment count below 1 is a validation error."""
+    source = "--workers"
+    if workers is None:
+        env = os.environ.get(WORKER_ENV_VAR)
+        if not env:
+            return os.cpu_count() or 1
+        source = WORKER_ENV_VAR
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ValidationError(
                 f"{WORKER_ENV_VAR} must be an integer worker count, got {env!r}"
             ) from None
-    return os.cpu_count() or 1
+    if workers < 1:
+        raise ValidationError(f"{source} must be at least 1 worker, got {workers}")
+    return int(workers)
 
 
 def run_scenario(plan: StudyPlan, scenario: EffectScenario, rej: np.ndarray,

@@ -1,6 +1,6 @@
 """Foundational numerical kernels.
 
-Univariate distribution functions, the three-column ANCOVA fit used as the
+The Student t CDF, the three-column ANCOVA fit used as the
 per-endpoint workhorse, a small Cholesky with pivot-aware errors, and the
 deterministic RNG contract shared by every stochastic component.
 
@@ -67,18 +67,6 @@ def student_t_cdf(x: float, df: float) -> float:
     if not df > 0:
         raise ValidationError(f"t distribution needs df > 0, got {df}")
     return float(special.stdtr(df, x))
-
-
-def normal_cdf(x):
-    """Standard normal CDF (vectorized)."""
-    return special.ndtr(x)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"normal quantile needs p in (0,1), got {p}")
-    return float(special.ndtri(p))
 
 
 def cholesky(S: np.ndarray) -> np.ndarray:

@@ -148,6 +148,12 @@ class TestDiscretizedMvn:
             expect[idx] = 2.50
             assert np.array_equal(scen[label].d, expect)
 
+    def test_null_scenarios(self):
+        scen = ps.builtin_scenarios()
+        assert [label for label, s in scen.items() if s.is_null] == ["d0", "rho=1"]
+        assert ps.EffectScenario("item-shift", "zero", d=np.zeros(10)).is_null
+        assert not ps.EffectScenario("slope-ratio", "near", rho=0.999).is_null
+
     def test_null_scenario_uniform_pvalues(self, reference_pool):
         params = ps.DiscretizedMvnParams.estimate(reference_pool)
         null = ps.builtin_scenarios()["d0"]

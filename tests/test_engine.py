@@ -2,6 +2,7 @@
 accounting, and the worker-count / re-run determinism contract."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,32 @@ class TestPowerTable:
         text = (tmp_path / "t.csv").read_text()
         assert text.startswith(PowerTable.HEADER)
         assert "0.025" in text
+
+    def test_pivot_flags_null_rates_above_bound(self, tmp_path):
+        plan = StudyPlan(generator="mvn", methods=["SumS", "Bonf"], n_reps=1000,
+                         scenarios=["d1", "d0", {"label": "zero", "d": [0.0] * 10}])
+        bound = plan.alpha + 3 * math.sqrt(plan.alpha * (1 - plan.alpha) / plan.n_reps)
+        above = bound + 0.001
+        rates = {("d1", "original", "SumS"): above, ("d0", "original", "SumS"): above,
+                 ("d0", "original", "Bonf"): bound, ("zero", "fda", "Bonf"): above}
+        table = PowerTable([
+            PowerRow("mvn", scen, scheme, method, rates.get((scen, scheme, method), 0.02),
+                     0.0, plan.n_reps)
+            for scen in ("d0", "d1", "zero") for scheme in plan.schemes
+            for method in plan.methods
+        ])
+        table.save_pivot(plan, tmp_path / "pivot.txt")
+        cells = [line.split() for line in (tmp_path / "pivot.txt").read_text().splitlines()]
+        hi, at = f"{above:.4f}", f"{bound:.4f}"
+        assert cells == [
+            ["scheme", "scenario", "SumS", "Bonf"],
+            ["original", "d1", hi, "0.0200"],  # an alternative is never flagged
+            ["original", "d0", hi + "*", at],  # a rate equal to the bound is not flagged
+            ["original", "zero", "0.0200", "0.0200"],
+            ["fda", "d1", "0.0200", "0.0200"],
+            ["fda", "d0", "0.0200", "0.0200"],
+            ["fda", "zero", "0.0200", hi + "*"],  # an inline all-zero shift is a null
+        ]
 
 
 class TestDeterminism:

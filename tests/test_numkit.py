@@ -332,47 +332,6 @@ class TestStudentT:
             ps.student_t_cdf(0.0, -3.0)
 
 
-class TestNormalQuantile:
-    def test_median(self):
-        assert ps.normal_quantile(0.5) == 0.0
-
-    def test_bisection_oracle(self):
-        # independent oracle: bisection on erf
-        def phi(x):
-            return 0.5 * (1 + math.erf(x / math.sqrt(2)))
-
-        lo, hi = 0.0, 8.0
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            if phi(mid) < 0.975:
-                lo = mid
-            else:
-                hi = mid
-        assert ps.normal_quantile(0.975) == pytest.approx((lo + hi) / 2, abs=1e-9)
-        assert ps.normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-
-    def test_round_trip(self):
-        from scipy.special import ndtr
-
-        # above x ~ 5.5 the p-space representation 1 - eps caps the
-        # achievable x-accuracy near 2e-8 in double precision
-        for x in np.linspace(-6, 6, 49):
-            assert abs(ps.normal_quantile(float(ndtr(x))) - x) < 2e-8
-        for x in np.linspace(-6, 5.5, 47):
-            assert abs(ps.normal_quantile(float(ndtr(x))) - x) < 1e-9
-
-    def test_inverse_property(self):
-        from scipy.special import ndtr
-
-        for p in (1e-10, 0.2, 0.7, 1 - 1e-10):
-            assert abs(ndtr(ps.normal_quantile(p)) - p) < 1e-12
-
-    def test_domain_error(self):
-        for p in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValidationError):
-                ps.normal_quantile(p)
-
-
 class TestCholesky:
     def test_identity(self):
         assert np.array_equal(ps.cholesky(np.eye(4)), np.eye(4))

@@ -682,6 +682,27 @@ class TestCli:
         assert rc == 2
         assert "PSPRSIM_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, env, message", [
+        pytest.param(["--workers", "0"], None, "--workers must be at least 1", id="flag-0"),
+        pytest.param(["--workers", "-3"], None, "--workers must be at least 1", id="flag-neg"),
+        pytest.param([], "0", "PSPRSIM_WORKERS must be at least 1", id="env-0"),
+    ])
+    def test_worker_count_below_one_exit_code(self, tmp_path, monkeypatch, capsys,
+                                              flags, env, message):
+        def fit_phase(*args, **kwargs):
+            raise AssertionError("the fit phase started")
+
+        monkeypatch.setattr(ps.engine, "prepare_auxiliaries", fit_phase)
+        if env is None:
+            monkeypatch.delenv("PSPRSIM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("PSPRSIM_WORKERS", env)
+        plan_path = tmp_path / "plan.json"
+        ps.StudyPlan(generator="mvn", n_reps=100).save(plan_path)
+        rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out"), *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_validation_exit_code(self, reference_csv, tmp_path):
         rc = main(["analyze", str(reference_csv), "--arm-a", "nope", "--arm-b", "placebo",
                    "--out", str(tmp_path / "x"), "--calibration-reps", "2000"])
@@ -977,11 +998,17 @@ class TestCli:
         plan_path = tmp_path / "plan.json"
         plan.save(plan_path)
         cache = tmp_path / "cache"
-        runs = {"none": [], "cold": ["--cache-dir", str(cache)],
-                "warm": ["--cache-dir", str(cache)]}
+        # the run without a cache is also the one-worker run
+        runs = {"none": ["--workers", "1"], "cold": ["--workers", "2", "--cache-dir", str(cache)],
+                "warm": ["--workers", "2", "--cache-dir", str(cache)]}
         for name, flags in runs.items():
             assert main(["simulate", str(plan_path), "--out", str(tmp_path / name),
-                         "--workers", "2", *flags]) == 0
+                         *flags]) == 0
         assert len(list(cache.iterdir())) == 2
-        tables = {name: (tmp_path / name / "power_table.csv").read_bytes() for name in runs}
-        assert tables["warm"] == tables["none"] == tables["cold"]
+        for output in ("power_table.csv", "power_pivot.txt"):
+            tables = {name: (tmp_path / name / output).read_bytes() for name in runs}
+            assert tables["warm"] == tables["none"] == tables["cold"], output
+        pivot = tables["none"].decode().splitlines()
+        assert pivot[0].split() == ["scheme", "scenario", "Omnibus", "Omnibus-dom"]
+        assert [line.split()[:2] for line in pivot[1:]] == [["original", "d0"],
+                                                            ["original", "d6"]]

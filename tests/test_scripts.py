@@ -1,7 +1,7 @@
-"""Smoke test of the command-line scripts and of `python -m psprsim`: each
-one imports what it uses from the package and prints its usage, so a
-renamed or removed package name fails here rather than on the first real
-run."""
+"""Smoke test of the command line, `python -m psprsim` and each of its
+subcommands: each imports what it uses from the package and prints its
+usage, so a renamed or removed package name fails here rather than on the
+first real run."""
 
 import os
 import subprocess
@@ -10,19 +10,22 @@ from pathlib import Path
 
 import pytest
 
+from psprsim.cli import build_parser
+
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+SUBCOMMANDS = ["simulate", "analyze", "fit-irt", "fit-approx", "calibrate-omnibus",
+               "rescore", "make-reference"]
 
 
-def test_scripts_found():
-    assert len(SCRIPTS) >= 3
+def test_subcommands_listed():
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in build_parser().format_usage()
 
 
-@pytest.mark.parametrize("command", [[str(p)] for p in SCRIPTS] + [["-m", "psprsim"]],
-                         ids=[p.name for p in SCRIPTS] + ["-m psprsim"])
+@pytest.mark.parametrize("command", [[]] + [[name] for name in SUBCOMMANDS],
+                         ids=["-m psprsim"] + SUBCOMMANDS)
 def test_help_exits_zero(command):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, *command, "--help"], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "psprsim", *command, "--help"], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
