@@ -31,11 +31,10 @@ from .irt import (
     eap_scores,
     fit_grm,
     fit_linear_latent_approx,
-    grm_category_probs,
 )
 from .marginal import CorrelationEstimate, endpoint_rows, estimate_corr, fit_marginals
 from .mvnorm import mvn_rect_upper, sample_mvn
-from .numkit import AncovaFit, RngStream, cholesky, fit_ancova, student_t_cdf
+from .numkit import AncovaFit, RngStream, cholesky, fit_ancova
 from .procedures import (
     METHODS,
     OmnibusCalibration,

@@ -23,6 +23,7 @@ from .irt import GrModel, LinearLatentApprox, fit_grm, fit_linear_latent_approx
 # unused here, but perfbench/tracing.py patches these names
 from .irt import eap_scores  # noqa: F401
 from .marginal import estimate_corr, fit_marginals  # noqa: F401
+from .mvnorm import check_tol
 from .numkit import RngStream
 from .scales import ITEM_COLUMNS, apply_rescoring, ensure_scheme, get_scheme, load_scheme
 from .procedures import METHODS
@@ -68,6 +69,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    # the flags the methods read late are checked before the trial is read and fitted
+    check_tol(args.maxt_tol, "--maxt-tol")
+    procedures.check_calibration_reps(args.calibration_reps, "--calibration-reps")
     arm_map = {args.arm_a: "treatment", args.arm_b: "control"}
     data0 = reports.load_trial_csv(args.csv, arm_map, drop_unmapped=True)
     schemes = ["original", "fda"] if args.scheme == "both" else [args.scheme]
@@ -179,9 +183,9 @@ def _cmd_fit_approx(args) -> int:
 
 
 def _cmd_calibrate_omnibus(args) -> int:
-    calib = procedures.build_omnibus_calibration(args.m, args.reps, args.seed)
-    path = procedures.save_omnibus_calibration(calib, args.out)
-    print(f"wrote {path} (m={args.m}, reps={args.reps}, seed={args.seed})")
+    procedures.get_omnibus_calibration(args.cache_dir, m=args.m, reps=args.reps, seed=args.seed)
+    print(f"omnibus calibration m={args.m}, reps={args.reps}, seed={args.seed} "
+          f"is in {args.cache_dir}")
     return 0
 
 
@@ -251,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--cache-dir", required=True,
+                   help="the directory analyze and simulate read with --cache-dir")
     p.set_defaults(func=_cmd_calibrate_omnibus)
 
     p = sub.add_parser("rescore", help="collapse a trial CSV into a coarser scheme")

@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .irt import GrModel
 from .mvnorm import psd_factor, sample_mvn
 from .numkit import RngStream
-from .scales import DOMAINS, N_ITEMS, RAW_LEVELS, ItemDataset, original_scheme
+from .scales import DOMAINS, N_ITEMS, RAW_LEVELS, ItemDataset, ScoringScheme, original_scheme
 
 SCORE_MIN = 0
 SCORE_MAX = RAW_LEVELS - 1
@@ -129,12 +129,21 @@ def _discretize(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _make_ids(n: int, prefix: str = "S") -> np.ndarray:
-    """Ids of 2n generated subjects, built once per (n, prefix) and shared
-    read-only by every replicate of that size."""
+def _layout(n: int, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and the arm of 2n generated subjects, built once per
+    (n, prefix) and shared read-only by every replicate of that size."""
     ids = np.array([f"{prefix}{i:05d}" for i in range(2 * n)])
-    ids.flags.writeable = False
-    return ids
+    arm = np.repeat(np.array([0, 1], dtype=np.int8), n)
+    ids.flags.writeable = arm.flags.writeable = False
+    return ids, arm
+
+
+def _two_arm(n: int, prefix: str, baseline: np.ndarray, week52: np.ndarray,
+             scheme: ScoringScheme) -> ItemDataset:
+    """The layout of every generated trial: 2n subjects with ids by
+    ``prefix``, the n controls first and then the n treated, and an int8
+    arm, so every replicate of a plan shares one arm vector."""
+    return ItemDataset(*_layout(n, prefix), baseline, week52, scheme)
 
 
 def check_group_size(n: int, name: str = "n") -> None:
@@ -154,13 +163,7 @@ def gen_discretized_mvn(
     control = sample_mvn(params.mean20, params.factor, n, rng)
     treated = sample_mvn(params.mean20 - shift, params.factor, n, rng)
     scores = _discretize(np.vstack([control, treated]))
-    return ItemDataset(
-        ids=_make_ids(n),
-        arm=np.r_[np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)],
-        baseline=scores[:, :N_ITEMS],
-        week52=scores[:, N_ITEMS:],
-        scheme=original_scheme(),
-    )
+    return _two_arm(n, "S", scores[:, :N_ITEMS], scores[:, N_ITEMS:], original_scheme())
 
 
 def inject_item_effect(
@@ -212,17 +215,10 @@ def gen_bootstrap(
             f"pool of {pool.n_subjects} subjects cannot supply 2x{n} without replacement"
         )
     idx = rng.gen.choice(pool.n_subjects, size=2 * n, replace=replace)
-    baseline = pool.baseline[idx].copy()
-    week52 = pool.week52[idx].copy()
-    arm = np.r_[np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)]
+    baseline = pool.baseline[idx]  # fancy indexing copies: the pool is not written
+    week52 = pool.week52[idx]
     week52[n:], _ = inject_bootstrap_effect(week52[n:], scenario.d, rng)
-    return ItemDataset(
-        ids=_make_ids(n, prefix="B"),
-        arm=arm,
-        baseline=baseline,
-        week52=week52,
-        scheme=pool.scheme,
-    )
+    return _two_arm(n, "B", baseline, week52, pool.scheme)
 
 
 @dataclass
@@ -285,13 +281,7 @@ def gen_irt_longitudinal(
     latent_week52 = progressed_latent(psi0, slope, ratio, pop.horizon_years)
     baseline = sample_grm_scores(model, psi0, rng)
     week52 = sample_grm_scores(model, latent_week52, rng)
-    return ItemDataset(
-        ids=_make_ids(n, prefix="I"),
-        arm=np.r_[np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)],
-        baseline=baseline,
-        week52=week52,
-        scheme=original_scheme(),
-    )
+    return _two_arm(n, "I", baseline, week52, original_scheme())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Factorial study orchestration: generators x scenarios x schemes x methods.
 
-Determinism contract: every replicate's seed is a pure function of
-(master_seed, scenario index, replicate index) via splitmix64 mixing, and
-aggregation sums integer rejection counts, so the emitted table is
-byte-identical regardless of worker count or execution order.
+Determinism contract: every replicate's stream is
+RngStream(master_seed).child(scenario index).child(replicate index), a pure
+function of the three, and aggregation sums integer rejection counts, so the
+emitted table is byte-identical regardless of worker count or execution
+order.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .marginal import (
     fit_marginals,
 )
 from .mvnorm import check_tol
-from .numkit import AncovaFit, RngStream, mix64, mix64_array, _GOLDEN, _MASK64
+from .numkit import AncovaFit, RngStream
 from .procedures import (
     METHODS,
     OmnibusCalibration,
@@ -73,22 +74,6 @@ from .scales import DOMAINS, ItemDataset, ensure_scheme, get_scheme
 WORKER_ENV_VAR = "PSPRSIM_WORKERS"
 # each generator and the scenario kind it applies
 GENERATORS = {"mvn": "item-shift", "bootstrap": "item-shift", "irt": "slope-ratio"}
-
-def derive_replicate_seed(master: int, scenario_id: int, rep: int) -> int:
-    """Collision-resistant 64-bit seed for one replicate (splitmix64 chain)."""
-    z = mix64((master + _GOLDEN * (scenario_id + 1)) & _MASK64)
-    return mix64((z + _GOLDEN * (rep + 1)) & _MASK64)
-
-
-def derive_replicate_seeds(master: int, scenario_id: int, reps: np.ndarray) -> np.ndarray:
-    """Vectorized derive_replicate_seed over an array of replicate indices."""
-    with np.errstate(over="ignore"):
-        z = mix64_array(
-            np.uint64((master + _GOLDEN * (scenario_id + 1)) & _MASK64)
-            + np.zeros(len(reps), dtype=np.uint64)
-        )
-        z += np.uint64(_GOLDEN) * (np.asarray(reps, dtype=np.uint64) + np.uint64(1))
-    return mix64_array(z)
 
 
 def _check_fields(doc, cls, where: str) -> None:
@@ -491,8 +476,7 @@ def run_single_replicate(
     Returns (rejected, failed, messages): int8 arrays of shape
     (n_schemes, n_methods) and a list of failure descriptions.
     """
-    seed = derive_replicate_seed(plan.master_seed, scenario_id, rep)
-    base = RngStream(seed)
+    base = RngStream(plan.master_seed).child(scenario_id).child(rep)
     data0 = _generate(plan, scenario, aux, base.child(0))
     n_s, n_m = len(plan.schemes), len(plan.methods)
     rejected = np.zeros((n_s, n_m), dtype=np.int8)

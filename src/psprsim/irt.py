@@ -59,18 +59,6 @@ class GrItemParams:
         return self.thresholds.size + 1
 
 
-def grm_category_probs(item: GrItemParams, theta: float) -> np.ndarray:
-    """P(Y = c | theta) for c = 0..C-1; sums to 1.
-
-    P(Y >= c) = sigmoid(a * (theta - b_c)) with the boundary conventions
-    P(Y >= 0) = 1 and P(Y >= C) = 0.
-    """
-    sf = special.expit(item.discrimination * (theta - item.thresholds))
-    upper = np.concatenate(([1.0], sf))
-    lower = np.concatenate((sf, [0.0]))
-    return upper - lower
-
-
 def _category_probs(sf: np.ndarray) -> np.ndarray:
     """P(Y = c) from P(Y >= c), c = 1..C-1, on the last axis; floored at 1e-300."""
     edge = sf.shape[:-1] + (1,)
@@ -553,6 +541,9 @@ class LinearLatentApprox:
 
     @classmethod
     def from_doc(cls, doc: dict, source: str = "approximation document") -> "LinearLatentApprox":
+        if doc.get("format_version") != MODEL_FORMAT_VERSION:
+            raise ValidationError(f"unsupported approximation format version "
+                                  f"{doc.get('format_version')} in {source}")
         try:
             approx = cls(
                 intercept=float(doc["intercept"]),

@@ -11,8 +11,10 @@ equations and applying a plain HC0 sandwich: with per-item design X_j and
 residuals r_j, Cov(b_j, b_k) = (X_j'X_j)^-1 (sum_i x_ij x_ik' r_ij r_ik)
 (X_k'X_k)^-1. Writing h_j = X_j (X_j'X_j)^-1 e_treat * r_j reduces the
 treatment block to H'H, which is symmetric PSD by construction. No
-small-sample factor is applied (SANDWICH_CORRECTION below); small-sample
-calibration is handled downstream by the modified-df rule.
+small-sample factor is applied (HC0); small-sample calibration is handled
+downstream by the modified-df rule. The estimating equations of one item do
+not depend on the others, so the correlation of a subset of items is the
+row/column restriction of R.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import numpy as np
 from .errors import DegenerateDataError, SingularDesignError, ValidationError
 from .numkit import AncovaFit, ancova_design, fit_ancova
 from .scales import DOMAINS, ITEM_COLUMNS, N_ITEMS, ItemDataset
-
-SANDWICH_CORRECTION = "HC0"  # plain cross-products, no df adjustment
 
 # the rows of the fit_marginals block, as a SingularDesignError names them
 ENDPOINTS = (
@@ -52,7 +52,6 @@ class CorrelationEstimate:
     """Correlation of the stacked treatment-coefficient estimators."""
 
     R: np.ndarray
-    method: str = "stacked-score sandwich"
 
 
 def fit_marginals(data: ItemDataset, theta: np.ndarray, latent: np.ndarray) -> AncovaFit:
@@ -113,12 +112,3 @@ def estimate_corr(data: ItemDataset, fits: AncovaFit) -> CorrelationEstimate:
     return CorrelationEstimate(
         R=sandwich_treatment_correlation(data.baseline, data.arm, fits.residuals.T)
     )
-
-
-def subset_corr(corr: CorrelationEstimate, keep: np.ndarray) -> CorrelationEstimate:
-    """Correlation re-estimated on a subset of items.
-
-    For the stacked sandwich the per-item estimating equations do not change
-    when another item is dropped, so this equals the row/column restriction.
-    """
-    return CorrelationEstimate(R=corr.R[np.ix_(keep, keep)], method=corr.method)

@@ -1,14 +1,15 @@
 """Foundational numerical kernels.
 
-The Student t CDF, the three-column ANCOVA fit used as the
-per-endpoint workhorse, a small Cholesky with pivot-aware errors, and the
-deterministic RNG contract shared by every stochastic component.
+The three-column ANCOVA fit used as the per-endpoint workhorse, a small
+Cholesky with pivot-aware errors, and the deterministic RNG contract shared
+by every stochastic component.
 
 RNG algorithm (fixed): numpy's Philox 4x64 counter-based generator, keyed
 directly with a 64-bit seed (no SeedSequence entropy pooling), so the same
 seed yields the same stream on every platform and under any thread count.
 Child streams are derived by splitmix64-style mixing of the parent seed with
-a key, never by sharing generator state.
+a key, never by sharing generator state; a replicate's stream is
+RngStream(master).child(scenario).child(replicate).
 """
 
 from __future__ import annotations
@@ -32,27 +33,24 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over a uint64 array."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return x
-
-
 class RngStream:
-    """Deterministic random stream keyed by a 64-bit seed."""
+    """Deterministic random stream keyed by a 64-bit seed.
 
-    __slots__ = ("seed", "gen")
+    The Philox generator is built on the first read of ``gen``, so deriving
+    a stream that is never drawn from costs one mix.
+    """
+
+    __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int):
-        seed = int(seed) & _MASK64
-        self.seed = seed
-        self.gen = np.random.Generator(np.random.Philox(key=seed))
+        self.seed = int(seed) & _MASK64
+        self._gen = None
+
+    @property
+    def gen(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+        return self._gen
 
     def child(self, key: int) -> "RngStream":
         """Derive an independent stream; (seed, key) -> child seed is a fixed mix."""
@@ -60,13 +58,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed})"
-
-
-def student_t_cdf(x: float, df: float) -> float:
-    """CDF of Student's t with (possibly non-integer) df > 0."""
-    if not df > 0:
-        raise ValidationError(f"t distribution needs df > 0, got {df}")
-    return float(special.stdtr(df, x))
 
 
 def cholesky(S: np.ndarray) -> np.ndarray:

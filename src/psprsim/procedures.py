@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .errors import NumericalError, ValidationError
-from .marginal import CorrelationEstimate, subset_corr
+from .marginal import CorrelationEstimate
 from .mvnorm import (
     bivariate_upper_orthant,
     dawson_sankoff_lower,
@@ -31,7 +31,7 @@ from .mvnorm import (
     mvn_rect_upper,
     validate_correlation,
 )
-from .numkit import AncovaFit, RngStream, student_t_cdf
+from .numkit import AncovaFit, RngStream
 from .scales import N_ITEMS
 
 # unused here, but perfbench/tracing.py patches these names
@@ -185,8 +185,7 @@ def test_obrien(fits: AncovaFit, corr: CorrelationEstimate,
             drop = int(np.argmin(w))
             keep = np.array([j for j in range(t.size) if j != drop])
             dropped = [drop]
-            sub = subset_corr(corr, keep)
-            R = sub.R
+            R = R[np.ix_(keep, keep)]
             t = t[keep]
             ones = np.ones(t.size)
             try:
@@ -203,7 +202,7 @@ def test_obrien(fits: AncovaFit, corr: CorrelationEstimate,
     stat = float(w @ t) / np.sqrt(denom)
     m_active = t.size
     df_mod = modified_df(n_group, m_active)
-    p = student_t_cdf(stat, df_mod)
+    p = float(special.stdtr(df_mod, stat))
     return TestOutcome(
         method=variant,
         statistic=stat,
@@ -423,17 +422,14 @@ def build_omnibus_calibration(m: int, reps: int = 100_000, seed: int = 0) -> Omn
     return OmnibusCalibration(tables)
 
 
-def save_omnibus_calibration(calib: OmnibusCalibration, path: str | Path) -> Path:
-    """Write the calibration's tables as one .npy and return its path
-    (".npy" is appended to a path without it, as numpy does).
+def save_omnibus_calibration(calib: OmnibusCalibration, path: str | Path) -> None:
+    """Write the calibration's tables as one .npy file at ``path``.
 
     The file is written next to its target, flushed to disk and renamed
     into place, so neither a killed or concurrent writer nor a crash of the
     machine leaves a truncated file under the final name.
     """
     path = Path(path)
-    if path.suffix != ".npy":
-        path = path.with_name(path.name + ".npy")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -443,7 +439,6 @@ def save_omnibus_calibration(calib: OmnibusCalibration, path: str | Path) -> Pat
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    return path
 
 
 def load_omnibus_calibration(path: str | Path) -> OmnibusCalibration:

@@ -2,8 +2,9 @@
 
 CSV schema (bit-exact header): subject_id, arm, visit, then the ten item
 columns. One row per (subject, visit); visit is "baseline" or "week52";
-item cells are integers 0-4 or empty for missing. Ingestion is the only
-place missing values exist; everything downstream is complete-case.
+item cells are integers 0-4 or empty for missing, and any other integer is
+a validation error naming its line. Ingestion is the only place missing
+values exist; everything downstream is complete-case.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numkit import AncovaFit
-from .scales import ITEM_COLUMNS, ITEM_LABELS, N_ITEMS, ItemDataset, original_scheme
+from .scales import ITEM_COLUMNS, ITEM_LABELS, N_ITEMS, RAW_LEVELS, ItemDataset, original_scheme
 
 log = logging.getLogger(__name__)
 
@@ -66,7 +67,8 @@ def load_trial_csv(
                     f"arm_map values must be treatment/control/drop, got {target!r}"
                 )
     records: dict[str, dict] = {}
-    # each distinct cell string is converted once; "" (missing) is -1
+    # each distinct cell string is converted and range-checked once; "" is
+    # the only missing marker, held as -1
     values = {"": -1}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -108,13 +110,18 @@ def load_trial_csv(
                 for j, cell in enumerate(cells):
                     if cell not in values:
                         try:
-                            # np.int64 raises OverflowError where an int64 array would
-                            values[cell] = int(np.int64(int(cell)))
+                            value = int(cell)
                         except ValueError:
                             raise ValidationError(
                                 f"{path}:{lineno}: column {ITEM_COLUMNS[j]} has "
                                 f"non-integer value {cell!r}"
                             ) from None
+                        if not 0 <= value < RAW_LEVELS:
+                            raise ValidationError(
+                                f"{path}:{lineno}: column {ITEM_COLUMNS[j]} has value "
+                                f"{value} outside 0-{RAW_LEVELS - 1}"
+                            )
+                        values[cell] = value
                 scores = [values[cell] for cell in cells]
             rec = records.setdefault(sid, {"arm": mapped, "label": arm_label})
             if rec["label"] != arm_label:

@@ -176,14 +176,6 @@ class ItemDataset:
     def n_subjects(self) -> int:
         return self.ids.shape[0]
 
-    def n_per_arm(self) -> tuple[int, int]:
-        n_treat = int(self.arm.sum())
-        return self.n_subjects - n_treat, n_treat
-
-    def sum_scores(self) -> tuple[np.ndarray, np.ndarray]:
-        """(baseline sums, week52 sums) across items."""
-        return self.baseline.sum(axis=1), self.week52.sum(axis=1)
-
     def flatten_visits(self) -> np.ndarray:
         """Stack baseline and week52 rows; each visit becomes one row."""
         return np.vstack([self.baseline, self.week52])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy import special
 
 import psprsim as ps
 
@@ -76,3 +77,10 @@ def item_fits(data):
     the bits of its lone fit, so the item block fitted alone has them."""
     return ps.fit_ancova(data.week52, data.baseline, data.arm)
 
+
+def grm_category_probs(item, theta):
+    """Oracle: P(Y = c | theta) for c = 0..C-1 of one graded-response item,
+    from P(Y >= c) = sigmoid(a * (theta - b_c)) with the boundary
+    conventions P(Y >= 0) = 1 and P(Y >= C) = 0."""
+    sf = special.expit(item.discrimination * (theta - item.thresholds))
+    return np.concatenate(([1.0], sf)) - np.concatenate((sf, [0.0]))

@@ -25,6 +25,8 @@ from psprsim.procedures import (
     simes_global,
 )
 
+from conftest import grm_category_probs
+
 # minutes of simulation: deselect with `pytest -m "not slow"` for a quick loop
 pytestmark = pytest.mark.slow
 
@@ -225,7 +227,7 @@ class TestCriterion7OracleSuites:
         grid = np.linspace(-8, 8, 20_001)
         log_post = -0.5 * grid**2
         for k, item in enumerate(model.items):
-            probs = np.array([ps.grm_category_probs(item, t)[model.category_maps[k][resp[k]]]
+            probs = np.array([grm_category_probs(item, t)[model.category_maps[k][resp[k]]]
                               for t in grid])
             log_post += np.log(np.clip(probs, 1e-300, None))
         w = np.exp(log_post - log_post.max())

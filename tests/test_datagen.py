@@ -20,6 +20,8 @@ from psprsim.datagen import (
 from psprsim.errors import ValidationError
 from psprsim.scales import N_ITEMS, get_scheme, load_scheme
 
+from conftest import grm_category_probs
+
 
 def score_digest(data) -> str:
     h = hashlib.sha256()
@@ -88,8 +90,9 @@ class TestSchemes:
 
 
 class TestSharedReadOnly:
-    """Schemes, generated ids and the MVN factor are built once and shared,
-    so writing into them must fail instead of corrupting later replicates."""
+    """Schemes, the generated ids and arms, and the MVN factor are built once
+    and shared, so writing into them must fail instead of corrupting later
+    replicates."""
 
     def test_shared_schemes_are_cached_and_read_only(self):
         for tag in ("original", "fda"):
@@ -113,10 +116,14 @@ class TestSharedReadOnly:
         boot = ps.gen_bootstrap(reference_pool, scen["d1"], 20, ps.RngStream(3))
         irt = ps.gen_irt_longitudinal(ps.IrtPopulationParams(), grm_model, 0.6, 20,
                                       ps.RngStream(4))
+        assert a.arm is b.arm
         for data, first in ((a, "S00000"), (boot, "B00000"), (irt, "I00000")):
             assert data.ids[0] == first and len(data.ids) == 40
-            with pytest.raises(ValueError):
-                data.ids[0] = "X"
+            # the controls first, then the treated
+            assert data.arm.dtype == np.int8 and data.arm.tolist() == [0] * 20 + [1] * 20
+            for field in (data.ids, data.arm):
+                with pytest.raises(ValueError):
+                    field[0] = field[1]
 
     def test_mvn_params_factor_once_and_read_only(self, reference_pool):
         params = ps.DiscretizedMvnParams.estimate(reference_pool)
@@ -160,7 +167,7 @@ class TestDiscretizedMvn:
         pvals = np.empty(2000)
         for i in range(2000):
             data = ps.gen_discretized_mvn(params, null, 20, ps.RngStream(1000 + i))
-            base, week = data.sum_scores()
+            base, week = data.baseline.sum(axis=1), data.week52.sum(axis=1)
             pvals[i] = ps.test_sum_score(ps.fit_ancova(week, base, data.arm)).p_one_sided
         assert stats.kstest(pvals, "uniform").pvalue > 0.001
 
@@ -296,7 +303,7 @@ class TestIrtGenerator:
         thetas = np.zeros(20_000)
         rows = sample_grm_scores(grm_model, thetas, rng)
         for k in (0, 5):
-            expected = ps.grm_category_probs(grm_model.items[k], 0.0)
+            expected = grm_category_probs(grm_model.items[k], 0.0)
             freq = np.bincount(rows[:, k], minlength=len(expected)) / 20_000
             assert np.abs(freq - expected).max() < 0.02
 

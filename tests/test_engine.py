@@ -1,4 +1,4 @@
-"""Engine tests: seed derivation statistics, plan round trips, failure
+"""Engine tests: the replicate seed tree, plan round trips, failure
 accounting, and the worker-count / re-run determinism contract."""
 
 import importlib.util
@@ -13,8 +13,6 @@ from psprsim.engine import (
     PowerRow,
     PowerTable,
     StudyPlan,
-    derive_replicate_seed,
-    derive_replicate_seeds,
     prepare_auxiliaries,
     run_single_replicate,
     run_study,
@@ -43,30 +41,46 @@ def aux(small_plan):
     return prepare_auxiliaries(small_plan)
 
 
+def replicate_seeds(master, scenario_id, reps):
+    stream = ps.RngStream(master).child(scenario_id)
+    return np.fromiter((stream.child(int(r)).seed for r in reps), dtype=np.uint64,
+                       count=len(reps))
+
+
 class TestSeedDerivation:
+    """A replicate's stream is RngStream(master).child(scenario).child(rep)."""
+
+    # the splitmix64(master, scenario, rep) chain as the engine computed it
+    # before the stream tree was its only owner
+    PINNED = {
+        (0, 0, 0): 0xA706DD2F4D197E6F,
+        (0, 4, 49): 0xE4B1520C0DAD1211,
+        (2**64 - 1, 2, 7): 0x1030C6AEEFD36F07,
+        (-1, 1, 3): 0x3577E670801B64BF,
+        (-202_400, 3, 12_345): 0x23FF77320DBB4A08,
+    }
+
+    def test_pinned_seeds(self):
+        for (master, scenario_id, rep), seed in self.PINNED.items():
+            assert ps.RngStream(master).child(scenario_id).child(rep).seed == seed
+
     def test_deterministic(self):
-        assert derive_replicate_seed(42, 3, 1000) == derive_replicate_seed(42, 3, 1000)
+        assert replicate_seeds(42, 3, [1000])[0] == replicate_seeds(42, 3, [1000])[0]
 
-    def test_vectorized_matches_scalar(self):
-        reps = np.arange(50)
-        vec = derive_replicate_seeds(42, 3, reps)
-        for r in reps:
-            assert int(vec[r]) == derive_replicate_seed(42, 3, int(r))
-
-    def test_million_seeds_no_collision(self):
-        seeds = derive_replicate_seeds(123456, 0, np.arange(1_000_000))
-        assert len(np.unique(seeds)) == 1_000_000
+    def test_seeds_no_collision(self):
+        seeds = replicate_seeds(123456, 0, range(200_000))
+        assert len(np.unique(seeds)) == 200_000
 
     def test_avalanche(self):
         reps = np.arange(10_000)
-        a = derive_replicate_seeds(7, 0, reps)
-        b = derive_replicate_seeds(7, 0, reps + 1)
+        a = replicate_seeds(7, 0, reps)
+        b = replicate_seeds(7, 0, reps + 1)
         flips = np.unpackbits((a ^ b).view(np.uint8)).reshape(len(reps), 64).sum(axis=1)
         assert flips.mean() >= 20
 
     def test_distinct_across_scenarios(self):
-        a = derive_replicate_seeds(7, 0, np.arange(1000))
-        b = derive_replicate_seeds(7, 1, np.arange(1000))
+        a = replicate_seeds(7, 0, range(1000))
+        b = replicate_seeds(7, 1, range(1000))
         assert len(np.intersect1d(a, b)) == 0
 
 
@@ -308,7 +322,7 @@ class TestMethodTable:
     def test_p_values_pinned(self, small_plan, aux):
         import psprsim.engine as eng
 
-        base = ps.RngStream(derive_replicate_seed(small_plan.master_seed, 0, 16))
+        base = ps.RngStream(small_plan.master_seed).child(0).child(16)
         data0 = eng._generate(small_plan, ps.builtin_scenarios()["d3"], aux, base.child(0))
         got = {}
         for si, tag in enumerate(small_plan.schemes):
@@ -503,13 +517,28 @@ class TestMaxTDecisionPath:
         for si, tag in enumerate(plan.schemes):
             hits = 0
             for rep in range(plan.n_reps):
-                base = ps.RngStream(derive_replicate_seed(plan.master_seed, 0, rep))
+                base = ps.RngStream(plan.master_seed).child(0).child(rep)
                 data = eng.ensure_scheme(eng._generate(plan, scen, aux, base.child(0)), tag)
                 fits = item_fits(data)
                 out = ps.test_maxt(fits, ps.estimate_corr(data, fits), tol=plan.maxt_tol,
                                    rng=base.child(1 + si))
                 hits += out.p_one_sided <= plan.alpha
             assert t1.rate("d3", tag, "MaxT") * plan.n_reps == hits
+
+    def test_one_generator_when_the_bounds_settle(self, small_plan, aux, monkeypatch):
+        # deriving the replicate's streams builds no generator: the data's
+        # stream builds the only one when MaxT needs no integration
+        import psprsim.procedures as procedures
+
+        built, integrated = [], []
+        philox, mvn = np.random.Philox, procedures.mvn_rect_upper
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *a, **k: built.append(1) or philox(*a, **k))
+        monkeypatch.setattr(procedures, "mvn_rect_upper",
+                            lambda *a, **k: integrated.append(1) or mvn(*a, **k))
+        run_single_replicate(small_plan, small_plan.resolve_scenarios()[0], 0, 16, aux)
+        assert integrated == []
+        assert len(built) == 1
 
 
 class TestWorkerResolution:

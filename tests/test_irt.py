@@ -3,6 +3,7 @@ dense-grid oracle, the padded model arrays and the lockstep M-step against
 per-item reference code, EM parameter recovery, a direct-MML 2PL oracle for
 the binary special case, and the weighted-sum approximation."""
 
+import json
 import zlib
 from unittest import mock
 
@@ -25,6 +26,8 @@ from psprsim.irt import (
 )
 from psprsim.scales import ITEM_COLUMNS, N_ITEMS
 
+from conftest import grm_category_probs
+
 
 def sigmoid(x):
     return special.expit(x)
@@ -45,14 +48,14 @@ def small_model(n_items=3, seed=0):
 class TestCategoryProbs:
     def test_extreme_theta_floors(self):
         item = ps.GrItemParams(1.3, np.array([-1.0, 0.5, 1.0, 2.0]))
-        p = ps.grm_category_probs(item, -30.0)
+        p = grm_category_probs(item, -30.0)
         assert p[0] > 1 - 1e-10
-        p_hi = ps.grm_category_probs(item, 30.0)
+        p_hi = grm_category_probs(item, 30.0)
         assert p_hi[-1] > 1 - 1e-10
 
     def test_direct_formula(self):
         item = ps.GrItemParams(1.0, np.array([-1.0, 0.0, 1.0, 2.0]))
-        p = ps.grm_category_probs(item, 0.0)
+        p = grm_category_probs(item, 0.0)
         sf = sigmoid(np.array([1.0, 0.0, -1.0, -2.0]))  # a(theta - b_c)
         expected = np.r_[1 - sf[0], sf[:-1] - sf[1:], sf[-1]]
         assert np.allclose(p, expected, atol=1e-15)
@@ -62,7 +65,7 @@ class TestCategoryProbs:
         model = small_model(seed=2)
         for item in model.items:
             for theta in np.linspace(-10, 10, 81):
-                assert abs(ps.grm_category_probs(item, theta).sum() - 1.0) < 1e-12
+                assert abs(grm_category_probs(item, theta).sum() - 1.0) < 1e-12
 
     def test_exceedance_monotone_in_theta(self):
         rng = np.random.default_rng(3)
@@ -72,7 +75,7 @@ class TestCategoryProbs:
                 np.sort(rng.uniform(-2.5, 2.5, size=3)) + np.arange(3) * 1e-3,
             )
             grid = np.linspace(-6, 6, 101)
-            probs = np.array([ps.grm_category_probs(item, t) for t in grid])
+            probs = np.array([grm_category_probs(item, t) for t in grid])
             exceed = 1.0 - np.cumsum(probs, axis=1)[:, :-1]  # P(Y > c)
             assert np.all(np.diff(exceed, axis=0) >= -1e-12)
 
@@ -88,7 +91,7 @@ def _dense_grid_eap(model, response, n=20001):
     log_post = -0.5 * grid**2
     for k, item in enumerate(model.items):
         probs = np.array(
-            [ps.grm_category_probs(item, t)[response[k]] for t in grid]
+            [grm_category_probs(item, t)[response[k]] for t in grid]
         )
         log_post += np.log(np.clip(probs, 1e-300, None))
     w = np.exp(log_post - log_post.max())
@@ -590,9 +593,24 @@ class TestLinearLatentApprox:
                                       '{"intercept": 0.5, "weights": 0.1, "r_squared": 1, '
                                       '"scheme": "original"}'])
     def test_bad_file_named(self, tmp_path, text):
+        if text.startswith("{"):  # the current version, so the checks after it are reached
+            text = '{"format_version": 1, ' + text[1:]
         path = tmp_path / "approx.json"
         path.write_text(text)
         with pytest.raises(ValidationError, match="approx.json"):
+            ps.LinearLatentApprox.load(path)
+
+    @pytest.mark.parametrize("version", [None, 0, 2, "1"])
+    def test_format_version_checked(self, latent_approx, tmp_path, version):
+        doc = latent_approx.to_doc()
+        if version is None:
+            del doc["format_version"]
+        else:
+            doc["format_version"] = version
+        path = tmp_path / "approx.json"
+        path.write_text(json.dumps(doc))
+        message = f"unsupported approximation format version {version} in .*approx.json"
+        with pytest.raises(ValidationError, match=message):
             ps.LinearLatentApprox.load(path)
 
     def test_serialization_round_trip(self, latent_approx, tmp_path):

@@ -64,7 +64,7 @@ class TestLoadTrialCsv:
     def test_basic_load(self, trial_csv):
         data = load_trial_csv(trial_csv, ARM_MAP)
         assert data.n_subjects == 24
-        assert data.n_per_arm() == (12, 12)
+        assert (data.arm == 0).sum() == (data.arm == 1).sum() == 12
 
     def test_incomplete_subject_excluded_and_logged(self, tmp_path, caplog):
         rows = []
@@ -113,6 +113,17 @@ class TestLoadTrialCsv:
         write_rows(path, rows)
         data = load_trial_csv(path, ARM_MAP, drop_unmapped=True)
         assert sorted(data.ids) == ["A", "B"]
+
+    @pytest.mark.parametrize("cell", ["-1", "-3", "5", "99999999999999999999"])
+    def test_score_outside_range_reports_line(self, tmp_path, cell):
+        # "" is the only missing marker: a negative score is not read as missing
+        rows = subject_rows("A", "drug", [1] * 10, [1] * 10)
+        rows += subject_rows("B", "placebo", [1] * 10, [1] * 3 + [cell] + [1] * 6)
+        path = tmp_path / "t.csv"
+        write_rows(path, rows)
+        with pytest.raises(ValidationError) as exc:
+            load_trial_csv(path, ARM_MAP)
+        assert str(exc.value) == f"{path}:5: column {ITEM_COLUMNS[3]} has value {cell} outside 0-4"
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -192,12 +203,18 @@ def per_row_load_trial_csv(path, arm_map=None, drop_unmapped=False, return_label
                 if cell == "":
                     continue
                 try:
-                    scores[j] = int(cell)
+                    value = int(cell)
                 except ValueError:
                     raise ValidationError(
                         f"{path}:{lineno}: column {ITEM_COLUMNS[j]} has "
                         f"non-integer value {cell!r}"
                     ) from None
+                if not 0 <= value <= 4:
+                    raise ValidationError(
+                        f"{path}:{lineno}: column {ITEM_COLUMNS[j]} has value {value} "
+                        "outside 0-4"
+                    )
+                scores[j] = value
             rec = records.setdefault(sid, {"arm": mapped, "label": arm_label})
             if rec["label"] != arm_label:
                 raise ValidationError(
@@ -246,10 +263,11 @@ def per_row_load_trial_csv(path, arm_map=None, drop_unmapped=False, return_label
     return data
 
 
-# cells and their weights: valid scores, missing ("" and negative), cells
-# int() accepts in other spellings, and cells it refuses
-CELLS = ["0", "1", "2", "3", "4", "", "-1", " 3", "+2", "3.0", "x"]
-CELL_WEIGHTS = np.array([20, 20, 20, 20, 20, 1.5, 1, 1, 1, 0, 0])
+# cells and their weights: valid scores, missing (""), cells int() accepts
+# in other spellings, and refused cells: integers outside 0-4 and cells
+# int() refuses
+CELLS = ["0", "1", "2", "3", "4", "", " 3", "+2", "-1", "5", "3.0", "x"]
+CELL_WEIGHTS = np.array([20, 20, 20, 20, 20, 1.5, 1, 1, 0, 0, 0, 0])
 
 
 def random_trial_rows(rng):
@@ -257,7 +275,7 @@ def random_trial_rows(rng):
     visit, a subject under two arms, a duplicate visit, a wrong field count
     and a bad visit name."""
     weights = CELL_WEIGHTS.copy()
-    weights[-2:] = rng.choice([0.0, 0.15])  # refused cells in some files only
+    weights[-4:] = rng.choice([0.0, 0.15])  # refused cells in some files only
     weights /= weights.sum()
     rows = []
     for i in range(rng.integers(1, 9)):
@@ -296,7 +314,7 @@ ARM_MODES = {
     "drop-label": ({**ARM_MAP, "gone": "drop", "other": "drop"}, False),
     "pooled": (None, False),
 }
-ERROR_KINDS = ("non-integer", "two arms", "duplicate row", "fields", "visit must",
+ERROR_KINDS = ("non-integer", "outside 0-4", "two arms", "duplicate row", "fields", "visit must",
                "unknown arm", "no complete cases", "empty file", "header")
 
 
@@ -588,15 +606,22 @@ class TestCli:
         assert rescored.baseline.max() <= 4
         assert rescored.baseline.sum() <= original.baseline.sum()
 
-    def test_calibrate_omnibus(self, tmp_path):
-        out = tmp_path / "calib.npy"
+    def test_calibrate_omnibus(self, tmp_path, monkeypatch):
+        # it builds the one file that analyze and simulate read from the
+        # same --cache-dir, which then needs no building
+        cache = tmp_path / "cache"
         rc = main(["calibrate-omnibus", "--m", "3", "--reps", "1000",
-                   "--seed", "2", "--out", str(out)])
+                   "--seed", "2", "--cache-dir", str(cache)])
         assert rc == 0
-        from psprsim.procedures import load_omnibus_calibration
+        assert len(list(cache.iterdir())) == 1
+        built = ps.build_omnibus_calibration(3, 1000, 2)
 
-        calib = load_omnibus_calibration(out)
-        assert calib.m == 3 and calib.reps == 1000
+        def build(*args, **kwargs):
+            raise AssertionError("the cached calibration was built again")
+
+        monkeypatch.setattr(ps.procedures, "build_omnibus_calibration", build)
+        calib = get_omnibus_calibration(cache, m=3, reps=1000, seed=2)
+        assert calib.tables.tobytes() == built.tables.tobytes()
 
     def test_simulate_plan(self, tmp_path):
         plan = ps.StudyPlan(generator="mvn", scenarios=["d0"], schemes=["original"],
@@ -702,6 +727,38 @@ class TestCli:
         rc = main(["simulate", str(plan_path), "--out", str(tmp_path / "out"), *flags])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--maxt-tol", "0.5"], "--maxt-tol must lie in (0, 0.01], got 0.5",
+                     id="maxt-tol"),
+        pytest.param(["--calibration-reps", "99"], "need --calibration-reps >= 100, got 99",
+                     id="calibration-reps"),
+    ])
+    def test_analyze_flags_checked_before_self_fit(self, reference_csv, tmp_path, monkeypatch,
+                                                   capsys, flags, message):
+        def self_fit(*args, **kwargs):
+            raise AssertionError("the self-fit started")
+
+        monkeypatch.setattr(cli, "fit_grm", self_fit)
+        assert analyze(reference_csv, tmp_path / "out", *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        pytest.param(["analyze", "{csv}", "--arm-a", "drug", "--arm-b", "placebo",
+                      "--out", "{tmp}/o"], id="analyze"),
+        pytest.param(["fit-irt", "{csv}", "--out", "{tmp}/g.json"], id="fit-irt"),
+    ])
+    def test_score_outside_range_exit_code(self, tmp_path, capsys, command):
+        rows = []
+        for i in range(6):
+            rows += subject_rows(f"S{i}", ["drug", "placebo"][i % 2], [1] * 10, [2] * 10)
+        rows[7][5] = "-1"  # S3's week52 item03
+        path = tmp_path / "t.csv"
+        write_rows(path, rows)
+        assert main([a.format(csv=path, tmp=tmp_path) for a in command]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:9: column {ITEM_COLUMNS[2]} has value -1 outside 0-4" in err
 
     def test_validation_exit_code(self, reference_csv, tmp_path):
         rc = main(["analyze", str(reference_csv), "--arm-a", "nope", "--arm-b", "placebo",

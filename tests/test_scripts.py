@@ -1,8 +1,10 @@
 """Smoke test of the command line, `python -m psprsim` and each of its
 subcommands: each imports what it uses from the package and prints its
 usage, so a renamed or removed package name fails here rather than on the
-first real run."""
+first real run. Also checks that no package module imports another's
+private names: a rule a module keeps to itself has one owner."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +31,13 @@ def test_help_exits_zero(command):
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_no_module_imports_a_private_name():
+    found = []
+    for path in sorted((ROOT / "src" / "psprsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
