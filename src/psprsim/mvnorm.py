@@ -6,7 +6,10 @@ marginal probability, then integrate the conditional product over a
 randomized quasi-Monte-Carlo rule (Sobol base points, Cranley-Patterson
 shifts, tent folding). The randomization shifts come from the caller's
 RngStream, so results are deterministic by seed, and the spread across
-shifts gives the reported error estimate.
+shifts gives the reported error estimate. The base points are the
+unscrambled Sobol net of Joe & Kuo's (2008) direction numbers, built here
+from their table; they equal scipy.stats.qmc.Sobol(scramble=False) point
+for point, without importing scipy.stats.
 
 The union of the upper tails {Z_i > h} also has exact second-order bounds,
 the Dawson-Sankoff lower and the Hunter-Worsley upper bound. Both need only
@@ -21,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.stats import qmc
 
 from .errors import FactorizationError, ValidationError
 from .numkit import RngStream, cholesky
@@ -29,12 +31,50 @@ from .numkit import RngStream, cholesky
 log = logging.getLogger(__name__)
 
 EIGENVALUE_FLOOR = 1e-10
+SOBOL_BITS = 30
+# Joe & Kuo (2008), new-joe-kuo-6.21201, dimensions 2-19 (dimension 1 is van
+# der Corput): the primitive polynomial as bits, its leading and constant
+# terms included, and the initial odd integers m_1..m_s, s its degree
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)), (115, (1, 1, 5, 5, 19, 61)),
+)
 
 
 @lru_cache(maxsize=64)
 def _sobol_base(dim: int, log2_n: int) -> np.ndarray:
-    """Deterministic (unscrambled) Sobol points, cached per (dim, 2^m)."""
-    pts = qmc.Sobol(d=dim, scramble=False).random_base2(log2_n)
+    """The first 2^log2_n points of the unscrambled Sobol sequence in
+    [0, 1)^dim, in Gray-code order, cached per (dim, log2_n) and read-only.
+
+    Row d of V holds dimension d's SOBOL_BITS direction integers m_j, from
+    the Bratley-Fox recurrence m_j = m_{j-s} ^ 2^s m_{j-s} ^ (2^i a_i m_{j-i}
+    for i < s), a_i the polynomial's interior coefficients, each shifted to
+    the left of the word. Point 2^b + j is V_b XOR point 2^b - 1 - j, the
+    reflection of the Gray code.
+    """
+    if not 1 <= dim <= len(_JOE_KUO) + 1:
+        raise ValidationError(f"Sobol points support dimensions 1-{len(_JOE_KUO) + 1}, got {dim}")
+    V = np.empty((dim, SOBOL_BITS), dtype=np.uint32)
+    V[0] = 1 << np.arange(SOBOL_BITS - 1, -1, -1)
+    for d, (poly, init) in enumerate(_JOE_KUO[: dim - 1], start=1):
+        s = len(init)
+        m = list(init)
+        for j in range(s, SOBOL_BITS):
+            new = m[j - s] ^ (m[j - s] << s)
+            for i in range(1, s):
+                if (poly >> (s - i)) & 1:
+                    new ^= m[j - i] << i
+            m.append(new)
+        V[d] = [mj << (SOBOL_BITS - 1 - j) for j, mj in enumerate(m)]
+    X = np.zeros((1 << log2_n, dim), dtype=np.uint32)
+    for b in range(log2_n):
+        h = 1 << b
+        np.bitwise_xor(V[:, b], X[h - 1::-1], out=X[h : 2 * h])
+    pts = X * 2.0**-SOBOL_BITS
     pts.flags.writeable = False
     return pts
 
@@ -93,9 +133,12 @@ def validate_correlation(R: np.ndarray) -> np.ndarray:
         raise ValidationError(f"correlation must be square, got shape {R.shape}")
     if k > 20:
         raise ValidationError(f"rectangle probabilities support k <= 20, got {k}")
-    if not np.allclose(R, R.T, atol=1e-10):
+    if not np.isfinite(R).all():
+        raise ValidationError("correlation matrix has a non-finite entry")
+    # np.allclose's rule (rtol 1e-5) for finite matrices, without its overhead
+    if not (np.abs(R - R.T) <= 1e-10 + 1e-5 * np.abs(R.T)).all():
         raise ValidationError("correlation matrix not symmetric")
-    if not np.allclose(np.diag(R), 1.0, atol=1e-8):
+    if not (np.abs(np.diag(R) - 1.0) <= 1e-8 + 1e-5).all():
         raise ValidationError("correlation matrix must have unit diagonal")
     return repair_correlation(R)
 
@@ -154,8 +197,13 @@ def mvn_rect_upper(
         n_points = 1 << log2_n
         base = _sobol_base(k - 1, log2_n)
         shifts = rng.gen.random((n_shifts, k - 1))
-        # tent-folded shifted points in (0,1)^(k-1), all shifts at once
-        u = np.abs(2.0 * np.modf(base[None, :, :] + shifts[:, None, :])[0] - 1.0)
+        # tent-folded shifted points in (0,1)^(k-1), all shifts at once; the
+        # sum lies in [0, 2), where subtracting 1 is exact (Sterbenz)
+        u = base[None, :, :] + shifts[:, None, :]
+        u -= u >= 1.0
+        u *= 2.0
+        u -= 1.0
+        np.abs(u, out=u)
         prod = np.full((n_shifts, n_points), e1)
         y = np.empty((n_shifts, n_points, k - 1))
         e_prev = prod

@@ -338,7 +338,8 @@ def test_maxt(
 
 
 def _reciprocal(p: np.ndarray) -> np.ndarray:
-    return 1.0 / np.maximum(p, P_FLOOR)
+    q = np.maximum(p, P_FLOOR)
+    return np.divide(1.0, q, out=q)
 
 TRANSFORM = "reciprocal"  # the name cache file names give _reciprocal
 
@@ -405,7 +406,9 @@ def build_omnibus_calibration(m: int, reps: int = 100_000, seed: int = 0) -> Omn
     rng = RngStream(seed)
     u = rng.gen.random((reps, m))
     u.sort(axis=1)
-    S = np.cumsum(_reciprocal(u), axis=1)  # (reps, m)
+    S = _reciprocal(u)
+    del u  # one (reps, m) working copy from here on
+    np.cumsum(S, axis=1, out=S)  # (reps, m)
     tables = np.empty((m + 1, reps))
     # each calibration replicate's own combined statistic, same convention:
     # a row ranks its replicates by its own sort, and ties rank by value, so

@@ -10,6 +10,7 @@ from scipy.special import ndtr
 import psprsim as ps
 from psprsim.errors import ValidationError
 from psprsim.mvnorm import (
+    _sobol_base,
     bivariate_upper_orthant,
     dawson_sankoff_lower,
     max_spanning_tree_weight,
@@ -167,6 +168,33 @@ class TestRectUpper:
         with pytest.raises(ValidationError):
             ps.mvn_rect_upper(np.zeros(21), np.eye(21))
 
+    @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(-0.45, 0.95))
+    def test_tolerances_are_allclose(self, asym, diag_off, rho):
+        # the elementwise checks accept exactly the finite matrices that
+        # np.allclose accepts, the oracle they replace; the perturbations
+        # span zero to twice each tolerance
+        R = exchangeable(3, rho)
+        R[0, 1] += asym * (1e-10 + 1e-5 * abs(rho))
+        R[2, 2] += diag_off * (1e-8 + 1e-5)
+        accepted = (np.allclose(R, R.T, atol=1e-10)
+                    and np.allclose(np.diag(R), 1.0, atol=1e-8))
+        try:
+            validate_correlation(R)
+        except ValidationError as exc:
+            assert not accepted, exc
+        else:
+            assert accepted
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 1), (2, 2)], ids=["off-diagonal", "diagonal"])
+    def test_non_finite_correlation_rejected(self, value, cell):
+        R = exchangeable(3, 0.2)
+        R[cell] = R[cell[::-1]] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_correlation(R)
+        with pytest.raises(ValidationError, match="non-finite"):
+            ps.mvn_rect_upper(np.ones(3), R, rng=ps.RngStream(1))
+
     def test_decide_at_stops_once_threshold_excluded(self, caplog):
         R = exchangeable(10, 0.3)
         upper = np.full(10, 2.5)
@@ -274,3 +302,35 @@ class TestUnionBounds:
         # ten copies of one event of probability p: the union is p exactly
         p = 0.02
         assert dawson_sankoff_lower(10 * p, 45 * p) == pytest.approx(p, rel=1e-12)
+
+
+class TestSobolBase:
+    # __wrapped__ bypasses the lru_cache, which would otherwise keep the
+    # largest of these nets alive for the rest of the session
+    @pytest.mark.parametrize("dim", range(1, 20))
+    def test_matches_scipy_unscrambled(self, dim):
+        from scipy.stats import qmc
+
+        for log2_n in range(18):
+            ours = _sobol_base.__wrapped__(dim, log2_n)
+            ref = qmc.Sobol(d=dim, scramble=False).random_base2(log2_n)
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes(), (dim, log2_n)
+
+    @pytest.mark.parametrize("dim", [1, 2, 9, 19])
+    def test_doubling_extends_the_prefix(self, dim):
+        for log2_n in range(17):
+            longer = _sobol_base.__wrapped__(dim, log2_n + 1)
+            assert np.array_equal(longer[: 1 << log2_n], _sobol_base.__wrapped__(dim, log2_n))
+
+    def test_cached_and_read_only(self):
+        pts = _sobol_base(3, 4)
+        assert _sobol_base(3, 4) is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
+
+    @pytest.mark.parametrize("dim", [0, 20])
+    def test_dimension_out_of_range_rejected(self, dim):
+        with pytest.raises(ValidationError, match="Sobol points support dimensions 1-19"):
+            _sobol_base.__wrapped__(dim, 4)

@@ -6,6 +6,7 @@ import itertools
 import mmap
 import os
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -546,6 +547,17 @@ class TestOmnibus:
             ref = _ref_build_omnibus_calibration(3, 500, seed)
         assert np.any(np.diff(ref[0]) == 0)
         assert built.tobytes() == ref.tobytes()
+
+    def test_build_peak_memory(self):
+        # the (11, 100_000) tables take 8.8 MB; the build holds one (reps, m)
+        # working copy beside them, not three
+        tracemalloc.start()
+        try:
+            ps.build_omnibus_calibration(10, 100_000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22e6
 
     def test_length_mismatch(self, calib10):
         with pytest.raises(ValidationError):

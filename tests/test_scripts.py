@@ -2,7 +2,9 @@
 subcommands: each imports what it uses from the package and prints its
 usage, so a renamed or removed package name fails here rather than on the
 first real run. Also checks that no package module imports another's
-private names: a rule a module keeps to itself has one owner."""
+private names: a rule a module keeps to itself has one owner, and that the
+package does not import scipy.stats, which every worker and `analyze`
+process would pay for in start-up time and memory."""
 
 import ast
 import os
@@ -41,3 +43,13 @@ def test_no_module_imports_a_private_name():
                 found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+def test_package_does_not_import_scipy_stats():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import sys, psprsim, psprsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
