@@ -164,7 +164,7 @@ def _cmd_fit_irt(args) -> int:
     arm_map = _arm_map_arg(args.arm_map)
     data = reports.load_trial_csv(args.csv, arm_map)
     data = ensure_scheme(data, args.scheme)
-    model = fit_grm(data, n_nodes=args.nodes)
+    model = fit_grm(data)
     model.save(args.out)
     print(f"wrote {args.out} (log-likelihood {model.fit_meta['log_likelihood']:.2f}, "
           f"{model.fit_meta['iterations']} EM iterations)")
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-irt", help="fit a graded-response model on a trial CSV")
     p.add_argument("csv")
     p.add_argument("--scheme", default="original", choices=["original", "fda"])
-    p.add_argument("--nodes", type=int, default=101)
     p.add_argument("--arm-map", default=None, help="JSON label map; default keeps all rows")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit_irt)

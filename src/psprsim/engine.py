@@ -68,7 +68,7 @@ from .procedures import (
     test_simes_hommel,
     test_sum_score,
 )
-from .reports import emit_report
+from .reports import csv_text, emit_report
 from .scales import DOMAINS, ItemDataset, ensure_scheme, get_scheme
 
 WORKER_ENV_VAR = "PSPRSIM_WORKERS"
@@ -214,9 +214,7 @@ class StudyPlan:
         return out
 
     def to_doc(self) -> dict:
-        doc = asdict(self)
-        doc["irt_population"] = asdict(self.irt_population)
-        return doc
+        return asdict(self)  # recurses into irt_population
 
     @classmethod
     def from_doc(cls, doc: dict) -> "StudyPlan":
@@ -271,13 +269,7 @@ class PowerTable:
         return self._row(scenario, scheme, method).mc_se
 
     def to_csv_text(self) -> str:
-        lines = [self.HEADER]
-        for r in self.sorted().rows:
-            lines.append(
-                f"{r.generator},{r.scenario},{r.scheme},{r.method},"
-                f"{r.rejection_rate!r},{r.mc_se!r},{r.n_reps},{r.n_failures}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(self.HEADER.split(","), self.to_doc())
 
     def save_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.to_csv_text(), encoding="utf-8")

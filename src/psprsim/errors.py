@@ -45,14 +45,7 @@ class FactorizationError(NumericalError):
 
 
 class NonConvergenceError(NumericalError):
-    """Iterative fit exhausted its iteration budget.
-
-    Carries the objective trace so callers can inspect the failure.
-    """
-
-    def __init__(self, message: str, trace: list[float]):
-        super().__init__(message)
-        self.trace = list(trace)
+    """Iterative fit exhausted its iteration budget or lost ground."""
 
 
 def read_json_object(path: str | Path, what: str) -> dict:

@@ -39,6 +39,31 @@ def _gauss_hermite(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _item_names(n: int) -> list[str]:
+    """The names of an n-item model's items: the scale's columns for the
+    scale's item count, item0, item1, ... otherwise."""
+    return list(ITEM_COLUMNS) if n == N_ITEMS else [f"item{k}" for k in range(n)]
+
+
+def _check_levels(y: np.ndarray, levels: np.ndarray, labels) -> None:
+    """Reject a response outside 0..levels[k] - 1 in column k of y, naming
+    the first such column by labels[k] and its first bad value."""
+    bad = (y < 0) | (y >= levels)
+    if np.any(bad):
+        k = int(np.argmax(bad.any(axis=0)))
+        v = int(y[np.argmax(bad[:, k]), k])
+        raise ValidationError(
+            f"response {v} out of range 0..{levels[k] - 1} for item {labels[k]}"
+        )
+
+
+def _check_format_version(doc: dict, what: str, source: str) -> None:
+    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ValidationError(
+            f"unsupported {what} format version {doc.get('format_version')} in {source}"
+        )
+
+
 @dataclass(frozen=True)
 class GrItemParams:
     """Discrimination and ordered thresholds of one graded-response item."""
@@ -110,14 +135,8 @@ class GrModel:
             raise ValidationError(
                 f"expected {self.n_items} item responses per row, got {y.shape[1]}"
             )
-        bad = (y < 0) | (y >= self._levels)
-        if np.any(bad):
-            k = int(np.argmax(bad.any(axis=0)))
-            v = int(y[np.argmax(bad[:, k]), k])
-            raise ValidationError(
-                f"response {v} out of range 0..{self._levels[k] - 1} for item "
-                f"{ITEM_COLUMNS[k] if self.n_items == N_ITEMS else k}"
-            )
+        _check_levels(y, self._levels,
+                      ITEM_COLUMNS if self.n_items == N_ITEMS else range(self.n_items))
         out = self._maps[np.arange(self.n_items), y]
         return out[0] if squeeze else out
 
@@ -140,12 +159,13 @@ class GrModel:
             "scheme": self.scheme,
             "items": [
                 {
-                    "name": ITEM_COLUMNS[k] if self.n_items == N_ITEMS else f"item{k}",
+                    "name": name,
                     "discrimination": it.discrimination,
                     "thresholds": it.thresholds.tolist(),
-                    "category_map": self.category_maps[k].tolist(),
+                    "category_map": cmap.tolist(),
                 }
-                for k, it in enumerate(self.items)
+                for name, it, cmap in zip(_item_names(self.n_items), self.items,
+                                          self.category_maps)
             ],
             "fit_meta": self.fit_meta,
         }
@@ -155,20 +175,24 @@ class GrModel:
 
     @classmethod
     def from_doc(cls, doc: dict, source: str = "model document") -> "GrModel":
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported model format version {doc.get('format_version')} in {source}"
-            )
+        _check_format_version(doc, "model", source)
         try:
             items = [
                 GrItemParams(d["discrimination"], np.array(d["thresholds"], dtype=float))
                 for d in doc["items"]
             ]
             maps = [np.array(d["category_map"], dtype=np.int64) for d in doc["items"]]
-            return cls(items=items, scheme=doc["scheme"], category_maps=maps,
-                       fit_meta=doc.get("fit_meta", {}))
+            names = [d["name"] for d in doc["items"]]
+            model = cls(items=items, scheme=doc["scheme"], category_maps=maps,
+                        fit_meta=doc.get("fit_meta", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad model file {source}: {exc!r}") from exc
+        # the parameters are matched to response columns by position
+        for k, (name, expected) in enumerate(zip(names, _item_names(len(names)))):
+            if name != expected:
+                raise ValidationError(f"model file {source}: item {k} is named {name!r}, "
+                                      f"expected {expected!r} (items in scale order)")
+        return model
 
     @classmethod
     def load(cls, path: str | Path) -> "GrModel":
@@ -302,19 +326,21 @@ def _newton_block(Phi: np.ndarray, theta: np.ndarray, counts: np.ndarray,
         H = ((Gp.reshape(m, n, n) - g[:, None, :]) / h).transpose(0, 2, 1)
         H = (H + H.transpose(0, 2, 1)) / 2.0
         try:
-            steps = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
+            solved = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            steps = np.empty_like(g)
-            for r in range(m):
-                try:
-                    steps[r] = np.linalg.solve(H[r], -g[r])
-                except np.linalg.LinAlgError:
-                    steps[r] = g[r]
+            solved = None  # some row is singular: solve row by row
+        steps = np.empty_like(g)
         for r in range(m):
-            step = steps[r] if np.all(np.isfinite(steps[r])) else g[r].copy()  # near-singular
-            step = _clip(step)
+            if solved is not None:
+                step = solved[r]
+            else:
+                try:
+                    step = np.linalg.solve(H[r], -g[r])
+                except np.linalg.LinAlgError:
+                    step = g[r]
+            step = _clip(step if np.all(np.isfinite(step)) else g[r])  # near-singular
             if step @ g[r] <= 0:  # not an ascent direction; fall back to gradient
-                step = _clip(g[r].copy())
+                step = _clip(g[r])
             steps[r] = step
 
         # line search: the full step for every row at once, then the halvings
@@ -359,7 +385,6 @@ def _merge_unobserved(y: np.ndarray, n_categories: int, label: str):
 
 def fit_grm(
     pooled: ItemDataset | np.ndarray,
-    n_nodes: int = DEFAULT_NODES,
     tol: float = 1e-7,
     max_iter: int = 500,
     category_counts: np.ndarray | None = None,
@@ -369,23 +394,20 @@ def fit_grm(
     Accepts a visit-flattened ItemDataset (each visit one row) or a raw
     integer response matrix. The EM loop asserts a nondecreasing marginal
     log-likelihood every iteration and converges on a relative change < tol.
-    Its M-step runs one lockstep Newton block per fitted category count.
+    Its M-step runs one lockstep Newton block per fitted category count. It
+    integrates over the DEFAULT_NODES Gauss-Hermite nodes that eap_scores
+    scores on, so the model is fitted under the prior it is scored with.
     """
-    if n_nodes < 2:
-        # one node puts every theta at 0, where no discrimination is identified
-        raise ValidationError(f"need n_nodes >= 2 quadrature nodes, got {n_nodes}")
     if isinstance(pooled, ItemDataset):
         y_raw = pooled.flatten_visits()
         counts_per_item = pooled.scheme.category_counts
         scheme = pooled.scheme.name
-        labels = ITEM_COLUMNS
     else:
         y_raw = np.asarray(pooled, dtype=np.int64)
         if y_raw.ndim != 2 or y_raw.size == 0:
             raise ValidationError(
                 f"responses must be a non-empty (rows, items) matrix, got shape {y_raw.shape}"
             )
-        labels = [f"item{k}" for k in range(y_raw.shape[1])]
         if category_counts is not None:
             counts_per_item = np.asarray(category_counts, dtype=np.int64)
             if counts_per_item.shape != (y_raw.shape[1],):
@@ -395,15 +417,10 @@ def fit_grm(
                 )
         else:
             counts_per_item = y_raw.max(axis=0) + 1
-        bad = (y_raw < 0) | (y_raw >= counts_per_item)
-        if np.any(bad):
-            k = int(np.argmax(bad.any(axis=0)))
-            v = int(y_raw[np.argmax(bad[:, k]), k])
-            raise ValidationError(
-                f"response {v} out of range 0..{counts_per_item[k] - 1} for item {labels[k]}"
-            )
         scheme = "original"
     n_rows, n_items = y_raw.shape
+    labels = _item_names(n_items)
+    _check_levels(y_raw, counts_per_item, labels)
     if n_rows < 200:
         log.warning("fit_grm on %d rows; >= 200 recommended", n_rows)
 
@@ -421,7 +438,7 @@ def fit_grm(
         if fitted_cats[k] < 2:
             raise ValidationError(f"item {labels[k]} is constant; cannot fit")
 
-    thetas, weights = _gauss_hermite(n_nodes)
+    thetas, weights = _gauss_hermite(DEFAULT_NODES)
     log_w = np.log(weights)
 
     # initialize from overall exceedance proportions
@@ -454,7 +471,6 @@ def fit_grm(
     # different counts are not padded together, which would change the sums
     blocks = [np.flatnonzero(fitted_cats == c) for c in np.unique(fitted_cats)]
 
-    trace: list[float] = []
     ll_old = -np.inf
     for iteration in range(max_iter):
         items = [unpack(phi) for phi in phis]
@@ -465,11 +481,9 @@ def fit_grm(
         post = np.exp(ll_rows - top)
         norm = post.sum(axis=0)
         ll = float((np.log(norm) + top).sum())
-        trace.append(ll)
         if ll < ll_old - 1e-8 * (abs(ll_old) + 1.0):
             raise NonConvergenceError(
-                f"EM log-likelihood decreased at iteration {iteration}: {ll_old} -> {ll}",
-                trace,
+                f"EM log-likelihood decreased at iteration {iteration}: {ll_old} -> {ll}"
             )
         if iteration > 0 and (ll - ll_old) < tol * (abs(ll_old) + 1.0):
             break
@@ -481,9 +495,7 @@ def fit_grm(
             for k, phi in zip(block, fitted):
                 phis[k] = phi
     else:
-        raise NonConvergenceError(
-            f"EM did not converge in {max_iter} iterations", trace
-        )
+        raise NonConvergenceError(f"EM did not converge in {max_iter} iterations")
 
     items = [unpack(phi) for phi in phis]
     return GrModel(
@@ -491,10 +503,10 @@ def fit_grm(
         scheme=scheme,
         category_maps=cmaps,
         fit_meta={
-            "log_likelihood": trace[-1],
-            "iterations": len(trace),
+            "log_likelihood": ll,
+            "iterations": iteration + 1,
             "n_rows": int(n_rows),
-            "n_nodes": int(n_nodes),
+            "n_nodes": DEFAULT_NODES,
             "tol": tol,
             "merged_items": merged_items,
         },
@@ -541,9 +553,7 @@ class LinearLatentApprox:
 
     @classmethod
     def from_doc(cls, doc: dict, source: str = "approximation document") -> "LinearLatentApprox":
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValidationError(f"unsupported approximation format version "
-                                  f"{doc.get('format_version')} in {source}")
+        _check_format_version(doc, "approximation", source)
         try:
             approx = cls(
                 intercept=float(doc["intercept"]),

@@ -175,6 +175,9 @@ def mvn_rect_upper(
     k = b.shape[0]
     if R.shape[0] != k:
         raise ValidationError(f"upper has length {k} but corr is {R.shape[0]}x{R.shape[0]}")
+    if np.isnan(b).any():  # +-inf are limits; NaN would run to the point cap
+        j = int(np.argmax(np.isnan(b)))
+        raise ValidationError(f"upper limit {j} is NaN")
     if k == 1:
         return float(special.ndtr(b[0])), 0.0
     if rng is None:

@@ -157,6 +157,14 @@ def test_lm_approx(fit: AncovaFit) -> TestOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _gls_weights(R: np.ndarray, what: str) -> np.ndarray:
+    """The GLS weights R^-1 1; a singular R is a NumericalError naming `what`."""
+    try:
+        return np.linalg.solve(R, np.ones(R.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular {what}: {exc}") from exc
+
+
 def test_obrien(fits: AncovaFit, corr: CorrelationEstimate,
                 variant: str = "OLS") -> TestOutcome:
     """Directional global tests on the vector of per-item t-statistics.
@@ -174,24 +182,16 @@ def test_obrien(fits: AncovaFit, corr: CorrelationEstimate,
     dropped: list[int] | None = None
 
     R = corr.R
-    ones = np.ones(t.size)
-    w = ones  # OLS is GLS with unit weights
+    w = np.ones(t.size)  # OLS is GLS with unit weights
     if variant != "OLS":
-        try:
-            w = np.linalg.solve(R, ones)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular correlation matrix: {exc}") from exc
+        w = _gls_weights(R, "correlation matrix")
         if variant == "GLS-drop" and w.min() < 0:
             drop = int(np.argmin(w))
             keep = np.array([j for j in range(t.size) if j != drop])
             dropped = [drop]
             R = R[np.ix_(keep, keep)]
             t = t[keep]
-            ones = np.ones(t.size)
-            try:
-                w = np.linalg.solve(R, ones)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"singular correlation after drop: {exc}") from exc
+            w = _gls_weights(R, "correlation after drop")
             if w.min() < 0:
                 diagnostics["negative_weights_after_drop"] = keep[w < 0].tolist()
         elif variant == "GLS-drop":

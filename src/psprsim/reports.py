@@ -265,28 +265,33 @@ def _cell_display(v) -> str:
     return str(v)
 
 
+def csv_text(header: list[str], rows: list[dict]) -> str:
+    """The `header` columns of dict rows as CSV text, floats at full
+    precision; a key missing from a row is an empty cell."""
+    lines = [",".join(header)]
+    lines += [",".join(_cell_csv(r.get(h)) for h in header) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def emit_report(header: list[str], rows: list[dict], fmt: str, path: str | Path) -> Path:
     """Write the `header` columns of dict rows in the requested format (a
     key missing from a row is a null cell); deterministic row order is the
     caller's responsibility. No rows produce a header-only file.
 
-    csv: full-precision floats. plain-table: fixed-width display with
-    floats at 2 decimals.
+    csv: csv_text. plain-table: fixed-width display with floats at 2
+    decimals.
     """
     path = Path(path)
-    values = [[r.get(h) for h in header] for r in rows]
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_cell_csv(v) for v in row) for row in values]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = csv_text(header, rows)
     elif fmt == "plain-table":
-        cells = [header] + [[_cell_display(v) for v in row] for row in values]
+        cells = [header] + [[_cell_display(r.get(h)) for h in header] for r in rows]
         widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
-        lines = [
+        text = "\n".join(
             "  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip()
             for row in cells
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        ) + "\n"
     else:
         raise ValidationError(f"unknown report format {fmt!r}; use one of {REPORT_FORMATS}")
+    path.write_text(text, encoding="utf-8")
     return path

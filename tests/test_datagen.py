@@ -12,13 +12,14 @@ from scipy import stats
 import psprsim as ps
 from psprsim.datagen import (
     _discretize,
+    _truncated_normal_positive,
     inject_bootstrap_effect,
     inject_item_effect,
     progressed_latent,
     sample_grm_scores,
 )
 from psprsim.errors import ValidationError
-from psprsim.scales import N_ITEMS, get_scheme, load_scheme
+from psprsim.scales import N_ITEMS, RAW_LEVELS, ScoringScheme, get_scheme, load_scheme
 
 from conftest import grm_category_probs
 
@@ -337,3 +338,80 @@ class TestSyntheticReference:
 
     def test_size(self, reference_pool):
         assert reference_pool.n_subjects == 380
+
+
+# ---------------------------------------------------------------------------
+# validation errors of the scales and datagen constructors
+# ---------------------------------------------------------------------------
+
+
+def _maps(row=None, values=None):
+    maps = np.tile(np.arange(RAW_LEVELS), (N_ITEMS, 1))
+    if row is not None:
+        maps[row] = values
+    return maps
+
+
+def _dataset(n=2, items=N_ITEMS, arm=(0, 1), top=0):
+    scores = np.zeros((n, items), dtype=int)
+    scores[0, 0] = top
+    return ps.ItemDataset(ids=np.arange(n), arm=np.array(arm), baseline=scores,
+                          week52=np.zeros((n, items), dtype=int))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ScoringScheme("x", np.zeros((N_ITEMS, 4))),
+                 r"collapse maps must be 10x5, got \(10, 4\)", id="scheme-shape"),
+    pytest.param(lambda: ScoringScheme("x", _maps(2, [1, 1, 2, 3, 4])),
+                 "item05: map must start at 0", id="scheme-map-start"),
+    pytest.param(lambda: get_scheme("x"), "unknown scheme tag 'x'", id="scheme-tag"),
+    pytest.param(lambda: _dataset(items=9),
+                 r"baseline has shape \(2, 9\), expected \(2, 10\)", id="dataset-shape"),
+    pytest.param(lambda: _dataset(arm=(0, 2)), r"arm must be 0 \(control\) or 1",
+                 id="dataset-arm-2"),
+    pytest.param(lambda: _dataset(top=RAW_LEVELS),
+                 "baseline scores fall outside the original scheme ranges",
+                 id="dataset-score-range"),
+])
+def test_scales_validation_errors(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def _slope_ratio():
+    return ps.EffectScenario("slope-ratio", "r", rho=0.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ps.EffectScenario("item-shift", "x", d=-np.ones(N_ITEMS)),
+                 "nonnegative length-10 vector", id="shift-negative"),
+    pytest.param(lambda: ps.EffectScenario("item-shift", "x", d=np.ones(3)),
+                 "nonnegative length-10 vector", id="shift-short"),
+    pytest.param(lambda: ps.EffectScenario("slope-ratio", "x", rho=0.0),
+                 r"slope ratio must lie in \(0, 1\], got 0.0", id="ratio-zero"),
+    pytest.param(lambda: ps.EffectScenario("slope-ratio", "x", rho=1.5),
+                 r"slope ratio must lie in \(0, 1\], got 1.5", id="ratio-above-1"),
+    pytest.param(lambda: ps.EffectScenario("x", "x"), "unknown scenario kind 'x'",
+                 id="scenario-kind"),
+    pytest.param(lambda: ps.DiscretizedMvnParams(np.zeros(10), np.eye(10)),
+                 "must be 20-dimensional", id="mvn-params-10-dim"),
+    pytest.param(lambda: ps.gen_discretized_mvn(
+                     ps.DiscretizedMvnParams(np.zeros(20), np.eye(20)), _slope_ratio(), 5,
+                     ps.RngStream(1)),
+                 "discretized-MVN generator needs an item-shift scenario", id="mvn-slope-ratio"),
+    pytest.param(lambda: ps.gen_bootstrap(_dataset(n=10, arm=[0, 1] * 5), _slope_ratio(), 5,
+                                          ps.RngStream(1)),
+                 "bootstrap generator needs an item-shift scenario", id="bootstrap-slope-ratio"),
+    pytest.param(lambda: ps.IrtPopulationParams(intercept_sd=-1.0),
+                 "standard deviations must be nonnegative", id="population-negative-sd"),
+    pytest.param(lambda: ps.IrtPopulationParams(slope_mean=0.0),
+                 "slope_mean must be positive", id="population-slope-mean"),
+])
+def test_datagen_validation_errors(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_truncated_normal_with_zero_sd_is_its_mean():
+    rng = ps.RngStream(1)
+    assert np.array_equal(_truncated_normal_positive(0.7, 0.0, 4, rng), np.full(4, 0.7))

@@ -14,7 +14,7 @@ from scipy import optimize, special
 
 import psprsim as ps
 from psprsim.datagen import sample_grm_scores
-from psprsim.errors import ValidationError
+from psprsim.errors import NonConvergenceError, ValidationError
 from psprsim.irt import (
     DEFAULT_NODES,
     GrModel,
@@ -562,6 +562,49 @@ class TestFitGrm:
         back.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("change, match", [
+        ("reversed", r"item 0 is named 'item28', expected 'item03'"),
+        ("renamed", r"item 4 is named 'gait', expected 'item13'"),
+    ])
+    def test_item_names_checked_on_load(self, grm_model, tmp_path, change, match):
+        # parameters are matched to response columns by position, so a file
+        # with its items in another order would load and score wrongly
+        doc = grm_model.to_doc()
+        if change == "reversed":
+            doc["items"].reverse()
+        else:
+            doc["items"][4]["name"] = "gait"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"model file .*model.json: {match}"):
+            GrModel.load(path)
+
+    def test_item_name_missing_is_a_bad_model_file(self, grm_model, tmp_path):
+        doc = grm_model.to_doc()
+        del doc["items"][2]["name"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="bad model file .*model.json: KeyError"):
+            GrModel.load(path)
+
+    def test_other_item_count_round_trips(self, tmp_path):
+        model = small_model(n_items=3, seed=4)
+        path = tmp_path / "model.json"
+        model.save(path)
+        assert [d["name"] for d in json.loads(path.read_text())["items"]] == [
+            "item0", "item1", "item2"]
+        assert GrModel.load(path).to_doc() == model.to_doc()
+
+    def test_raw_scale_matrix_labelled_by_scale_columns(self):
+        # a raw matrix of the scale's item count is named as its saved items are
+        rows = np.random.default_rng(12).integers(0, 3, size=(300, N_ITEMS))
+        model = ps.fit_grm(rows, category_counts=np.full(N_ITEMS, 5))
+        assert model.fit_meta["merged_items"] == list(ITEM_COLUMNS)
+        assert [d["name"] for d in model.to_doc()["items"]] == list(ITEM_COLUMNS)
+        rows[5, 2] = 7
+        with pytest.raises(ValidationError, match=f"response 7 .* for item {ITEM_COLUMNS[2]}"):
+            ps.fit_grm(rows, category_counts=np.full(N_ITEMS, 5))
+
 
 class TestLinearLatentApprox:
     def test_constant_thetas(self):
@@ -645,3 +688,31 @@ class TestApproxLatent:
     def test_tracks_eap_on_reference(self, reference_pool, grm_model, eap_thetas, latent_approx):
         z = ps.approx_latent(latent_approx, reference_pool.flatten_visits())
         assert np.corrcoef(z, eap_thetas)[0, 1] >= 0.97
+
+
+def _rows(seed=3, n=40, items=3):
+    return np.random.default_rng(seed).integers(0, 3, size=(n, items))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: small_model(n_items=3).map_responses(np.zeros((2, 4), dtype=int)),
+                 ValidationError, "expected 3 item responses per row, got 4",
+                 id="map-responses-item-count"),
+    pytest.param(lambda: GrModel.from_doc({"format_version": 2}, source="m.json"),
+                 ValidationError, "unsupported model format version 2 in m.json",
+                 id="model-format-version"),
+    pytest.param(lambda: eap_scores(small_model(n_items=3), np.zeros((1, 2, 2, 3), dtype=int)),
+                 ValidationError, "responses must be rows or a stack of row blocks",
+                 id="eap-4-d"),
+    pytest.param(lambda: ps.fit_grm(np.c_[np.zeros(40, dtype=int), _rows(items=2)]),
+                 ValidationError, "item item0 is constant; cannot fit", id="constant-item"),
+    pytest.param(lambda: ps.fit_grm(_rows(), max_iter=1),
+                 NonConvergenceError, "EM did not converge in 1 iterations", id="em-max-iter"),
+    pytest.param(lambda: ps.fit_linear_latent_approx(_rows(n=4), np.zeros(3)),
+                 ValidationError, "3 trait values for 4 response rows", id="approx-theta-count"),
+    pytest.param(lambda: ps.fit_linear_latent_approx(np.c_[_rows(), _rows()], np.zeros(40)),
+                 ValidationError, "rank-deficient item matrix", id="approx-rank-deficient"),
+])
+def test_irt_validation_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

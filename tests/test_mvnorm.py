@@ -195,6 +195,26 @@ class TestRectUpper:
         with pytest.raises(ValidationError, match="non-finite"):
             ps.mvn_rect_upper(np.ones(3), R, rng=ps.RngStream(1))
 
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_nan_upper_rejected(self, k):
+        # a NaN limit made err NaN, so the call ran to the point cap and
+        # returned (nan, nan), or (nan, 0.0) at k = 1
+        upper = np.ones(k)
+        upper[k - 1] = np.nan
+        with pytest.raises(ValidationError, match=f"upper limit {k - 1} is NaN"):
+            ps.mvn_rect_upper(upper, exchangeable(k, 0.3), rng=ps.RngStream(1))
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_infinite_upper_is_a_limit(self, k):
+        # test_maxt passes z_max = +inf when the statistic is -inf
+        R = exchangeable(k, 0.3)
+        upper = np.ones(k)
+        upper[0] = np.inf
+        p, err = ps.mvn_rect_upper(upper, R, rng=ps.RngStream(1))
+        assert 0.0 < p <= 1.0 and np.isfinite(err)
+        upper[0] = -np.inf
+        assert ps.mvn_rect_upper(upper, R, rng=ps.RngStream(1)) == (0.0, 0.0)
+
     def test_decide_at_stops_once_threshold_excluded(self, caplog):
         R = exchangeable(10, 0.3)
         upper = np.full(10, 2.5)

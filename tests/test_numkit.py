@@ -12,7 +12,8 @@ from scipy import integrate, special, stats
 
 import psprsim as ps
 from psprsim.errors import FactorizationError, SingularDesignError, ValidationError
-from psprsim.numkit import ancova_design
+from psprsim.mvnorm import psd_factor, sample_mvn, validate_correlation
+from psprsim.numkit import ancova_design, cholesky
 
 
 def _ancova_normal_equations(y, b, g):
@@ -386,3 +387,30 @@ class TestRngStream:
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     def test_seed_round_trip(self, seed):
         assert ps.RngStream(seed).seed == seed % 2**64
+
+
+# ---------------------------------------------------------------------------
+# validation errors of the mvnorm and numkit kernels
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]])),
+                 FactorizationError, "not positive definite at pivot 1", id="psd-factor-indefinite"),
+    pytest.param(lambda: sample_mvn(np.zeros(2), np.eye(2), 0, ps.RngStream(1)),
+                 ValidationError, "need n >= 1 draws, got 0", id="sample-mvn-n-0"),
+    pytest.param(lambda: validate_correlation(np.ones((2, 3))),
+                 ValidationError, r"correlation must be square, got shape \(2, 3\)",
+                 id="correlation-not-square"),
+    pytest.param(lambda: cholesky(np.ones((2, 3))),
+                 ValidationError, r"cholesky needs a square matrix, got shape \(2, 3\)",
+                 id="cholesky-not-square"),
+    pytest.param(lambda: ps.mvn_rect_upper(np.ones(3), np.eye(2)),
+                 ValidationError, "upper has length 3 but corr is 2x2", id="rect-upper-lengths"),
+    pytest.param(lambda: ps.fit_ancova(np.arange(6.0), np.ones(6), [0, 1, 2, 0, 1, 2]),
+                 ValidationError, r"arm must be coded 0 \(control\) / 1 \(treatment\)",
+                 id="ancova-arm-2"),
+])
+def test_kernel_validation_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

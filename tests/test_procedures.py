@@ -30,6 +30,7 @@ from psprsim.procedures import (
     save_omnibus_calibration,
     simes_global,
 )
+from psprsim.reports import load_trial_csv
 from psprsim.scales import N_ITEMS
 
 from conftest import arm_symmetric_dataset, endpoint_fits, item_fits
@@ -728,3 +729,31 @@ class TestOutcomeContract:
         assert len(outcomes) == len(ps.METHODS)
         for out in outcomes:
             assert 0.0 <= out.p_one_sided <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# validation errors of the correlation, calibration, plan and CSV layers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ps.estimate_corr(arm_symmetric_dataset(n=20),
+                                          item_fits(arm_symmetric_dataset(n=30))),
+                 "fits were not computed on this dataset", id="corr-other-dataset"),
+    pytest.param(lambda: ps.build_omnibus_calibration(m=1, reps=100),
+                 "need m >= 2, got 1", id="calibration-m-1"),
+    pytest.param(lambda: ps.StudyPlan("mvn", scenarios=[3]),
+                 "bad scenario entry 3", id="plan-scenario-number"),
+    pytest.param(lambda: load_trial_csv("trial.csv", {"placebo": "x"}),
+                 "arm_map values must be treatment/control/drop, got 'x'",
+                 id="arm-map-target"),
+])
+def test_layer_validation_errors(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_hommel_of_one_p_value_is_that_p_value():
+    p = np.array([0.3])
+    out = hommel_adjust(p)
+    assert np.array_equal(out, p) and out is not p

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import psprsim as ps
-from psprsim import cli
+from psprsim import cli, engine
 from psprsim.cli import main
-from psprsim.errors import ValidationError
+from psprsim.errors import NumericalError, ValidationError
 from psprsim.procedures import get_omnibus_calibration
 from psprsim.reports import (
     CSV_HEADER,
@@ -606,6 +606,31 @@ class TestCli:
         assert rescored.baseline.max() <= 4
         assert rescored.baseline.sum() <= original.baseline.sum()
 
+    def test_rescore_with_arm_map(self, reference_csv, tmp_path):
+        # a valid --arm-map reaches load_trial_csv: the dropped arm is not written
+        out = tmp_path / "placebo.csv"
+        rc = main(["rescore", str(reference_csv), "--scheme", "original", "--arm-map",
+                   '{"placebo": "control", "dose-a": "drop"}', "--out", str(out)])
+        assert rc == 0
+        _, labels = load_trial_csv(out, return_labels=True)
+        _, all_labels = load_trial_csv(reference_csv, return_labels=True)
+        assert set(labels) == {"placebo"}
+        assert labels.size == (all_labels == "placebo").sum() > 0
+
+    def test_simulate_failing_plan_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a method that fails on more than 1% of replicates fails the study
+        def broken(data):
+            raise NumericalError("always down")
+
+        monkeypatch.setattr(engine, "test_sum_score", broken)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"generator": "mvn", "schemes": ["original"],
+                                    "methods": ["SumS"], "n_reps": 100,
+                                    "calibration_reps": 100}))
+        assert main(["simulate", str(plan), "--out", str(tmp_path / "o"), "--workers", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: SumS/original failed on 100/100 replicates (> 1%)" in err
+
     def test_calibrate_omnibus(self, tmp_path, monkeypatch):
         # it builds the one file that analyze and simulate read from the
         # same --cache-dir, which then needs no building
@@ -766,8 +791,6 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize("argv, message", [
-        pytest.param(["fit-irt", "{csv}", "--nodes", "0", "--out", "{tmp}/g.json"],
-                     "n_nodes >= 2", id="fit-irt-nodes-0"),
         pytest.param(["make-reference", "--n", "0", "--out", "{tmp}/r.csv"],
                      "n_subjects >= 1, got 0", id="make-reference-n-0"),
         pytest.param(["make-reference", "--n", "-3", "--out", "{tmp}/r.csv"],
