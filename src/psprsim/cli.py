@@ -88,16 +88,13 @@ def _cmd_analyze(args) -> int:
     calib3 = procedures.get_omnibus_calibration(
         args.cache_dir, m=3, reps=args.calibration_reps, seed=args.seed
     )
+    contexts, self_fitted = [], []
     for tag in schemes:
         data = ensure_scheme(data0, tag)
         model_path = {"original": args.model, "fda": args.model_fda}.get(tag)
         approx_path = {"original": args.approx, "fda": args.approx_fda}.get(tag)
-        self_fitted = False
-        if model_path:
-            model = GrModel.load(model_path)
-        else:
-            model = fit_grm(data)
-            self_fitted = True
+        self_fitted.append(not (model_path and approx_path))
+        model = GrModel.load(model_path) if model_path else fit_grm(data)
         thetas = None
         if approx_path:
             approx = LinearLatentApprox.load(approx_path)
@@ -106,15 +103,16 @@ def _cmd_analyze(args) -> int:
             # scores on the analyzed data, which the IRT row reuses
             thetas = engine.visit_thetas(model, data)
             approx = fit_linear_latent_approx(data, thetas.reshape(-1))
-            self_fitted = True
-        if self_fitted:
-            log.warning("%s scheme: %s", tag, SELF_FIT_CAVEAT)
-            notes.append(f"{tag}: {SELF_FIT_CAVEAT}")
-
-        ctx = engine.MethodContext(
+        contexts.append(engine.MethodContext(
             data=data, grm=model, approx=approx, calib_items=calib10, calib_domains=calib3,
             maxt_tol=args.maxt_tol, rng=RngStream(args.seed), thetas=thetas,
-        )
+        ))
+    engine.fit_endpoints(contexts)  # every scheme's endpoints in one pass
+    for tag, ctx, fitted in zip(schemes, contexts, self_fitted):
+        data, approx = ctx.data, ctx.approx
+        if fitted:
+            log.warning("%s scheme: %s", tag, SELF_FIT_CAVEAT)
+            notes.append(f"{tag}: {SELF_FIT_CAVEAT}")
         outcomes = {}
         for method, o in zip(METHODS, engine.run_methods(ctx, METHODS)):
             if isinstance(o, Exception):

@@ -7,7 +7,7 @@ of their RngStream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -35,14 +35,17 @@ class EffectScenario:
     def __post_init__(self):
         if self.kind == "item-shift":
             d = np.asarray(self.d, dtype=float)
-            if d.shape != (N_ITEMS,) or np.any(d < 0):
+            if d.shape != (N_ITEMS,) or not np.all(np.isfinite(d) & (d >= 0)):
                 raise ValidationError(
-                    f"item-shift scenario needs a nonnegative length-{N_ITEMS} vector"
+                    f"item-shift scenario {self.label!r} needs a finite nonnegative "
+                    f"length-{N_ITEMS} vector, got {self.d!r}"
                 )
             object.__setattr__(self, "d", d)
         elif self.kind == "slope-ratio":
             if self.rho is None or not 0.0 < self.rho <= 1.0:
-                raise ValidationError(f"slope ratio must lie in (0, 1], got {self.rho}")
+                raise ValidationError(
+                    f"slope ratio must lie in (0, 1], got {self.rho} (scenario {self.label!r})"
+                )
         else:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
 
@@ -160,9 +163,12 @@ def gen_discretized_mvn(
         raise ValidationError("the discretized-MVN generator needs an item-shift scenario")
     check_group_size(n)
     shift = np.concatenate([np.zeros(N_ITEMS), scenario.d])
-    control = sample_mvn(params.mean20, params.factor, n, rng)
-    treated = sample_mvn(params.mean20 - shift, params.factor, n, rng)
-    scores = _discretize(np.vstack([control, treated]))
+    # sample_mvn's draws for the control and then the treated arm, as one
+    # draw of both (the same stream) and one product
+    mean = np.array((params.mean20, params.mean20 - shift))
+    z = rng.gen.standard_normal((2 * n, 2 * N_ITEMS))
+    x = (z @ params.factor.T).reshape(2, n, -1) + mean[:, None, :]
+    scores = _discretize(x.reshape(2 * n, -1))
     return _two_arm(n, "S", scores[:, :N_ITEMS], scores[:, N_ITEMS:], original_scheme())
 
 
@@ -233,10 +239,17 @@ class IrtPopulationParams:
     horizon_years: float = 1.0
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValidationError(f"irt_population fields {bad} must be finite numbers")
         if self.intercept_sd < 0 or self.slope_sd < 0:
             raise ValidationError("standard deviations must be nonnegative")
         if not self.slope_mean > 0:
             raise ValidationError("slope_mean must be positive (disease progresses)")
+        if not self.horizon_years > 0:
+            raise ValidationError(
+                f"horizon_years must be positive, got {self.horizon_years}"
+            )
 
 
 def _truncated_normal_positive(mean, sd, size, rng: RngStream) -> np.ndarray:
@@ -260,7 +273,13 @@ def progressed_latent(psi0, slope, rho=1.0, horizon_years: float = 1.0):
 def sample_grm_scores(model: GrModel, thetas: np.ndarray, rng: RngStream) -> np.ndarray:
     """Sample one response row per theta from the graded-response model."""
     u = rng.gen.random((thetas.shape[0], model.n_items))
-    return (u[:, :, None] < model.survival(thetas)).sum(axis=2)
+    above = u[:, :, None] < model.survival(thetas)
+    # the count of categories reached, added one category at a time: a sum
+    # over the short last axis runs one inner loop per response
+    scores = np.zeros(u.shape, dtype=np.int64)
+    for reached in above.transpose(2, 0, 1):
+        scores += reached
+    return scores
 
 
 def gen_irt_longitudinal(
@@ -279,9 +298,10 @@ def gen_irt_longitudinal(
     slope = _truncated_normal_positive(pop.slope_mean, pop.slope_sd, 2 * n, rng)
     ratio = np.r_[np.ones(n), np.full(n, rho)]
     latent_week52 = progressed_latent(psi0, slope, ratio, pop.horizon_years)
-    baseline = sample_grm_scores(model, psi0, rng)
-    week52 = sample_grm_scores(model, latent_week52, rng)
-    return _two_arm(n, "I", baseline, week52, original_scheme())
+    # sample_grm_scores at baseline and then at week 52, as one call (the
+    # same stream of uniforms)
+    scores = sample_grm_scores(model, np.concatenate([psi0, latent_week52]), rng)
+    return _two_arm(n, "I", scores[:2 * n], scores[2 * n:], original_scheme())
 
 
 # ---------------------------------------------------------------------------

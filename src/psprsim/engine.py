@@ -42,6 +42,7 @@ from .irt import (
 )
 from .marginal import (
     DOMAIN_ROWS,
+    ENDPOINTS,
     IRT_ROW,
     ITEM_ROWS,
     LM_ROW,
@@ -388,12 +389,14 @@ class MethodContext:
     """What the procedures read for one dataset in one scoring scheme. alpha
     is simulate's decision level for MaxT, None (analyze) a full-precision p.
 
-    The endpoint block (one fit_marginals call on both visits' model scores,
-    from one eap_scores call), its item rows and their correlation are
-    computed on first use, and a METHOD_ERRORS exception from one of them is
-    raised again on each later use. A singular row fails only the methods
-    that read it. thetas, when given, are those model scores already
-    computed (visit_thetas), and the context does not score again.
+    The endpoint block comes from fit_endpoints, which run_single_replicate
+    and analyze call on the contexts of all schemes at once, and which a
+    context calls on itself alone on first use otherwise. Its item rows and
+    their correlation are computed on first use. A METHOD_ERRORS exception
+    from any of them is raised again on each later use, and a singular row
+    fails only the methods that read it. thetas, when given, are the model
+    scores already computed (visit_thetas), and the context does not score
+    again.
     """
 
     data: ItemDataset
@@ -417,20 +420,26 @@ class MethodContext:
             raise cache[name]
         return cache[name]
 
-    def _fit_endpoints(self) -> AncovaFit:
+    def model_scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (2, n) EAP and LM scores of both visits, as fit_marginals reads them."""
         data = self.data
         for what, fitted in (("model", self.grm.scheme), ("approximation", self.approx.scheme)):
             if fitted != data.scheme.name:  # a model only scores data in its own scheme
                 raise ValidationError(
                     f"{what} was fitted on scheme {fitted!r}, data uses {data.scheme.name!r}"
                 )
-        visits = np.stack([data.baseline, data.week52])
+        visits = np.array((data.baseline, data.week52))
         thetas = eap_scores(self.grm, visits) if self.thetas is None else self.thetas
-        return fit_marginals(data, thetas, approx_latent(self.approx, visits))
+        return thetas, approx_latent(self.approx, visits)
 
     @property
     def endpoints(self) -> AncovaFit:
-        return self._once("_endpoints", self._fit_endpoints)
+        if "_endpoints" not in vars(self):
+            fit_endpoints([self])
+        fits = vars(self)["_endpoints"]
+        if isinstance(fits, Exception):
+            raise fits
+        return fits
 
     def rows(self, rows: slice) -> AncovaFit:
         return endpoint_rows(self.endpoints, rows)
@@ -442,6 +451,33 @@ class MethodContext:
     @property
     def corr(self) -> CorrelationEstimate:
         return self._once("_corr", lambda: estimate_corr(self.data, self.fits))
+
+
+def fit_endpoints(contexts: list[MethodContext]) -> None:
+    """Fit the endpoint blocks of the contexts, the datasets of one trial's
+    subjects in their schemes, with one fit_marginals call over all of them.
+
+    Each context keeps its own 16 rows, so a singular row fails only the
+    methods of its scheme that read it. A METHOD_ERRORS exception of the
+    joint pass repeats the pass for each context alone, so it too fails
+    only the scheme that raises it; a context keeps its exception.
+    """
+    if not contexts:  # a plan without schemes runs no methods
+        return
+    try:
+        thetas, latents = zip(*(ctx.model_scores() for ctx in contexts))
+        block = fit_marginals([ctx.data for ctx in contexts], thetas, latents)
+    except METHOD_ERRORS as exc:
+        if len(contexts) > 1:
+            for ctx in contexts:
+                fit_endpoints([ctx])
+            return
+        blocks = [exc]
+    else:
+        rows = len(ENDPOINTS)
+        blocks = [block.take(slice(s * rows, (s + 1) * rows)) for s in range(len(contexts))]
+    for ctx, fits in zip(contexts, blocks):
+        vars(ctx)["_endpoints"] = fits
 
 
 def run_methods(ctx: MethodContext, methods) -> list:
@@ -463,7 +499,8 @@ def run_single_replicate(
     rep: int,
     aux: StudyAuxiliaries,
 ):
-    """One replicate: generate, rescore per scheme, run each method.
+    """One replicate: generate, rescore per scheme, fit every scheme's
+    endpoints in one pass, run each method.
 
     Returns (rejected, failed, messages): int8 arrays of shape
     (n_schemes, n_methods) and a list of failure descriptions.
@@ -474,13 +511,17 @@ def run_single_replicate(
     rejected = np.zeros((n_s, n_m), dtype=np.int8)
     failed = np.zeros((n_s, n_m), dtype=np.int8)
     messages: list[str] = []
-    for si, tag in enumerate(plan.schemes):
-        ctx = MethodContext(
+    contexts = [
+        MethodContext(
             data=ensure_scheme(data0, tag), grm=aux.grm[tag],
             approx=aux.approx[tag], calib_items=aux.calib_items,
             calib_domains=aux.calib_domains, maxt_tol=plan.maxt_tol,
             rng=base.child(1 + si), alpha=plan.alpha,
         )
+        for si, tag in enumerate(plan.schemes)
+    ]
+    fit_endpoints(contexts)
+    for si, (tag, ctx) in enumerate(zip(plan.schemes, contexts)):
         for mi, (method, out) in enumerate(zip(plan.methods, run_methods(ctx, plan.methods))):
             if isinstance(out, Exception):
                 failed[si, mi] = 1

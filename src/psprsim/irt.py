@@ -49,7 +49,7 @@ def _check_levels(y: np.ndarray, levels: np.ndarray, labels) -> None:
     """Reject a response outside 0..levels[k] - 1 in column k of y, naming
     the first such column by labels[k] and its first bad value."""
     bad = (y < 0) | (y >= levels)
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad.any(axis=0)))
         v = int(y[np.argmax(bad[:, k]), k])
         raise ValidationError(
@@ -137,7 +137,8 @@ class GrModel:
             )
         _check_levels(y, self._levels,
                       ITEM_COLUMNS if self.n_items == N_ITEMS else range(self.n_items))
-        out = self._maps[np.arange(self.n_items), y]
+        # one take from the flattened maps: row k starts at k * max levels
+        out = self._maps.take(y + self._maps.shape[1] * np.arange(self.n_items))
         return out[0] if squeeze else out
 
     def log_prob_tables(self, thetas: np.ndarray) -> np.ndarray:
@@ -150,6 +151,11 @@ class GrModel:
         """log_prob_tables at the EAP nodes as (items, C_max, nodes), the
         layout _row_loglik gathers."""
         return _transposed(self.log_prob_tables(_gauss_hermite(DEFAULT_NODES)[0]))
+
+    @cached_property
+    def _eap_prefix(self) -> np.ndarray:
+        """_prefix_table of the EAP tables, built once per model."""
+        return _prefix_table(self._eap_tables_t)
 
     # -- serialization (JSON; floats round-trip bit-exactly via repr) --
 
@@ -204,18 +210,46 @@ def _transposed(tables: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(tables.transpose(0, 2, 1))
 
 
-def _row_loglik(tables_t: np.ndarray, y: np.ndarray) -> np.ndarray:
+PREFIX_ITEMS = 3  # items whose summed rows _prefix_table holds
+
+
+def _prefix_table(tables_t: np.ndarray) -> np.ndarray:
+    """The sums ((0 + T0[c0]) + T1[c1]) + T2[c2] of the first PREFIX_ITEMS
+    items' table rows for every category combination, as (C^k, nodes)
+    rows in row-major (c0, c1, c2) order: the sums _row_loglik's first k
+    adds give, bit for bit."""
+    acc = np.zeros((1, tables_t.shape[2]))
+    for tab in tables_t[:PREFIX_ITEMS]:
+        acc = (acc[:, None, :] + tab).reshape(-1, acc.shape[1])
+    return acc
+
+
+def _row_loglik(tables_t: np.ndarray, y: np.ndarray,
+                prefix: np.ndarray | None = None) -> np.ndarray:
     """Sum of per-item log-probs; C-contiguous, shape (n_nodes, n_rows).
 
-    Gathers whole rows of each item's transposed (C, nodes) table and adds
-    them item by item from zeros, the same adds as gathering node columns.
-    The result is returned C-contiguous: the callers' sums over nodes then
-    take the same sequential path, where an F-ordered array would sum
-    pairwise and change the last bits.
+    Adds whole rows of each item's transposed (C, nodes) table item by item
+    from zeros, the same adds as gathering node columns. The first
+    PREFIX_ITEMS adds are one gather from ``prefix``, the _prefix_table of
+    ``tables_t`` (built here when not given), which holds their sums. The
+    result is returned C-contiguous: the callers' sums over nodes then take
+    the same sequential path, where an F-ordered array would sum pairwise
+    and change the last bits.
     """
-    ll = np.zeros((y.shape[0], tables_t.shape[2]))
-    for tab, col in zip(tables_t, y.T):
-        ll += tab[col]
+    if prefix is None:
+        prefix = _prefix_table(tables_t)
+    cols = np.ascontiguousarray(y.T)
+    k = min(PREFIX_ITEMS, len(cols))
+    index = np.zeros(y.shape[0], dtype=np.intp)
+    for col in cols[:k]:
+        index *= tables_t.shape[1]
+        index += col
+    # the responses index their tables (map_responses checked them), so
+    # mode="clip" changes nothing and lets take fill one reused buffer
+    ll = prefix.take(index, axis=0, mode="clip")
+    gathered = np.empty_like(ll)
+    for tab, col in zip(tables_t[k:], cols[k:]):
+        ll += tab.take(col, axis=0, out=gathered, mode="clip")
     return np.ascontiguousarray(ll.T)
 
 
@@ -233,11 +267,12 @@ def eap_scores(model: GrModel, responses: np.ndarray) -> np.ndarray:
     k, rows = (1, r.shape[0]) if r.ndim == 2 else r.shape[:2]
     y = model.map_responses(r.reshape(-1, r.shape[-1]))
     thetas, weights = _gauss_hermite(DEFAULT_NODES)
-    ll = _row_loglik(model._eap_tables_t, y)
-    ll -= ll.max(axis=0, keepdims=True)
-    post = weights[:, None] * np.exp(ll)
+    post = _row_loglik(model._eap_tables_t, y, model._eap_prefix)
+    post -= post.max(axis=0, keepdims=True)
+    np.exp(post, out=post)
+    post *= weights[:, None]
     blocks = post.reshape(DEFAULT_NODES, k, rows)
-    num = np.stack([thetas @ np.ascontiguousarray(blocks[:, j]) for j in range(k)])
+    num = np.array([thetas @ np.ascontiguousarray(blocks[:, j]) for j in range(k)])
     return (num / post.sum(axis=0).reshape(k, rows)).reshape(r.shape[:-1])
 
 

@@ -19,11 +19,13 @@ row/column restriction of R.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDataError, SingularDesignError, ValidationError
+from .errors import DegenerateDataError, NumericalError, SingularDesignError, ValidationError
 from .numkit import AncovaFit, ancova_design, fit_ancova
 from .scales import DOMAINS, ITEM_COLUMNS, N_ITEMS, ItemDataset
 
@@ -47,25 +49,49 @@ _SCORE_MAP = np.column_stack([
 ])
 
 
+def solve_gls_weights(R: np.ndarray, what: str) -> np.ndarray:
+    """The GLS weights R^-1 1; a singular R is a NumericalError naming `what`."""
+    try:
+        return np.linalg.solve(R, np.ones(R.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular {what}: {exc}") from exc
+
+
 @dataclass
 class CorrelationEstimate:
     """Correlation of the stacked treatment-coefficient estimators."""
 
     R: np.ndarray
 
+    @cached_property
+    def gls_weights(self) -> np.ndarray:
+        """The GLS weights of R, solved once for the GLS and GLS-drop tests;
+        read-only, as both outcomes hold them."""
+        w = solve_gls_weights(self.R, "correlation matrix")
+        w.flags.writeable = False
+        return w
 
-def fit_marginals(data: ItemDataset, theta: np.ndarray, latent: np.ndarray) -> AncovaFit:
-    """Fit every endpoint's week52 ~ baseline + treatment ANCOVA as one block.
 
-    ``theta`` and ``latent`` are (2, n) model scores, baseline visit first.
-    The rows follow ENDPOINTS; the item, domain and sum scores are exact
-    integer sums, and each row equals the fit of its endpoint alone, bit for
-    bit. A singular row is marked, not raised: endpoint_rows names it when
-    a procedure reads it.
+def fit_marginals(data: Sequence[ItemDataset], theta: Sequence[np.ndarray],
+                  latent: Sequence[np.ndarray]) -> AncovaFit:
+    """Fit every endpoint's week52 ~ baseline + treatment ANCOVA of the S
+    datasets of one trial's subjects (one per scoring scheme) as one block.
+
+    ``theta[s]`` and ``latent[s]`` are dataset s's (2, n) model scores,
+    baseline visit first. Rows 16 s .. 16 s + 15 are dataset s's endpoints
+    in ENDPOINTS order; the item, domain and sum scores are exact integer
+    sums, and each row equals the fit of its endpoint alone, bit for bit. A
+    singular row is marked, not raised: endpoint_rows names it when a
+    procedure reads it.
     """
-    base = np.column_stack([data.baseline @ _SCORE_MAP, theta[0], latent[0]])
-    week = np.column_stack([data.week52 @ _SCORE_MAP, theta[1], latent[1]])
-    return fit_ancova(week, base, data.arm)
+    arm = data[0].arm
+    if any(d.arm is not arm and not np.array_equal(d.arm, arm) for d in data[1:]):
+        raise ValidationError("the datasets of one endpoint block must share their subjects")
+    base = np.column_stack([col for d, th, lt in zip(data, theta, latent)
+                            for col in (d.baseline @ _SCORE_MAP, th[0], lt[0])])
+    week = np.column_stack([col for d, th, lt in zip(data, theta, latent)
+                            for col in (d.week52 @ _SCORE_MAP, th[1], lt[1])])
+    return fit_ancova(week, base, arm)
 
 
 def endpoint_rows(fits: AncovaFit, rows: slice) -> AncovaFit:

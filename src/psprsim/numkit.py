@@ -15,6 +15,7 @@ RngStream(master).child(scenario).child(replicate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -111,15 +112,24 @@ class AncovaFit:
         Raises SingularDesignError carrying the block index of the first
         singular row selected.
         """
-        bad = np.flatnonzero(self.singular[index])
-        if bad.size:
-            raise SingularDesignError(
-                "ANCOVA design matrix is rank deficient (constant baseline?)",
-                column=range(self.singular.size)[index][bad[0]],
-            )
+        if self._any_singular:
+            bad = np.flatnonzero(self.singular[index])
+            if bad.size:
+                raise SingularDesignError(
+                    "ANCOVA design matrix is rank deficient (constant baseline?)",
+                    column=range(self.singular.size)[index][bad[0]],
+                )
+        return self.take(index)
+
+    def take(self, index: slice) -> "AncovaFit":
+        """The rows ``index`` selects, singular ones included."""
         return AncovaFit(coef=self.coef[index], se=self.se[index], t=self.t[index],
                          p=self.p[index], df=self.df, residuals=self.residuals[index],
                          singular=self.singular[index])
+
+    @cached_property
+    def _any_singular(self) -> bool:
+        return bool(self.singular.any())
 
 
 def ancova_design(baseline: np.ndarray, arm: np.ndarray) -> np.ndarray:

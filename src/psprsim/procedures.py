@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .errors import NumericalError, ValidationError
-from .marginal import CorrelationEstimate
+from .marginal import CorrelationEstimate, solve_gls_weights
 from .mvnorm import (
     bivariate_upper_orthant,
     dawson_sankoff_lower,
@@ -157,14 +157,6 @@ def test_lm_approx(fit: AncovaFit) -> TestOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _gls_weights(R: np.ndarray, what: str) -> np.ndarray:
-    """The GLS weights R^-1 1; a singular R is a NumericalError naming `what`."""
-    try:
-        return np.linalg.solve(R, np.ones(R.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular {what}: {exc}") from exc
-
-
 def test_obrien(fits: AncovaFit, corr: CorrelationEstimate,
                 variant: str = "OLS") -> TestOutcome:
     """Directional global tests on the vector of per-item t-statistics.
@@ -184,14 +176,15 @@ def test_obrien(fits: AncovaFit, corr: CorrelationEstimate,
     R = corr.R
     w = np.ones(t.size)  # OLS is GLS with unit weights
     if variant != "OLS":
-        w = _gls_weights(R, "correlation matrix")
+        w = corr.gls_weights
         if variant == "GLS-drop" and w.min() < 0:
             drop = int(np.argmin(w))
-            keep = np.array([j for j in range(t.size) if j != drop])
+            keep = np.arange(t.size - 1)
+            keep[drop:] += 1
             dropped = [drop]
-            R = R[np.ix_(keep, keep)]
+            R = R[keep[:, None], keep]
             t = t[keep]
-            w = _gls_weights(R, "correlation after drop")
+            w = solve_gls_weights(R, "correlation after drop")
             if w.min() < 0:
                 diagnostics["negative_weights_after_drop"] = keep[w < 0].tolist()
         elif variant == "GLS-drop":
@@ -375,21 +368,29 @@ class OmnibusCalibration:
 
     def partial_p(self, partial_sums: np.ndarray) -> np.ndarray:
         """Marginal Monte-Carlo p of each observed partial sum (large = extreme)."""
-        tables, reps = self.tables, self.reps
-        ge = reps - np.array(
-            [
-                np.searchsorted(tables[s], partial_sums[s], side="left")
-                for s in range(self.m)
-            ]
-        )
-        return (1.0 + ge) / (reps + 1.0)
+        rows = zip(self.sorted_partial_stats, partial_sums)
+        ge = self.reps - np.array([row.searchsorted(x, side="left") for row, x in rows])
+        return (1.0 + ge) / (self.reps + 1.0)
 
     def combined_statistic(self, pvalues: np.ndarray) -> float:
-        partial = np.cumsum(_reciprocal(np.sort(pvalues)))
-        return float(self.partial_p(partial).min())
+        """partial_p(partial sums).min(), the smallest marginal p.
+
+        The p of a sum falls as its left index in its row rises, so this is
+        the p of the highest index. A row whose entry at the highest index
+        so far is not below its sum ranks the sum no higher, and is not
+        searched.
+        """
+        partial = np.cumsum(_reciprocal(np.sort(pvalues))).tolist()
+        reps, top = self.reps, 0
+        for row, x in zip(self.sorted_partial_stats, partial):
+            if top == reps:
+                break
+            if row[top] < x:
+                top = int(row.searchsorted(x, side="left"))
+        return (1.0 + (reps - top)) / (reps + 1.0)
 
     def global_p(self, combined: float) -> float:
-        le = np.searchsorted(self.sorted_null_stats, combined, side="right")
+        le = self.sorted_null_stats.searchsorted(combined, side="right")
         return (1.0 + le) / (self.reps + 1.0)
 
 
@@ -398,30 +399,47 @@ def check_calibration_reps(reps: int, name: str = "reps") -> None:
         raise ValidationError(f"need {name} >= 100, got {reps}")
 
 
+CALIBRATION_CHUNK = 8192  # calibration replicates drawn and summed at a time
+
+
 def build_omnibus_calibration(m: int, reps: int = 100_000, seed: int = 0) -> OmnibusCalibration:
     """Simulate the null tables under independent uniform p-values."""
     if m < 2:
         raise ValidationError(f"need m >= 2, got {m}")
     check_calibration_reps(reps)
-    rng = RngStream(seed)
-    u = rng.gen.random((reps, m))
-    u.sort(axis=1)
-    S = _reciprocal(u)
-    del u  # one (reps, m) working copy from here on
-    np.cumsum(S, axis=1, out=S)  # (reps, m)
+    gen = RngStream(seed).gen
     tables = np.empty((m + 1, reps))
+    # the replicates' partial sums, column s into row s, a chunk of
+    # replicates at a time: consecutive draws continue one stream
+    for start in range(0, reps, CALIBRATION_CHUNK):
+        u = gen.random((min(CALIBRATION_CHUNK, reps - start), m))
+        u.sort(axis=1)
+        S = _reciprocal(u)
+        np.cumsum(S, axis=1, out=S)
+        tables[:m, start:start + len(S)] = S.T
     # each calibration replicate's own combined statistic, same convention:
     # a row ranks its replicates by its own sort, and ties rank by value, so
-    # any sort order gives each replicate the left index of its value
+    # any sort order gives each replicate the left index of its value: the
+    # start of its run of equal values, carried forward in one pass. The
+    # work runs in reused buffers; the float buffer p shares left's memory,
+    # as each use of one ends before the other's begins.
+    positions = np.arange(reps)
+    first = np.ones(reps, dtype=bool)  # where each run of equal values starts
+    left = np.empty(reps, dtype=np.intp)
     idx = np.empty(reps, dtype=np.intp)
-    low = np.full(reps, np.inf)
-    for s in range(m):
-        col = np.ascontiguousarray(S[:, s])
-        order = np.argsort(col)
-        tables[s] = col[order]
-        idx[order] = np.searchsorted(tables[s], tables[s], side="left")
-        np.minimum(low, (1.0 + reps - idx) / (reps + 1.0), out=low)
-    tables[m] = np.sort(low)
+    p = left.view(np.float64)
+    low = tables[m]
+    low.fill(np.inf)
+    for row in tables[:m]:
+        order = row.argsort()
+        row[:] = row.take(order, out=p, mode="clip")
+        np.not_equal(row[1:], row[:-1], out=first[1:])
+        np.maximum.accumulate(np.multiply(positions, first, out=left), out=left)
+        idx[order] = left
+        np.subtract(1.0 + reps, idx, out=p)
+        p /= reps + 1.0
+        np.minimum(low, p, out=low)
+    low.sort()
     return OmnibusCalibration(tables)
 
 

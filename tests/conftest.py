@@ -69,7 +69,8 @@ def endpoint_fits(data, model, approx):
     """The fit_marginals block of `data`, scored as engine.MethodContext
     scores it: one EAP and one LM call over both visits."""
     visits = np.stack([data.baseline, data.week52])
-    return ps.fit_marginals(data, ps.eap_scores(model, visits), ps.approx_latent(approx, visits))
+    return ps.fit_marginals([data], [ps.eap_scores(model, visits)],
+                            [ps.approx_latent(approx, visits)])
 
 
 def item_fits(data):

@@ -19,6 +19,7 @@ from psprsim.datagen import (
     sample_grm_scores,
 )
 from psprsim.errors import ValidationError
+from psprsim.mvnorm import sample_mvn
 from psprsim.scales import N_ITEMS, RAW_LEVELS, ScoringScheme, get_scheme, load_scheme
 
 from conftest import grm_category_probs
@@ -309,6 +310,55 @@ class TestIrtGenerator:
             assert np.abs(freq - expected).max() < 0.02
 
 
+def _two_draw_mvn(params, scenario, n, rng):
+    """gen_discretized_mvn's scores as two sample_mvn calls drew them, one
+    per arm."""
+    shift = np.concatenate([np.zeros(N_ITEMS), scenario.d])
+    control = sample_mvn(params.mean20, params.factor, n, rng)
+    treated = sample_mvn(params.mean20 - shift, params.factor, n, rng)
+    return np.clip(np.rint(np.vstack([control, treated])), 0, RAW_LEVELS - 1).astype(np.int64)
+
+
+def _two_draw_irt(pop, model, rho, n, rng):
+    """gen_irt_longitudinal's scores as one sample_grm_scores call per visit
+    drew them, each summing its comparisons over the category axis."""
+    psi0 = pop.intercept_mean + pop.intercept_sd * rng.gen.standard_normal(2 * n)
+    slope = _truncated_normal_positive(pop.slope_mean, pop.slope_sd, 2 * n, rng)
+    week = progressed_latent(psi0, slope, np.r_[np.ones(n), np.full(n, rho)],
+                             pop.horizon_years)
+    visits = []
+    for thetas in (psi0, week):
+        u = rng.gen.random((2 * n, model.n_items))
+        visits.append((u[:, :, None] < model.survival(thetas)).sum(axis=2))
+    return visits
+
+
+class TestOneDrawGenerators:
+    """Both generators draw both arms (mvn) or both visits (irt) in one call
+    from the same stream; the datasets must equal the two-call draws."""
+
+    @pytest.mark.parametrize("n", [2, 3, 35, 70, 71])
+    def test_mvn_equals_two_draws(self, reference_pool, n):
+        params = ps.DiscretizedMvnParams.estimate(reference_pool)
+        scenarios = ps.builtin_scenarios()
+        for seed in range(60):
+            scen = scenarios[("d0", "d3", "d5", "d10")[seed % 4]]
+            data = ps.gen_discretized_mvn(params, scen, n, ps.RngStream(seed))
+            ref = _two_draw_mvn(params, scen, n, ps.RngStream(seed))
+            assert data.baseline.tobytes() == ref[:, :N_ITEMS].tobytes()
+            assert data.week52.tobytes() == ref[:, N_ITEMS:].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 35, 70, 71])
+    def test_irt_equals_two_draws(self, grm_model, n):
+        pop = ps.IrtPopulationParams()
+        for seed in range(60):
+            rho = (1.0, 0.6, 0.45)[seed % 3]
+            data = ps.gen_irt_longitudinal(pop, grm_model, rho, n, ps.RngStream(seed))
+            baseline, week52 = _two_draw_irt(pop, grm_model, rho, n, ps.RngStream(seed))
+            assert data.baseline.tobytes() == baseline.tobytes()
+            assert data.week52.tobytes() == week52.tobytes()
+
+
 class TestSyntheticReference:
     def test_pool_bytes_pinned(self, reference_pool):
         # the seed-1 pool every session fixture and `make-reference --seed 1`
@@ -406,6 +456,26 @@ def _slope_ratio():
                  "standard deviations must be nonnegative", id="population-negative-sd"),
     pytest.param(lambda: ps.IrtPopulationParams(slope_mean=0.0),
                  "slope_mean must be positive", id="population-slope-mean"),
+    # a NaN passes every ordering check, so non-finite values are named first
+    pytest.param(lambda: ps.EffectScenario("item-shift", "nan-d",
+                                           d=np.r_[np.nan, np.zeros(N_ITEMS - 1)]),
+                 "scenario 'nan-d' needs a finite nonnegative length-10 vector",
+                 id="shift-nan"),
+    pytest.param(lambda: ps.EffectScenario("item-shift", "inf-d", d=np.full(N_ITEMS, np.inf)),
+                 "scenario 'inf-d' needs a finite", id="shift-inf"),
+    pytest.param(lambda: ps.EffectScenario("slope-ratio", "nan-rho", rho=np.nan),
+                 r"slope ratio must lie in \(0, 1\], got nan \(scenario 'nan-rho'\)",
+                 id="ratio-nan"),
+    *(pytest.param(lambda name=name: ps.IrtPopulationParams(**{name: np.nan}),
+                   rf"irt_population fields \['{name}'\] must be finite",
+                   id=f"population-{name}-nan")
+      for name in ("intercept_mean", "intercept_sd", "slope_mean", "slope_sd", "horizon_years")),
+    pytest.param(lambda: ps.IrtPopulationParams(slope_sd=np.inf),
+                 "must be finite", id="population-sd-inf"),
+    pytest.param(lambda: ps.IrtPopulationParams(horizon_years=-1.0),
+                 "horizon_years must be positive, got -1.0", id="population-horizon-negative"),
+    pytest.param(lambda: ps.IrtPopulationParams(horizon_years=0.0),
+                 "horizon_years must be positive, got 0.0", id="population-horizon-zero"),
 ])
 def test_datagen_validation_errors(build, message):
     with pytest.raises(ValidationError, match=message):

@@ -399,7 +399,7 @@ class TestFailureAccounting:
 def degenerate_replicate(small_plan, aux, monkeypatch, visit, value, items=(0,)):
     """One replicate whose `items` (the first by default) are set to `value`
     at `visit`, with the number of fit_marginals and estimate_corr calls it
-    made."""
+    made: one fit_marginals call fits every scheme's endpoints."""
     import psprsim.engine as eng
 
     real = eng._generate
@@ -437,7 +437,7 @@ class TestDegenerateData:
         for si in range(len(small_plan.schemes)):
             assert failed[si].astype(bool).tolist() == expect
         assert all("zero sandwich variance" in m for m in messages)
-        assert calls == {"fit_marginals": 2, "estimate_corr": 2}
+        assert calls == {"fit_marginals": 1, "estimate_corr": 2}
 
     def test_constant_baseline_item_fits_once_per_scheme(self, small_plan, aux, monkeypatch):
         # a constant baseline item makes the 10-item block singular; the
@@ -452,7 +452,7 @@ class TestDegenerateData:
             f"{m}/{tag}/rep=3" for tag in small_plan.schemes for m in fits_methods]
         assert len({m.split(": ", 1)[1] for m in messages}) == 1
         assert "singular ANCOVA design for item item03" in messages[0]
-        assert calls == {"fit_marginals": 2, "estimate_corr": 0}
+        assert calls == {"fit_marginals": 1, "estimate_corr": 0}
 
     def test_constant_history_baseline_fails_only_the_rows_read(self, small_plan, aux,
                                                                 monkeypatch):
@@ -468,11 +468,13 @@ class TestDegenerateData:
         dom = [m for m in messages if m.startswith("Omnibus-dom/")]
         assert len(dom) == len(small_plan.schemes)
         assert all("singular ANCOVA design for domain history" in m for m in dom)
-        assert calls == {"fit_marginals": 2, "estimate_corr": 0}
+        assert calls == {"fit_marginals": 1, "estimate_corr": 0}
 
     @pytest.mark.parametrize("visit, value", [(None, None), ("baseline", 2), ("week52", 0)])
     def test_one_block_fit_and_one_eap_call_per_scheme(self, small_plan, aux, monkeypatch,
                                                        visit, value):
+        # each scheme scores its data in one eap_scores call, and one
+        # fit_ancova call fits the endpoint blocks of all schemes
         import psprsim.engine as eng
         import psprsim.marginal as marginal
         import psprsim.procedures as procedures
@@ -497,7 +499,163 @@ class TestDegenerateData:
         else:
             degenerate_replicate(small_plan, aux, monkeypatch, visit, value)
         n = len(small_plan.schemes)
-        assert calls == {"fit_ancova": n, "eap_scores": n}
+        assert calls == {"fit_ancova": 1, "eap_scores": n}
+
+
+def _outcomes(contexts, joint):
+    """Each method's p-value (as hex) or failure message for each context:
+    with the endpoints of all contexts fitted in one pass when ``joint``,
+    else with each context fitting its own on first use."""
+    import psprsim.engine as eng
+
+    if joint:
+        eng.fit_endpoints(contexts)
+    return [[out.p_one_sided.hex() if not isinstance(out, Exception)
+             else f"{type(out).__name__}: {out}" for out in eng.run_methods(ctx, METHODS)]
+            for ctx in contexts]
+
+
+class TestSharedEndpointPass:
+    """fit_endpoints fits the endpoint blocks of all schemes of a dataset in
+    one fit_marginals call; every method's result must equal the one each
+    scheme gets from fitting its own block alone."""
+
+    @staticmethod
+    def contexts(plan, aux, data0, alpha=None):
+        import psprsim.engine as eng
+
+        base = ps.RngStream(plan.master_seed).child(5)
+        return [eng.MethodContext(
+            data=eng.ensure_scheme(data0, tag), grm=aux.grm[tag], approx=aux.approx[tag],
+            calib_items=aux.calib_items, calib_domains=aux.calib_domains,
+            maxt_tol=plan.maxt_tol, rng=base.child(si), alpha=alpha,
+        ) for si, tag in enumerate(plan.schemes)]
+
+    @staticmethod
+    def dataset(plan, aux, rep, odd):
+        import psprsim.engine as eng
+
+        base = ps.RngStream(plan.master_seed).child(0).child(rep)
+        data = eng._generate(plan, ps.builtin_scenarios()["d3"], aux, base.child(0))
+        if odd:  # one subject fewer: an odd subject count
+            data = ps.ItemDataset(data.ids[:-1], data.arm[:-1], data.baseline[:-1],
+                                  data.week52[:-1])
+        return data
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even-n", "odd-n"])
+    @pytest.mark.parametrize("alpha", [None, 0.025], ids=["full-p", "decision"])
+    def test_joint_pass_equals_each_scheme_alone(self, small_plan, aux, odd, alpha):
+        for rep in range(3):
+            data = self.dataset(small_plan, aux, rep, odd)
+            joint = _outcomes(self.contexts(small_plan, aux, data, alpha), joint=True)
+            alone = _outcomes(self.contexts(small_plan, aux, data, alpha), joint=False)
+            assert joint == alone
+            assert not any("Error" in p for row in joint for p in row)
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even-n", "odd-n"])
+    def test_singular_item_in_one_scheme_only(self, small_plan, aux, odd):
+        # the fda scheme maps item25's levels 0, 1 and 2 to 0, so a baseline
+        # item25 drawn from them is constant in fda only: the fda item rows
+        # are singular and the original ones are not
+        from psprsim.scales import ITEM_COLUMNS
+
+        data = self.dataset(small_plan, aux, 0, odd)
+        k = ITEM_COLUMNS.index("item25")
+        data.baseline[:, k] = np.arange(data.n_subjects) % 3
+        joint = _outcomes(self.contexts(small_plan, aux, data), joint=True)
+        assert joint == _outcomes(self.contexts(small_plan, aux, data), joint=False)
+        original, fda = joint
+        fits_methods = {"OLS", "GLS", "GLS-drop", "Bonf", "MaxT", "Simes", "Omnibus"}
+        assert not any("Error" in p for p in original)
+        assert [("singular ANCOVA design for item item25" in p) for p in fda] == [
+            m in fits_methods for m in METHODS]
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even-n", "odd-n"])
+    def test_zero_variance_item(self, small_plan, aux, odd):
+        data = self.dataset(small_plan, aux, 1, odd)
+        data.week52[:, 0] = 0
+        joint = _outcomes(self.contexts(small_plan, aux, data), joint=True)
+        assert joint == _outcomes(self.contexts(small_plan, aux, data), joint=False)
+        corr_methods = {"OLS", "GLS", "GLS-drop", "MaxT"}
+        for row in joint:
+            assert [("zero sandwich variance" in p) for p in row] == [
+                m in corr_methods for m in METHODS]
+
+    def test_plan_without_schemes_runs_no_methods(self, small_plan, aux):
+        from dataclasses import replace
+
+        plan = replace(small_plan, schemes=[], n_reps=100)
+        rejected, failed, messages = run_single_replicate(
+            plan, plan.resolve_scenarios()[0], 0, 3, aux)
+        assert rejected.shape == failed.shape == (0, len(plan.methods)) and messages == []
+        assert run_study(plan, aux=aux, workers=1).rows == []
+
+    def test_error_in_the_joint_pass_fails_only_its_scheme(self, small_plan, aux,
+                                                          monkeypatch):
+        # an error while scoring one scheme fails that scheme's methods; the
+        # other scheme's results are those of a replicate without the error
+        import psprsim.engine as eng
+
+        scen = small_plan.resolve_scenarios()[0]
+        clean = run_single_replicate(small_plan, scen, 0, 3, aux)
+        real = eng.eap_scores
+
+        def failing(model, responses):
+            if model is aux.grm["fda"]:
+                raise NumericalError("synthetic scoring failure")
+            return real(model, responses)
+
+        monkeypatch.setattr(eng, "eap_scores", failing)
+        rejected, failed, messages = run_single_replicate(small_plan, scen, 0, 3, aux)
+        fda = small_plan.schemes.index("fda")
+        for si in range(len(small_plan.schemes)):
+            assert failed[si].all() == (si == fda) and failed[si].any() == (si == fda)
+            if si != fda:
+                assert np.array_equal(rejected[si], clean[0][si])
+        assert len(messages) == len(small_plan.methods)
+        assert all("synthetic scoring failure" in m for m in messages)
+
+
+class TestReplicateContract:
+    """perfbench times each engine.run_single_replicate call, so run_study
+    must call it, looked up on the module, once per (scenario, replicate)."""
+
+    def test_one_call_per_replicate_at_one_worker(self, small_plan, aux, monkeypatch):
+        import psprsim.engine as eng
+        from dataclasses import replace
+
+        real = eng.run_single_replicate
+        seen = []
+
+        def recording(plan, scenario, scenario_id, rep, aux):
+            seen.append((scenario.label, scenario_id, rep))
+            return real(plan, scenario, scenario_id, rep, aux)
+
+        monkeypatch.setattr(eng, "run_single_replicate", recording)
+        plan = replace(small_plan, scenarios=["d0", "d3"], methods=["SumS"], n_reps=100)
+        run_study(plan, aux=aux, workers=1)
+        assert sorted(seen) == [(label, sid, rep) for sid, label in enumerate(["d0", "d3"])
+                                for rep in range(100)]
+
+    def test_task_list_covers_each_replicate_once_at_two_workers(self, small_plan, aux,
+                                                               monkeypatch):
+        import psprsim.engine as eng
+        from dataclasses import replace
+
+        tasks = []
+
+        class RecordingPool(eng.ProcessPoolExecutor):
+            def map(self, fn, iterable, **kwargs):
+                tasks.extend(iterable)
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(eng, "ProcessPoolExecutor", RecordingPool)
+        plan = replace(small_plan, scenarios=["d0", "d3"], methods=["SumS"], n_reps=101)
+        run_study(plan, aux=aux, workers=2)
+        covered = sorted((sid, scenario.label, rep) for scenario, sid, start, stop in tasks
+                         for rep in range(start, stop))
+        assert covered == [(sid, label, rep) for sid, label in enumerate(["d0", "d3"])
+                           for rep in range(101)]
 
 
 class TestMaxTDecisionPath:

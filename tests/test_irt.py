@@ -17,14 +17,16 @@ from psprsim.datagen import sample_grm_scores
 from psprsim.errors import NonConvergenceError, ValidationError
 from psprsim.irt import (
     DEFAULT_NODES,
+    PREFIX_ITEMS,
     GrModel,
     _category_probs,
     _gauss_hermite,
     _newton_block,
     _objective_grads,
+    _row_loglik,
     eap_scores,
 )
-from psprsim.scales import ITEM_COLUMNS, N_ITEMS
+from psprsim.scales import ITEM_COLUMNS, N_ITEMS, ensure_scheme
 
 from conftest import grm_category_probs
 
@@ -283,6 +285,65 @@ class TestPaddedKernel:
         item = ps.GrItemParams(1.0, np.array([-1.0, 1.0]))
         with pytest.raises(ValidationError, match="category maps"):
             GrModel(items=[item], category_maps=[np.array([0, 1, 3])])
+
+
+def _plain_eap_scores(model, responses):
+    """eap_scores as it ran before the prefix table: every item's table rows
+    gathered and added from zeros, then the posterior weighted out of place."""
+    r = np.asarray(responses, dtype=np.int64)
+    k, rows = (1, r.shape[0]) if r.ndim == 2 else r.shape[:2]
+    y = model.map_responses(r.reshape(-1, r.shape[-1]))
+    thetas, weights = _gauss_hermite(DEFAULT_NODES)
+    tables_t = model.log_prob_tables(thetas).transpose(0, 2, 1).copy()
+    ll = np.zeros((y.shape[0], DEFAULT_NODES))
+    for tab, col in zip(tables_t, y.T):
+        ll += tab[col]
+    ll = np.ascontiguousarray(ll.T)
+    ll -= ll.max(axis=0, keepdims=True)
+    post = weights[:, None] * np.exp(ll)
+    blocks = post.reshape(DEFAULT_NODES, k, rows)
+    num = np.stack([thetas @ np.ascontiguousarray(blocks[:, j]) for j in range(k)])
+    return (num / post.sum(axis=0).reshape(k, rows)).reshape(r.shape[:-1])
+
+
+@pytest.fixture(scope="module", params=["original", "fda"])
+def scheme_model(request, reference_pool):
+    """(data, model) of the reference pool in each scheme."""
+    data = ensure_scheme(reference_pool, request.param)
+    return data, ps.fit_grm(data)
+
+
+class TestEapPrefixTable:
+    """eap_scores reads the first PREFIX_ITEMS items' summed log-probabilities
+    from one cached table; the scores must equal the plain gather's bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 69, 139, 141, 380])
+    def test_matches_plain_gather_bit_for_bit(self, scheme_model, n):
+        data, model = scheme_model
+        gen = np.random.default_rng(n)
+        for _ in range(3):
+            idx = gen.choice(data.n_subjects, size=n, replace=False)
+            visits = np.stack([data.baseline[idx], data.week52[idx]])
+            for responses in (visits, visits[0]):
+                got = eap_scores(model, responses)
+                assert got.tobytes() == _plain_eap_scores(model, responses).tobytes()
+
+    def test_prefix_table_holds_the_first_items_sums(self, grm_model):
+        tables_t = grm_model._eap_tables_t
+        c = tables_t.shape[1]
+        prefix = grm_model._eap_prefix
+        assert PREFIX_ITEMS == 3
+        assert prefix.shape == (c**3, tables_t.shape[2])
+        for c0, c1, c2 in [(0, 0, 0), (1, c - 1, 2), (c - 1, c - 1, c - 1)]:
+            row = ((np.zeros(tables_t.shape[2]) + tables_t[0, c0]) + tables_t[1, c1]) \
+                + tables_t[2, c2]
+            assert prefix[(c0 * c + c1) * c + c2].tobytes() == row.tobytes()
+
+    def test_row_loglik_builds_its_own_prefix(self, grm_model, reference_pool):
+        y = grm_model.map_responses(reference_pool.baseline)
+        tables_t = grm_model._eap_tables_t
+        assert (_row_loglik(tables_t, y).tobytes()
+                == _row_loglik(tables_t, y, grm_model._eap_prefix).tobytes())
 
 
 # Per-item reference code: the item M-step as it ran item by item before

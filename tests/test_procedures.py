@@ -20,6 +20,7 @@ from psprsim.errors import NumericalError, ValidationError
 from psprsim.marginal import DOMAIN_ROWS, IRT_ROW, ITEM_ROWS, LM_ROW, SUM_ROW, CorrelationEstimate
 from psprsim.mvnorm import bivariate_upper_orthant, validate_correlation
 from psprsim.procedures import (
+    CALIBRATION_CHUNK,
     CALIBRATION_FORMAT_VERSION,
     bonferroni_adjust,
     get_omnibus_calibration,
@@ -223,6 +224,28 @@ class TestObrien:
     def test_unknown_variant(self, effect_dataset):
         with pytest.raises(ValidationError):
             ps.test_obrien(*marginals(effect_dataset), variant="WLS")
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["no-drop", "drop"])
+    def test_gls_and_gls_drop_share_one_solve(self, effect_dataset, negative):
+        # R^-1 1 is solved once per correlation; the drop solves its own
+        fits = item_fits(effect_dataset)
+        R = np.full((10, 10), 0.3)
+        if negative:
+            R[0, 1:] = R[1:, 0] = 0.9
+        np.fill_diagonal(R, 1.0)
+        w = np.linalg.solve(R, np.ones(10))
+        assert (w.min() < 0) == negative
+        corr = CorrelationEstimate(R=R)
+        real = np.linalg.solve
+        with mock.patch.object(np.linalg, "solve", side_effect=real) as solve:
+            gls = ps.test_obrien(fits, corr, variant="GLS")
+            drop = ps.test_obrien(fits, corr, variant="GLS-drop")
+        assert solve.call_count == 1 + negative
+        assert gls.weights.tobytes() == w.tobytes()
+        assert not gls.weights.flags.writeable
+        fresh = ps.test_obrien(fits, CorrelationEstimate(R=R.copy()), variant="GLS-drop")
+        assert (drop.statistic, drop.p_one_sided) == (fresh.statistic, fresh.p_one_sided)
+        assert drop.dropped_items == ([int(np.argmin(w))] if negative else None)
 
     @pytest.mark.parametrize("variant, name", [("OLS", "OLS"), ("GLS", "GLS"),
                                                ("GLS-drop", "GLS")])
@@ -538,6 +561,48 @@ class TestOmnibus:
     def test_build_matches_reference_bit_for_bit(self, m, reps, seed):
         built = ps.build_omnibus_calibration(m, reps, seed).tables
         assert built.tobytes() == _ref_build_omnibus_calibration(m, reps, seed).tobytes()
+
+    @pytest.mark.parametrize("m, extra", [(2, 0), (3, 1), (3, CALIBRATION_CHUNK + 17),
+                                          (10, -1)])
+    def test_chunked_build_matches_reference_across_chunks(self, m, extra):
+        # the uniforms are drawn CALIBRATION_CHUNK replicates at a time; a
+        # build of one chunk, one more, or several must equal one draw
+        reps = CALIBRATION_CHUNK + extra
+        built = ps.build_omnibus_calibration(m, reps, 5).tables
+        assert built.tobytes() == _ref_build_omnibus_calibration(m, reps, 5).tobytes()
+
+    def test_chunked_build_with_ties_matches_reference(self):
+        reps = 2 * CALIBRATION_CHUNK + 3
+        with mock.patch.object(ps.procedures, "_reciprocal", lambda p: np.round(1.0 / p)):
+            built = ps.build_omnibus_calibration(3, reps, 4).tables
+            ref = _ref_build_omnibus_calibration(3, reps, 4)
+        assert np.any(np.diff(ref[0]) == 0)
+        assert built.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m", [3, 10])
+    def test_combined_statistic_is_the_smallest_partial_p(self, calib3, calib10, m):
+        # the search that skips rows ranking no higher gives partial_p's minimum
+        calib = calib3 if m == 3 else calib10
+        gen = np.random.default_rng(m)
+        draws = [gen.uniform(size=m) ** gen.uniform(1.0, 6.0) for _ in range(3000)]
+        draws += [np.ones(m), np.full(m, 1e-14), np.r_[1e-14, np.ones(m - 1)],
+                  np.r_[np.ones(m - 1), 1e-14]]
+        for p in draws:
+            partial = np.cumsum(ps.procedures._reciprocal(np.sort(p)))
+            expected = float(calib.partial_p(partial).min())
+            got = calib.combined_statistic(p)
+            assert type(got) is float and got == expected
+
+    def test_combined_statistic_with_sums_tied_to_table_entries(self):
+        # whole-number reciprocals make the partial sums whole numbers that
+        # equal entries of the tables: a row whose entry at the highest index
+        # so far equals its sum ranks the sum no higher
+        with mock.patch.object(ps.procedures, "_reciprocal", lambda p: np.round(1.0 / p)):
+            calib = ps.build_omnibus_calibration(3, 500, 4)
+            for k in itertools.product(range(1, 9), repeat=3):
+                p = 1.0 / np.array(k, dtype=float)
+                partial = np.cumsum(ps.procedures._reciprocal(np.sort(p)))
+                assert calib.combined_statistic(p) == float(calib.partial_p(partial).min())
 
     def test_build_with_tied_partial_sums_matches_reference(self):
         # whole-number reciprocals tie many partial sums, so the sorted rows

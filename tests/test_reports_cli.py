@@ -709,6 +709,19 @@ class TestCli:
         pytest.param({"n_per_group": 1}, "need n_per_group >= 2", id="n_per_group"),
         pytest.param({"calibration_reps": 99}, "need calibration_reps >= 100",
                      id="calibration_reps"),
+        # json writes NaN as the bare NaN token, which a plan reader accepts
+        pytest.param({"scenarios": [{"label": "nan-d", "d": [0.3] * 9 + [float("nan")]}]},
+                     "scenario 'nan-d' needs a finite", id="scenarios-nan-d"),
+        pytest.param({"generator": "irt", "scenarios": [{"label": "nan-rho",
+                                                         "rho": float("nan")}]},
+                     "(scenario 'nan-rho')", id="scenarios-nan-rho"),
+        pytest.param({"generator": "irt", "scenarios": ["rho=0.6"],
+                      "irt_population": {"intercept_sd": float("nan")}},
+                     "irt_population fields ['intercept_sd'] must be finite",
+                     id="irt_population-nan-sd"),
+        pytest.param({"generator": "irt", "scenarios": ["rho=0.6"],
+                      "irt_population": {"horizon_years": -1.0}},
+                     "horizon_years must be positive", id="irt_population-negative-horizon"),
     ])
     def test_bad_scenario_fails_before_fit_phase(self, tmp_path, monkeypatch, capsys,
                                                  fields, message):
