@@ -19,13 +19,21 @@ from pathlib import Path
 from . import engine, procedures, reports
 from .datagen import ReferenceConfig, build_synthetic_reference
 from .errors import ValidationError
-from .irt import GrModel, LinearLatentApprox, fit_grm, fit_linear_latent_approx
+from .irt import GrModel, LinearLatentApprox, eap_scores, fit_grm, fit_linear_latent_approx
 # unused here, but perfbench/tracing.py patches these names
-from .irt import eap_scores  # noqa: F401
 from .marginal import estimate_corr, fit_marginals  # noqa: F401
 from .mvnorm import check_tol
 from .numkit import RngStream
-from .scales import ITEM_COLUMNS, apply_rescoring, ensure_scheme, get_scheme, load_scheme
+from .scales import (
+    FDA,
+    ITEM_COLUMNS,
+    ORIGINAL,
+    SCHEME_TAGS,
+    apply_rescoring,
+    ensure_scheme,
+    get_scheme,
+    load_scheme,
+)
 from .procedures import METHODS
 
 log = logging.getLogger(__name__)
@@ -37,7 +45,7 @@ SELF_FIT_CAVEAT = (
 
 
 def _scheme_arg(tag_or_path: str):
-    if tag_or_path in ("original", "fda"):
+    if tag_or_path in SCHEME_TAGS:
         return get_scheme(tag_or_path)
     return load_scheme(tag_or_path)
 
@@ -74,7 +82,7 @@ def _cmd_analyze(args) -> int:
     procedures.check_calibration_reps(args.calibration_reps, "--calibration-reps")
     arm_map = {args.arm_a: "treatment", args.arm_b: "control"}
     data0 = reports.load_trial_csv(args.csv, arm_map, drop_unmapped=True)
-    schemes = ["original", "fda"] if args.scheme == "both" else [args.scheme]
+    schemes = list(SCHEME_TAGS) if args.scheme == "both" else [args.scheme]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     comparison = f"{args.arm_a}-vs-{args.arm_b}"
@@ -82,17 +90,14 @@ def _cmd_analyze(args) -> int:
     notes: list[str] = []
     failures = 0
     diag: dict = {"comparison": comparison, "schemes": {}}
-    calib10 = procedures.get_omnibus_calibration(
-        args.cache_dir, m=10, reps=args.calibration_reps, seed=args.seed
-    )
-    calib3 = procedures.get_omnibus_calibration(
-        args.cache_dir, m=3, reps=args.calibration_reps, seed=args.seed
+    calib_items, calib_domains = engine.omnibus_calibrations(
+        args.cache_dir, args.calibration_reps, args.seed
     )
     contexts, self_fitted = [], []
     for tag in schemes:
         data = ensure_scheme(data0, tag)
-        model_path = {"original": args.model, "fda": args.model_fda}.get(tag)
-        approx_path = {"original": args.approx, "fda": args.approx_fda}.get(tag)
+        model_path = {ORIGINAL: args.model, FDA: args.model_fda}[tag]
+        approx_path = {ORIGINAL: args.approx, FDA: args.approx_fda}[tag]
         self_fitted.append(not (model_path and approx_path))
         model = GrModel.load(model_path) if model_path else fit_grm(data)
         thetas = None
@@ -101,11 +106,12 @@ def _cmd_analyze(args) -> int:
         else:
             # weighted-sum surrogate derived from the active model's EAP
             # scores on the analyzed data, which the IRT row reuses
-            thetas = engine.visit_thetas(model, data)
-            approx = fit_linear_latent_approx(data, thetas.reshape(-1))
+            thetas = eap_scores(model, data.visits)
+            approx = fit_linear_latent_approx(data, thetas)
         contexts.append(engine.MethodContext(
-            data=data, grm=model, approx=approx, calib_items=calib10, calib_domains=calib3,
-            maxt_tol=args.maxt_tol, rng=RngStream(args.seed), thetas=thetas,
+            data=data, grm=model, approx=approx, calib_items=calib_items,
+            calib_domains=calib_domains, maxt_tol=args.maxt_tol, rng=RngStream(args.seed),
+            thetas=thetas,
         ))
     engine.fit_endpoints(contexts)  # every scheme's endpoints in one pass
     for tag, ctx, fitted in zip(schemes, contexts, self_fitted):
@@ -174,7 +180,7 @@ def _cmd_fit_approx(args) -> int:
     data = reports.load_trial_csv(args.csv, arm_map)
     model = GrModel.load(args.model)
     data = ensure_scheme(data, model.scheme)
-    approx = fit_linear_latent_approx(data, engine.visit_thetas(model, data).reshape(-1))
+    approx = fit_linear_latent_approx(data, eap_scores(model, data.visits))
     approx.save(args.out)
     print(f"wrote {args.out} (R^2 {approx.r_squared:.4f})")
     return 0
@@ -198,7 +204,7 @@ def _cmd_rescore(args) -> int:
 
 
 def _cmd_make_reference(args) -> int:
-    pool = build_synthetic_reference(ReferenceConfig(n_subjects=args.n), RngStream(args.seed))
+    pool = build_synthetic_reference(ReferenceConfig(n_subjects=args.n), rng=RngStream(args.seed))
     labels = ("placebo", "dose-a") if args.two_arm_labels else ("control", "treatment")
     reports.write_trial_csv(pool, args.out, arm_labels=labels)
     print(f"wrote {args.out} ({pool.n_subjects} subjects)")
@@ -222,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv")
     p.add_argument("--arm-a", required=True, help="treatment arm label")
     p.add_argument("--arm-b", required=True, help="control arm label")
-    p.add_argument("--scheme", default="both", choices=["original", "fda", "both"])
+    p.add_argument("--scheme", default="both", choices=[*SCHEME_TAGS, "both"])
     p.add_argument("--model", default=None, help="GrModel JSON for the original scheme")
     p.add_argument("--model-fda", default=None, help="GrModel JSON for the FDA scheme")
     p.add_argument("--approx", default=None, help="linear approximation JSON (original)")
@@ -236,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-irt", help="fit a graded-response model on a trial CSV")
     p.add_argument("csv")
-    p.add_argument("--scheme", default="original", choices=["original", "fda"])
+    p.add_argument("--scheme", default=ORIGINAL, choices=SCHEME_TAGS)
     p.add_argument("--arm-map", default=None, help="JSON label map; default keeps all rows")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit_irt)

@@ -361,7 +361,7 @@ class ReferenceConfig:
 
 
 def build_synthetic_reference(
-    config: ReferenceConfig | None = None, rng: RngStream | None = None
+    config: ReferenceConfig | None = None, *, rng: RngStream
 ) -> ItemDataset:
     """Draw the reference pool: a discretized 20-dim normal, all arms pooled,
     rejection-sampled so both visit sum scores stay inside the severity band.
@@ -371,7 +371,6 @@ def build_synthetic_reference(
     config = config or ReferenceConfig()
     if config.n_subjects < 1:
         raise ValidationError(f"need n_subjects >= 1, got {config.n_subjects}")
-    rng = rng or RngStream(0)
     params = config.mvn_params()
     lo, hi = config.severity_band
     chunks: list[np.ndarray] = []

@@ -70,7 +70,7 @@ from .procedures import (
     test_sum_score,
 )
 from .reports import csv_text, emit_report
-from .scales import DOMAINS, ItemDataset, ensure_scheme, get_scheme
+from .scales import DOMAINS, N_ITEMS, ORIGINAL, SCHEME_TAGS, ItemDataset, ensure_scheme, get_scheme
 
 WORKER_ENV_VAR = "PSPRSIM_WORKERS"
 # each generator and the scenario kind it applies
@@ -150,7 +150,7 @@ class StudyPlan:
 
     generator: str
     scenarios: list = field(default_factory=lambda: ["d0"])
-    schemes: list = field(default_factory=lambda: ["original", "fda"])
+    schemes: list = field(default_factory=lambda: list(SCHEME_TAGS))
     methods: list = field(default_factory=lambda: list(METHODS))
     n_per_group: int = 70
     n_reps: int = 10_000
@@ -165,6 +165,9 @@ class StudyPlan:
 
     def __post_init__(self):
         _check_types(vars(self), StudyPlan, "plan")
+        for name in ("scenarios", "schemes", "methods"):  # a plan without one runs nothing
+            if not getattr(self, name):
+                raise ValidationError(f"plan field {name!r} must not be empty")
         if self.generator not in GENERATORS:
             raise ValidationError(f"unknown generator {self.generator!r}")
         if self.n_reps < 100:
@@ -311,17 +314,12 @@ class StudyAuxiliaries:
     calib_domains: OmnibusCalibration
 
 
-def visit_thetas(grm: GrModel, data: ItemDataset) -> np.ndarray:
-    """The (2, subjects) EAP scores of the baseline and week-52 visits,
-    scored as one stack, as MethodContext scores them for the IRT row.
-
-    Every LM approximation is fitted from these scores reshaped to one row
-    (which follows flatten_visits): scoring the 2 x subjects visit rows as
-    one block rounds some scores differently in the last bit when the
-    subject count is odd, so one way of scoring keeps the self-fit,
-    fit-approx and simulate's approximations alike.
-    """
-    return eap_scores(grm, np.stack([data.baseline, data.week52]))
+def omnibus_calibrations(
+    cache_dir: str | Path | None, reps: int, seed: int
+) -> tuple[OmnibusCalibration, OmnibusCalibration]:
+    """The omnibus calibrations of the item p-values and of the domain p-values."""
+    return tuple(get_omnibus_calibration(cache_dir, m=m, reps=reps, seed=seed)
+                 for m in (N_ITEMS, len(DOMAINS)))
 
 
 def prepare_auxiliaries(
@@ -331,16 +329,12 @@ def prepare_auxiliaries(
     pool = build_synthetic_reference(rng=RngStream(plan.reference_seed))
     grm: dict[str, GrModel] = {}
     approx: dict[str, LinearLatentApprox] = {}
-    for tag in dict.fromkeys(["original", *plan.schemes]):
+    for tag in dict.fromkeys([ORIGINAL, *plan.schemes]):
         data = ensure_scheme(pool, tag)
-        model = fit_grm(data)
-        grm[tag] = model
-        approx[tag] = fit_linear_latent_approx(data, visit_thetas(model, data).reshape(-1))
-    calib_items = get_omnibus_calibration(
-        cache_dir, m=10, reps=plan.calibration_reps, seed=plan.calibration_seed
-    )
-    calib_domains = get_omnibus_calibration(
-        cache_dir, m=len(DOMAINS), reps=plan.calibration_reps, seed=plan.calibration_seed
+        grm[tag] = fit_grm(data)
+        approx[tag] = fit_linear_latent_approx(data, eap_scores(grm[tag], data.visits))
+    calib_items, calib_domains = omnibus_calibrations(
+        cache_dir, plan.calibration_reps, plan.calibration_seed
     )
     return StudyAuxiliaries(
         pool=pool,
@@ -359,7 +353,7 @@ def _generate(plan: StudyPlan, scenario: EffectScenario, aux: StudyAuxiliaries,
     if plan.generator == "bootstrap":
         return gen_bootstrap(aux.pool, scenario, plan.n_per_group, rng,
                              replace=plan.bootstrap_replace)
-    return gen_irt_longitudinal(plan.irt_population, aux.grm["original"],
+    return gen_irt_longitudinal(plan.irt_population, aux.grm[ORIGINAL],
                                 scenario.rho, plan.n_per_group, rng)
 
 
@@ -374,7 +368,7 @@ METHOD_TABLE = {
     "GLS": lambda c: test_obrien(c.fits, c.corr, variant="GLS"),
     "GLS-drop": lambda c: test_obrien(c.fits, c.corr, variant="GLS-drop"),
     "Bonf": lambda c: test_bonferroni(c.fits),
-    "MaxT": lambda c: test_maxt(c.fits, c.corr, c.maxt_tol, c.rng, c.alpha),
+    "MaxT": lambda c: test_maxt(c.fits, c.corr, c.maxt_tol, rng=c.rng, alpha=c.alpha),
     "Simes": lambda c: test_simes_hommel(c.fits),
     "Omnibus": lambda c: test_omnibus(c.fits.p, c.calib_items),
     "Omnibus-dom": lambda c: test_omnibus_domains(c.rows(DOMAIN_ROWS), c.calib_domains),
@@ -390,13 +384,13 @@ class MethodContext:
     is simulate's decision level for MaxT, None (analyze) a full-precision p.
 
     The endpoint block comes from fit_endpoints, which run_single_replicate
-    and analyze call on the contexts of all schemes at once, and which a
-    context calls on itself alone on first use otherwise. Its item rows and
-    their correlation are computed on first use. A METHOD_ERRORS exception
-    from any of them is raised again on each later use, and a singular row
-    fails only the methods that read it. thetas, when given, are the model
-    scores already computed (visit_thetas), and the context does not score
-    again.
+    and analyze call on the contexts of all schemes at once, and a context
+    fits it alone on first use otherwise. The block, its item rows and
+    their correlation are each kept once computed, or the METHOD_ERRORS
+    exception that computing raised, which is raised again on each later
+    use; a singular row fails only the methods that read it. thetas, when
+    given, are the model scores already computed (eap_scores of
+    data.visits), and the context does not score again.
     """
 
     data: ItemDataset
@@ -428,18 +422,13 @@ class MethodContext:
                 raise ValidationError(
                     f"{what} was fitted on scheme {fitted!r}, data uses {data.scheme.name!r}"
                 )
-        visits = np.array((data.baseline, data.week52))
+        visits = data.visits
         thetas = eap_scores(self.grm, visits) if self.thetas is None else self.thetas
         return thetas, approx_latent(self.approx, visits)
 
     @property
     def endpoints(self) -> AncovaFit:
-        if "_endpoints" not in vars(self):
-            fit_endpoints([self])
-        fits = vars(self)["_endpoints"]
-        if isinstance(fits, Exception):
-            raise fits
-        return fits
+        return self._once("_endpoints", lambda: _endpoint_blocks([self])[0])
 
     def rows(self, rows: slice) -> AncovaFit:
         return endpoint_rows(self.endpoints, rows)
@@ -453,31 +442,24 @@ class MethodContext:
         return self._once("_corr", lambda: estimate_corr(self.data, self.fits))
 
 
-def fit_endpoints(contexts: list[MethodContext]) -> None:
-    """Fit the endpoint blocks of the contexts, the datasets of one trial's
-    subjects in their schemes, with one fit_marginals call over all of them.
+def _endpoint_blocks(contexts: list[MethodContext]) -> list[AncovaFit]:
+    """Each context's 16 endpoint rows, from one fit_marginals call."""
+    thetas, latents = zip(*(ctx.model_scores() for ctx in contexts))
+    block = fit_marginals([ctx.data for ctx in contexts], thetas, latents)
+    rows = len(ENDPOINTS)
+    return [block.take(slice(s * rows, (s + 1) * rows)) for s in range(len(contexts))]
 
-    Each context keeps its own 16 rows, so a singular row fails only the
-    methods of its scheme that read it. A METHOD_ERRORS exception of the
-    joint pass repeats the pass for each context alone, so it too fails
-    only the scheme that raises it; a context keeps its exception.
-    """
-    if not contexts:  # a plan without schemes runs no methods
-        return
+
+def fit_endpoints(contexts: list[MethodContext]) -> None:
+    """Give each context, one trial's data in one scheme, its rows of one
+    joint endpoint pass. After a METHOD_ERRORS exception each context fits
+    alone on first use, so the exception fails only the scheme raising it."""
     try:
-        thetas, latents = zip(*(ctx.model_scores() for ctx in contexts))
-        block = fit_marginals([ctx.data for ctx in contexts], thetas, latents)
-    except METHOD_ERRORS as exc:
-        if len(contexts) > 1:
-            for ctx in contexts:
-                fit_endpoints([ctx])
-            return
-        blocks = [exc]
-    else:
-        rows = len(ENDPOINTS)
-        blocks = [block.take(slice(s * rows, (s + 1) * rows)) for s in range(len(contexts))]
-    for ctx, fits in zip(contexts, blocks):
-        vars(ctx)["_endpoints"] = fits
+        blocks = _endpoint_blocks(contexts)
+    except METHOD_ERRORS:
+        return
+    for ctx, block in zip(contexts, blocks):
+        ctx._once("_endpoints", lambda: block)
 
 
 def run_methods(ctx: MethodContext, methods) -> list:

@@ -611,14 +611,20 @@ class LinearLatentApprox:
 def fit_linear_latent_approx(
     data: ItemDataset | np.ndarray, thetas: np.ndarray
 ) -> LinearLatentApprox:
-    """Least-squares fit of g(theta) on the raw item scores plus intercept."""
+    """Least-squares fit of g(theta) on the raw item scores plus intercept:
+    a dataset's (2, n) visit thetas, flattened in flatten_visits row order,
+    or one theta per row of a raw response matrix."""
+    t = np.asarray(thetas, dtype=float)
     if isinstance(data, ItemDataset):
+        if t.shape != (2, data.n_subjects):
+            raise ValidationError(f"need (2, {data.n_subjects}) visit trait values, "
+                                  f"got shape {t.shape}")
         rows = data.flatten_visits().astype(float)
+        t = t.reshape(-1)
         scheme = data.scheme.name
     else:
         rows = np.asarray(data, dtype=float)
         scheme = "original"
-    t = np.asarray(thetas, dtype=float)
     if t.shape[0] != rows.shape[0]:
         raise ValidationError(
             f"{t.shape[0]} trait values for {rows.shape[0]} response rows"

@@ -152,7 +152,8 @@ def mvn_rect_upper(
     upper,
     corr,
     tol: float = 1e-4,
-    rng: RngStream | None = None,
+    *,
+    rng: RngStream,
     max_points: int = 1 << 17,
     decide_at: float | None = None,
 ) -> tuple[float, float]:
@@ -180,8 +181,6 @@ def mvn_rect_upper(
         raise ValidationError(f"upper limit {j} is NaN")
     if k == 1:
         return float(special.ndtr(b[0])), 0.0
-    if rng is None:
-        rng = RngStream(0x5B3C0F11)
 
     # sort variables by increasing marginal probability so the hardest
     # constraints are integrated first

@@ -260,7 +260,8 @@ def test_maxt(
     fits: AncovaFit,
     corr: CorrelationEstimate,
     tol: float = 1e-4,
-    rng: RngStream | None = None,
+    *,
+    rng: RngStream,
     alpha: float | None = None,
 ) -> TestOutcome:
     """Correlation-aware max test on transformed z-values.

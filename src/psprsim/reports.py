@@ -10,6 +10,7 @@ values exist; everything downstream is complete-case.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from pathlib import Path
 
@@ -267,10 +268,14 @@ def _cell_display(v) -> str:
 
 def csv_text(header: list[str], rows: list[dict]) -> str:
     """The `header` columns of dict rows as CSV text, floats at full
-    precision; a key missing from a row is an empty cell."""
-    lines = [",".join(header)]
-    lines += [",".join(_cell_csv(r.get(h)) for h in header) for r in rows]
-    return "\n".join(lines) + "\n"
+    precision; a key missing from a row is an empty cell. A field with a
+    comma, a quote or a line break is quoted, every other field is written
+    as it is."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell_csv(r.get(h)) for h in header] for r in rows)
+    return out.getvalue()
 
 
 def emit_report(header: list[str], rows: list[dict], fmt: str, path: str | Path) -> Path:

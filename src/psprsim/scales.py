@@ -53,6 +53,7 @@ DOMAINS = {
 
 ORIGINAL = "original"
 FDA = "fda"
+SCHEME_TAGS = (ORIGINAL, FDA)  # the bundled schemes, in the order a study runs them
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,9 @@ def get_scheme(tag: str) -> ScoringScheme:
         return original_scheme()
     if tag == FDA:
         return fda_scheme()
-    raise ValidationError(f"unknown scheme tag {tag!r}; use 'original' or 'fda'")
+    raise ValidationError(
+        f"unknown scheme tag {tag!r}; use {' or '.join(map(repr, SCHEME_TAGS))}"
+    )
 
 
 @dataclass
@@ -175,6 +178,14 @@ class ItemDataset:
     @property
     def n_subjects(self) -> int:
         return self.ids.shape[0]
+
+    @property
+    def visits(self) -> np.ndarray:
+        """The (2, n, N_ITEMS) stack of both visits, baseline first, which
+        every model scores: scoring the (2n, N_ITEMS) flatten_visits rows
+        instead rounds some scores differently in the last bit when n is
+        odd. Built on each read, so it follows an in-place edit."""
+        return np.stack([self.baseline, self.week52])
 
     def flatten_visits(self) -> np.ndarray:
         """Stack baseline and week52 rows; each visit becomes one row."""

@@ -31,7 +31,7 @@ def eap_thetas(reference_pool, grm_model):
 
 @pytest.fixture(scope="session")
 def latent_approx(reference_pool, grm_model, eap_thetas):
-    return ps.fit_linear_latent_approx(reference_pool, eap_thetas)
+    return ps.fit_linear_latent_approx(reference_pool, eap_thetas.reshape(2, -1))
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +68,7 @@ def arm_symmetric_dataset(n=40, seed=5):
 def endpoint_fits(data, model, approx):
     """The fit_marginals block of `data`, scored as engine.MethodContext
     scores it: one EAP and one LM call over both visits."""
-    visits = np.stack([data.baseline, data.week52])
+    visits = data.visits
     return ps.fit_marginals([data], [ps.eap_scores(model, visits)],
                             [ps.approx_latent(approx, visits)])
 

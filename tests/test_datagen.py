@@ -33,6 +33,13 @@ def score_digest(data) -> str:
 
 
 class TestSchemes:
+    def test_visits_stack_follows_in_place_edits(self, two_arm_dataset):
+        data = ps.ItemDataset(two_arm_dataset.ids, two_arm_dataset.arm,
+                              two_arm_dataset.baseline.copy(), two_arm_dataset.week52)
+        assert np.array_equal(data.visits, np.stack([data.baseline, data.week52]))
+        data.baseline[0, 0] = 4 - data.baseline[0, 0]
+        assert np.array_equal(data.visits, np.stack([data.baseline, data.week52]))
+
     def test_identity_scheme_is_noop(self, two_arm_dataset):
         out = ps.apply_rescoring(two_arm_dataset, ps.original_scheme())
         assert np.array_equal(out.baseline, two_arm_dataset.baseline)

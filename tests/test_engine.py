@@ -581,15 +581,6 @@ class TestSharedEndpointPass:
             assert [("zero sandwich variance" in p) for p in row] == [
                 m in corr_methods for m in METHODS]
 
-    def test_plan_without_schemes_runs_no_methods(self, small_plan, aux):
-        from dataclasses import replace
-
-        plan = replace(small_plan, schemes=[], n_reps=100)
-        rejected, failed, messages = run_single_replicate(
-            plan, plan.resolve_scenarios()[0], 0, 3, aux)
-        assert rejected.shape == failed.shape == (0, len(plan.methods)) and messages == []
-        assert run_study(plan, aux=aux, workers=1).rows == []
-
     def test_error_in_the_joint_pass_fails_only_its_scheme(self, small_plan, aux,
                                                           monkeypatch):
         # an error while scoring one scheme fails that scheme's methods; the

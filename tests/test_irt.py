@@ -683,6 +683,17 @@ class TestLinearLatentApprox:
         assert latent_approx.intercept == pytest.approx(coef[0], abs=1e-10)
         assert np.abs(latent_approx.weights - coef[1:]).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [120, 119])
+    def test_visit_stack_fit_equals_flattened_fit(self, grm_model, n):
+        # a dataset's (2, n) visit thetas are flattened in flatten_visits row
+        # order, so the fit has the bits of the flattened rows and thetas
+        data = ps.build_synthetic_reference(ps.ReferenceConfig(n_subjects=n),
+                                            rng=ps.RngStream(3))
+        thetas = ps.eap_scores(grm_model, data.visits)
+        stacked = ps.fit_linear_latent_approx(data, thetas)
+        flat = ps.fit_linear_latent_approx(data.flatten_visits(), thetas.reshape(-1))
+        assert stacked.to_doc() == flat.to_doc()
+
     def test_reference_fit_quality(self, latent_approx):
         assert latent_approx.r_squared >= 0.95
 
@@ -771,6 +782,12 @@ def _rows(seed=3, n=40, items=3):
                  NonConvergenceError, "EM did not converge in 1 iterations", id="em-max-iter"),
     pytest.param(lambda: ps.fit_linear_latent_approx(_rows(n=4), np.zeros(3)),
                  ValidationError, "3 trait values for 4 response rows", id="approx-theta-count"),
+    pytest.param(lambda: ps.fit_linear_latent_approx(
+                     ps.ItemDataset(np.arange(4).astype(str), [0, 1, 0, 1],
+                                    np.zeros((4, N_ITEMS)), np.zeros((4, N_ITEMS))),
+                     np.zeros(8)),
+                 ValidationError, r"need \(2, 4\) visit trait values, got shape \(8,\)",
+                 id="approx-dataset-visit-stack"),
     pytest.param(lambda: ps.fit_linear_latent_approx(np.c_[_rows(), _rows()], np.zeros(40)),
                  ValidationError, "rank-deficient item matrix", id="approx-rank-deficient"),
 ])

@@ -153,20 +153,22 @@ class TestRectUpper:
     def test_tol_out_of_range(self):
         for tol in (0.0, -1e-3, 0.5):
             with pytest.raises(ValidationError):
-                ps.mvn_rect_upper(np.ones(3), exchangeable(3, 0.2), tol=tol)
+                ps.mvn_rect_upper(np.ones(3), exchangeable(3, 0.2), tol=tol,
+                                  rng=ps.RngStream(1))
 
     def test_invalid_correlation_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # |rho| > 1: not PSD
         with pytest.raises(ValidationError):
-            ps.mvn_rect_upper(np.zeros(2), bad)
+            ps.mvn_rect_upper(np.zeros(2), bad, rng=ps.RngStream(1))
         with pytest.raises(ValidationError):
-            ps.mvn_rect_upper(np.zeros(2), np.array([[1.0, 0.1], [0.3, 1.0]]))
+            ps.mvn_rect_upper(np.zeros(2), np.array([[1.0, 0.1], [0.3, 1.0]]),
+                              rng=ps.RngStream(1))
         with pytest.raises(ValidationError):
-            ps.mvn_rect_upper(np.zeros(2), 2 * np.eye(2))
+            ps.mvn_rect_upper(np.zeros(2), 2 * np.eye(2), rng=ps.RngStream(1))
 
     def test_dimension_cap(self):
         with pytest.raises(ValidationError):
-            ps.mvn_rect_upper(np.zeros(21), np.eye(21))
+            ps.mvn_rect_upper(np.zeros(21), np.eye(21), rng=ps.RngStream(1))
 
     @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(-0.45, 0.95))
     def test_tolerances_are_allclose(self, asym, diag_off, rho):

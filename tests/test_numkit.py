@@ -405,7 +405,7 @@ class TestRngStream:
     pytest.param(lambda: cholesky(np.ones((2, 3))),
                  ValidationError, r"cholesky needs a square matrix, got shape \(2, 3\)",
                  id="cholesky-not-square"),
-    pytest.param(lambda: ps.mvn_rect_upper(np.ones(3), np.eye(2)),
+    pytest.param(lambda: ps.mvn_rect_upper(np.ones(3), np.eye(2), rng=ps.RngStream(1)),
                  ValidationError, "upper has length 3 but corr is 2x2", id="rect-upper-lengths"),
     pytest.param(lambda: ps.fit_ancova(np.arange(6.0), np.ones(6), [0, 1, 2, 0, 1, 2]),
                  ValidationError, r"arm must be coded 0 \(control\) / 1 \(treatment\)",

@@ -699,11 +699,14 @@ class TestCli:
         assert rc == 2
         assert message in capsys.readouterr().err
 
-    # the third is a slope-ratio scenario for the mvn generator; the other
+    # the third is a slope-ratio scenario for the mvn generator; an empty
+    # list would run the fit phase and write a header-only table; the other
     # fields are values the generator, MaxT or the calibration would reject
     @pytest.mark.parametrize("fields, message", [
         *(pytest.param({"scenarios": s}, "scenario", id=f"scenarios{i}") for i, s in enumerate(
             [["d99"], [{"label": "x", "rho": "0.5"}], ["rho=0.6"]])),
+        *(pytest.param({name: []}, f"plan field {name!r} must not be empty", id=f"{name}-empty")
+          for name in ("scenarios", "schemes", "methods")),
         pytest.param({"maxt_tol": 0.02}, "maxt_tol must lie in (0, 0.01]", id="maxt_tol-high"),
         pytest.param({"maxt_tol": 0.0}, "maxt_tol must lie in (0, 0.01]", id="maxt_tol-zero"),
         pytest.param({"n_per_group": 1}, "need n_per_group >= 2", id="n_per_group"),
@@ -1083,6 +1086,34 @@ class TestCli:
             assert cells, name
             for cell in cells:
                 float(cell)  # raises on text such as np.float64(...)
+
+    def test_csv_fields_with_commas_round_trip(self, reference_csv, model_args, tmp_path):
+        # a quoted trial CSV can hold an arm label with a comma, and a plan an
+        # inline scenario label with one: the tables quote such a field, so
+        # they read back with one value per column
+        data = load_trial_csv(reference_csv, {"placebo": "control", "dose-a": "treatment"})
+        trial = tmp_path / "comma.csv"
+        write_trial_csv(data, trial, arm_labels=("placebo", "dose,a"))
+        assert main(["analyze", str(trial), "--arm-a", "dose,a", "--arm-b", "placebo",
+                     "--out", str(tmp_path / "out"), "--seed", "1",
+                     "--calibration-reps", "2000", *model_args]) == 0
+        plan = ps.StudyPlan(generator="mvn", scenarios=[{"label": "null, 0", "d": [0.0] * 10}],
+                            schemes=["original"], methods=["SumS", "Bonf"], n_reps=100,
+                            calibration_reps=1000, maxt_tol=1e-3)
+        plan.save(tmp_path / "plan.json")
+        assert main(["simulate", str(tmp_path / "plan.json"), "--out", str(tmp_path / "sim"),
+                     "--workers", "1"]) == 0
+        for path, column, value, n_rows in (
+                (tmp_path / "out" / "analysis_results.csv", "comparison", "dose,a-vs-placebo",
+                 2 * len(ps.METHODS)),
+                (tmp_path / "sim" / "power_table.csv", "scenario", "null, 0", 2)):
+            with open(path, newline="") as fh:
+                reader = csv.DictReader(fh)
+                rows = list(reader)
+            assert len(rows) == n_rows
+            for row in rows:
+                assert list(row) == reader.fieldnames and None not in row.values(), row
+                assert row[column] == value
 
     def test_simulate_on_warm_cache_at_two_workers_matches_no_cache(self, tmp_path):
         plan = ps.StudyPlan(generator="mvn", scenarios=["d0", "d6"], schemes=["original"],

@@ -3,12 +3,14 @@ subcommands: each imports what it uses from the package and prints its
 usage, so a renamed or removed package name fails here rather than on the
 first real run. Also checks that README documents every flag of every
 subcommand, that no package module imports another's
-private names: a rule a module keeps to itself has one owner, and that the
-package does not import scipy.stats, which every worker and `analyze`
-process would pay for in start-up time and memory."""
+private names: a rule a module keeps to itself has one owner, that a module
+imports no name it never reads unless the benchmark tracer patches that
+name there, and that the package does not import scipy.stats, which every
+worker and `analyze` process would pay for in start-up time and memory."""
 
 import argparse
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from psprsim import cli, engine, irt, marginal, procedures, reports
 from psprsim.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,3 +71,40 @@ def test_package_does_not_import_scipy_stats():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _unread_imports(path: Path) -> set[str]:
+    """The names a module binds by import and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_unread_imports_are_tracer_call_sites():
+    # perfbench/tracing.py patches some names where a module imports them and
+    # never calls them; any other unread import is dead. The list is what a
+    # probe hook in the package, in place of the patching, would free.
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = dict(engine=engine, cli=cli, procedures=procedures,
+                   marginal=marginal, reports=reports, irt=irt)
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    with tracing.Tracer().installed(modules):
+        patched = {name: {k for k, v in vars(module).items() if before[name].get(k) is not v}
+                   for name, module in modules.items()}
+    dead, tracer_only = [], []
+    for path in sorted((ROOT / "src" / "psprsim").glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's public names
+            continue
+        for name in sorted(_unread_imports(path)):
+            kept = name in patched.get(path.stem, set())
+            (tracer_only if kept else dead).append(f"{path.stem}.{name}")
+    assert dead == []
+    assert tracer_only == ["cli.estimate_corr", "cli.fit_marginals",
+                           "procedures.eap_scores", "procedures.fit_ancova"]
