@@ -19,7 +19,14 @@ from pathlib import Path
 from . import engine, procedures, reports
 from .datagen import ReferenceConfig, build_synthetic_reference
 from .errors import ValidationError
-from .irt import GrModel, LinearLatentApprox, eap_scores, fit_grm, fit_linear_latent_approx
+from .irt import (
+    A_BOUNDS,
+    GrModel,
+    LinearLatentApprox,
+    eap_scores,
+    fit_grm,
+    fit_linear_latent_approx,
+)
 # unused here, but perfbench/tracing.py patches these names
 from .marginal import estimate_corr, fit_marginals  # noqa: F401
 from .mvnorm import check_tol
@@ -76,6 +83,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _fit_caveats(model: GrModel, self_fitted: bool, lm_self_fitted: bool) -> list[str]:
+    """analyze's notes on a scheme's model: fitted on the trial itself, and
+    items whose discrimination ended on its bound."""
+    caveats = [SELF_FIT_CAVEAT] if self_fitted else []
+    at_bound = model.fit_meta.get("items_at_bound")
+    if at_bound:
+        rows = "IRT and LM p-values rest" if lm_self_fitted else "IRT p-value rests"
+        caveats.append(f"the discrimination of {', '.join(at_bound)} ended on a bound of "
+                       f"{list(A_BOUNDS)}, a degenerate model fit; the {rows} on it")
+    return caveats
+
+
 def _cmd_analyze(args) -> int:
     # the flags the methods read late are checked before the trial is read and fitted
     check_tol(args.maxt_tol, "--maxt-tol")
@@ -93,13 +112,14 @@ def _cmd_analyze(args) -> int:
     calib_items, calib_domains = engine.omnibus_calibrations(
         args.cache_dir, args.calibration_reps, args.seed
     )
-    contexts, self_fitted = [], []
+    contexts, caveats = [], []
     for tag in schemes:
         data = ensure_scheme(data0, tag)
         model_path = {ORIGINAL: args.model, FDA: args.model_fda}[tag]
         approx_path = {ORIGINAL: args.approx, FDA: args.approx_fda}[tag]
-        self_fitted.append(not (model_path and approx_path))
         model = GrModel.load(model_path) if model_path else fit_grm(data)
+        caveats.append(_fit_caveats(model, self_fitted=not (model_path and approx_path),
+                                    lm_self_fitted=not approx_path))
         thetas = None
         if approx_path:
             approx = LinearLatentApprox.load(approx_path)
@@ -114,11 +134,11 @@ def _cmd_analyze(args) -> int:
             thetas=thetas,
         ))
     engine.fit_endpoints(contexts)  # every scheme's endpoints in one pass
-    for tag, ctx, fitted in zip(schemes, contexts, self_fitted):
+    for tag, ctx, tag_caveats in zip(schemes, contexts, caveats):
         data, approx = ctx.data, ctx.approx
-        if fitted:
-            log.warning("%s scheme: %s", tag, SELF_FIT_CAVEAT)
-            notes.append(f"{tag}: {SELF_FIT_CAVEAT}")
+        for caveat in tag_caveats:
+            log.warning("%s scheme: %s", tag, caveat)
+            notes.append(f"{tag}: {caveat}")
         outcomes = {}
         for method, o in zip(METHODS, engine.run_methods(ctx, METHODS)):
             if isinstance(o, Exception):
@@ -257,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate-omnibus", help="build an omnibus null-distribution cache")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--reps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="the seed a cache is keyed by: analyze reads its --seed (default 0), "
+                        "simulate its plan's calibration_seed (default 7)")
     p.add_argument("--cache-dir", required=True,
                    help="the directory analyze and simulate read with --cache-dir")
     p.set_defaults(func=_cmd_calibrate_omnibus)

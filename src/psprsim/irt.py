@@ -2,7 +2,7 @@
 
 Category probabilities, EAP latent-trait scoring under a standard-normal
 prior (fixed-node Gauss-Hermite), marginal maximum likelihood via EM with
-damped-Newton item updates run in lockstep blocks, and the linear
+damped-Newton item updates run in one lockstep block, and the linear
 weighted-sum approximation of the latent trait.
 
 Identifiability: the latent prior is fixed at N(0,1) and discriminations are
@@ -84,12 +84,15 @@ class GrItemParams:
         return self.thresholds.size + 1
 
 
+P_FLOOR = 1e-300  # the least category probability
+
+
 def _category_probs(sf: np.ndarray) -> np.ndarray:
-    """P(Y = c) from P(Y >= c), c = 1..C-1, on the last axis; floored at 1e-300."""
+    """P(Y = c) from P(Y >= c), c = 1..C-1, on the last axis; floored at P_FLOOR."""
     edge = sf.shape[:-1] + (1,)
     upper = np.concatenate([np.ones(edge), sf], axis=-1)
     lower = np.concatenate([sf, np.zeros(edge)], axis=-1)
-    return np.clip(upper - lower, 1e-300, None)
+    return np.clip(upper - lower, P_FLOOR, None)
 
 
 @dataclass
@@ -258,8 +261,8 @@ def eap_scores(model: GrModel, responses: np.ndarray) -> np.ndarray:
 
     ``responses`` is one (rows, items) block, or a (k, rows, items) stack of
     blocks scored in one pass into a (k, rows) result. Each block's scores
-    equal scoring that block alone, bit for bit: only the final weighted sum
-    runs per block, as the same product over a contiguous block.
+    equal scoring that block alone, bit for bit: only the final weighted
+    sums run per block, over the same contiguous block.
     """
     r = np.atleast_2d(np.asarray(responses, dtype=np.int64))
     if r.ndim > 3:
@@ -272,8 +275,11 @@ def eap_scores(model: GrModel, responses: np.ndarray) -> np.ndarray:
     np.exp(post, out=post)
     post *= weights[:, None]
     blocks = post.reshape(DEFAULT_NODES, k, rows)
-    num = np.array([thetas @ np.ascontiguousarray(blocks[:, j]) for j in range(k)])
-    return (num / post.sum(axis=0).reshape(k, rows)).reshape(r.shape[:-1])
+    # each block's sums run over its own contiguous copy: summed in place, a
+    # one-row block would sum along a strided axis, in another order
+    blocks = [np.ascontiguousarray(blocks[:, j]) for j in range(k)]
+    num = np.array([thetas @ block for block in blocks])
+    return (num / np.array([block.sum(axis=0) for block in blocks])).reshape(r.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -281,119 +287,193 @@ def eap_scores(model: GrModel, responses: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _objective_grads(Phi: np.ndarray, theta: np.ndarray, counts: np.ndarray,
-                     grad: bool = True):
-    """Expected complete-data log-likelihood, and its gradient, of B items.
+def _packed_probs(Phi: np.ndarray, theta: np.ndarray):
+    """a (B,), the steps (B, C-2), theta - b (B, C-1, Q), P(Y >= c) (B, C-1, Q)
+    and P(Y = c) (B, C, Q) of B items packed as _objective_grads packs them.
 
-    Row j of Phi (B, n) packs (log a, b_1, log step_2, ..., log step_{C-1})
-    of one item, so the Newton update moves in an unconstrained space, and
-    counts[j] is its (Q, C) table of expected counts; every row has the same
-    C = n. Returns f (B,), and G (B, n) when ``grad``. Each row's values
-    equal that row evaluated alone, bit for bit: the sums over its (Q, C)
-    block run over the contiguous block, the sums over Q along axis 1.
+    The logistic is 1 / (1 + e^-x) with x clipped to +-700, where exp stays
+    on its fast path; the clip moves no P(Y = c) by more than e^-700.
     """
-    B = Phi.shape[0]
+    B, C = Phi.shape
     a = np.exp(Phi[:, 0])
     steps = np.exp(Phi[:, 2:])
     b = np.concatenate((Phi[:, 1:2], Phi[:, 1:2] + np.cumsum(steps, axis=1)), axis=1)
-    dev = theta[:, None] - b[:, None, :]  # (B, Q, C-1)
-    sf = special.expit(a[:, None, None] * dev)
-    p = _category_probs(sf)
+    dev = theta - b[:, :, None]
+    edges = np.empty((B, C + 1, theta.size))  # P(Y >= c), c = 0..C
+    edges[:, 0] = 1.0
+    edges[:, C] = 0.0
+    sf = edges[:, 1:C]
+    np.multiply(a[:, None, None], dev, out=sf)
+    np.clip(sf, -700.0, 700.0, out=sf)
+    np.exp(np.negative(sf, out=sf), out=sf)
+    sf += 1.0
+    np.divide(1.0, sf, out=sf)
+    p = edges[:, :-1] - edges[:, 1:]
+    return a, steps, dev, sf, np.maximum(p, P_FLOOR, out=p)
+
+
+def _objective_grads(Phi: np.ndarray, theta: np.ndarray, counts: np.ndarray,
+                     grad: bool = True):
+    """Expected complete-data log-likelihood, its gradient and Hessian, of B items.
+
+    Row j of Phi (B, n) packs (log a, b_1, log step_2, ..., log step_{C-1})
+    of one item, so the Newton update moves in an unconstrained space, and
+    counts[j] is its (C, Q) table of expected counts; every row has the same
+    C = n. Returns f (B,), and with ``grad`` also G (B, n) and the observed
+    Hessian H (B, n, n). The nodes run along the last axis, so every sum
+    over them, and over a row's whole (C, Q) block, is a sum over contiguous
+    memory, and each row's values equal that row evaluated alone, bit for
+    bit.
+
+    The Hessian is analytic (Baker & Kim 2004, ch. 8). With x_j = a (theta
+    - b_j), the per-node second derivatives F of f in x are tridiagonal, as
+    x_j enters only categories j - 1 and j. Only d x_j / d log a = x_j
+    varies with the node (d x_j / d b_j = -a), so H needs only the node sums
+    of F, of F x and of x F x, at about the cost of the gradient.
+    """
+    B = Phi.shape[0]
+    a, steps, dev, sf, p = _packed_probs(Phi, theta)
     f = (counts * np.log(p)).reshape(B, -1).sum(axis=1)
     if not grad:
         return f
 
-    ratio = np.where(counts > 0, counts / p, 0.0)  # (B, Q, C)
+    # where p sits on its floor, f is flat in float: those counts enter
+    # neither G nor H, where counts / p would be rounding noise times 1e300
+    ratio = np.where(p > P_FLOOR, counts / p, 0.0)  # (B, C, Q)
     dsf = sf * (1.0 - sf)
-    # d f / d sf_c  for c = 1..C-1: sf_c enters p_{c-1} with -1 and p_c with +1
-    coef_dsf = (ratio[..., 1:] - ratio[..., :-1]) * dsf
-    grad_b = coef_dsf.sum(axis=1) * (-a[:, None])  # (B, C-1)
-    grad_a = (coef_dsf * dev).reshape(B, -1).sum(axis=1)
+    # d f / d x_c for c = 1..C-1: sf_c enters p_{c-1} with -1 and p_c with +1
+    g_x = (ratio[:, 1:] - ratio[:, :-1]) * dsf
+    grad_b = g_x.sum(axis=2) * (-a[:, None])  # (B, C-1)
+    a2 = a * a
 
-    # chain rule into phi space
+    # F: the diagonal and the band between neighbouring thresholds, with
+    # counts / p^2 as ratio * (dsf / p), which stays finite
+    below = ratio[:, :-1] * (dsf / p[:, :-1])
+    above = ratio[:, 1:] * (dsf / p[:, 1:])
+    diag = g_x * (1.0 - 2.0 * sf) - (below + above) * dsf
+    band = above[:, :-1] * dsf[:, 1:]  # (B, C-2, Q)
+    Fdev = diag * dev  # (F dev)_c; dev = x / a
+    Fdev[:, 1:] += band * dev[:, :-1]
+    Fdev[:, :-1] += band * dev[:, 1:]
+
+    # in (log a, b): H_bb = a^2 sum F, H_ab = grad_b - a^2 sum F dev and
+    # H_aa = G_a + a^2 sum dev F dev
     G = np.empty_like(Phi)
-    G[:, 0] = grad_a * a
-    G[:, 1] = grad_b.sum(axis=1)
-    if Phi.shape[1] > 2:
-        # b_j depends on step_i for i <= j; d b_j / d log step_i = step_i
-        tail = np.cumsum(grad_b[:, ::-1], axis=1)[:, ::-1]
-        G[:, 2:] = tail[:, 1:] * steps
-    return f, G
+    H = np.zeros(Phi.shape + Phi.shape[1:])
+    G[:, 0] = (g_x * dev).reshape(B, -1).sum(axis=1) * a
+    H[:, 0, 0] = G[:, 0] + (Fdev * dev).reshape(B, -1).sum(axis=1) * a2
+    H_ab = grad_b - Fdev.sum(axis=2) * a2[:, None]
+    k = np.arange(1, Phi.shape[1])
+    H[:, k, k] = diag.sum(axis=2) * a2[:, None]
+    H[:, k[:-1], k[1:]] = H[:, k[1:], k[:-1]] = band.sum(axis=2) * a2[:, None]
+
+    # chain rule into phi space: b_j = b_1 + sum_{2 <= i <= j} step_i, so
+    # d b / d (b_1, log step_i) = J with J' v = scale * tail sums of v, and
+    # d^2 b_j / d log step_i^2 = step_i adds G_i to the diagonal
+    scale = np.concatenate((np.ones((B, 1)), steps), axis=1)
+    G[:, 1:] = np.cumsum(grad_b[:, ::-1], axis=1)[:, ::-1] * scale
+    H[:, 0, 1:] = H[:, 1:, 0] = np.cumsum(H_ab[:, ::-1], axis=1)[:, ::-1] * scale
+    tails = np.cumsum(np.cumsum(H[:, :0:-1, :0:-1], axis=1), axis=2)[:, ::-1, ::-1]
+    outer = 0.5 * scale[:, :, None] * scale[:, None, :]  # symmetric: 0.5 s_i is exact
+    H[:, 1:, 1:] = (tails + tails.transpose(0, 2, 1)) * outer
+    H[:, k[1:], k[1:]] += G[:, 2:]
+    return f, G, H
 
 
-def _clip(step: np.ndarray) -> np.ndarray:
-    n = np.abs(step).max()
-    return step * (4.0 / n) if n > 4.0 else step  # trust region, unconstrained scale
+def _clip(steps: np.ndarray) -> np.ndarray:
+    """Each row scaled down to a max-norm of 4: a trust region on the
+    unconstrained scale."""
+    n = np.abs(steps).max(axis=-1, keepdims=True)
+    return np.where(n > 4.0, steps * (4.0 / n), steps)
 
 
 # the line search's halvings after the full step, in the chunks they are tried
 _HALVINGS = (0.5 ** np.arange(1, 4), 0.5 ** np.arange(4, 30))
+# a step does not decrease f when it lands less than 4 ulps of |f| below f0:
+# f sums many negative terms, so a smaller difference is rounding
+_ROUNDING = 4.0 * np.finfo(float).eps
+# the range of a; an item whose fit ends on it has a degenerate fit
+A_BOUNDS = (0.01, 50.0)
+LOG_A_BOUNDS = (float(np.log(A_BOUNDS[0])), float(np.log(A_BOUNDS[1])))
+# the log step of a padded threshold: a(theta - b) sits on the clip at -700
+# at every node and every a in the bounds
+PAD_LOG_STEP = 30.0
+
+
+def _newton_steps(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The clipped Newton steps of an ascent, one row per (H, g) pair: the
+    gradient instead where the solve fails, is not finite or does not ascend."""
+    try:
+        steps = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # some row is singular: solve row by row
+        steps = np.empty_like(g)
+        for r in range(len(g)):
+            try:
+                steps[r] = np.linalg.solve(H[r], -g[r])
+            except np.linalg.LinAlgError:
+                steps[r] = g[r]
+    steps = _clip(np.where(np.isfinite(steps).all(axis=1, keepdims=True), steps, g))
+    uphill = (steps * g).sum(axis=1, keepdims=True) > 0
+    return np.where(uphill, steps, _clip(g))
 
 
 def _newton_block(Phi: np.ndarray, theta: np.ndarray, counts: np.ndarray,
-                  max_iter: int = 40, gtol: float = 1e-9) -> np.ndarray:
-    """Damped Newton ascent of k items in lockstep; never decreases an objective.
+                  free: np.ndarray | None = None, max_iter: int = 40,
+                  gtol: float = 1e-9) -> np.ndarray:
+    """Damped Newton ascent of k items in lockstep; never decreases an
+    objective beyond its rounding level.
 
-    Row j of Phi (k, n) starts item j's solve against counts[j] (Q, n). Each
-    step takes a finite-difference Hessian, clips the Newton step (or the
-    gradient where that fails or does not ascend) to a max-norm of 4, and
-    halves it up to 29 times until the objective does not fall. A row stops
-    at max_iter steps, at max |g| < gtol, or when no halving is accepted.
-    The rows share only their objective calls, so row j of the result equals
-    solving row j alone, bit for bit.
+    Row j of Phi (k, n) starts item j's solve against counts[j] (n, Q); the
+    coordinates where ``free`` (k, n) is False hold still (all move by
+    default). Each step solves with the analytic Hessian, clips the Newton
+    step (or the gradient where that fails or does not ascend) to a max-norm
+    of 4, and halves it up to 29 times until the objective lands no lower
+    than f0 - 4 eps |f0|. log a stays in LOG_A_BOUNDS: a step past a bound
+    stops on it, and a row on a bound whose gradient points out of it holds
+    log a. A held coordinate's gradient entry reads 0 and its Hessian row
+    and column are those of -I. A row stops at max_iter steps, at max |g|
+    < gtol, or when no halving is accepted. The rows share only their
+    objective calls, so row j of the result equals solving row j alone, bit
+    for bit.
     """
+    lo, hi = LOG_A_BOUNDS
     Phi = np.array(Phi, dtype=float)
-    k, n = Phi.shape
-    h = 1e-6
-    probe = h * np.eye(n)
-    f, G = _objective_grads(Phi, theta, counts)
-    live = np.ones(k, dtype=bool)
+    n = Phi.shape[1]
+    free = np.ones(Phi.shape, dtype=bool) if free is None else free
+    eye = np.eye(n, dtype=bool)
+    f, G, H = _objective_grads(Phi, theta, counts)
+    live = np.ones(len(Phi), dtype=bool)
     for _ in range(max_iter):
-        live &= ~(np.abs(G).max(axis=1) < gtol)
+        held = ~free
+        held[:, 0] |= ((Phi[:, 0] <= lo) & (G[:, 0] < 0)) | ((Phi[:, 0] >= hi) & (G[:, 0] > 0))
+        g_all = np.where(held, 0.0, G)
+        live &= ~(np.abs(g_all).max(axis=1) < gtol)
         rows = np.flatnonzero(live)
         if not rows.size:
             break
-        phi, g, f0, cnt = Phi[rows], G[rows], f[rows], counts[rows]
-        m = rows.size
-
-        _, Gp = _objective_grads((phi[:, None, :] + probe).reshape(m * n, n), theta,
-                                 np.repeat(cnt, n, axis=0))
-        H = ((Gp.reshape(m, n, n) - g[:, None, :]) / h).transpose(0, 2, 1)
-        H = (H + H.transpose(0, 2, 1)) / 2.0
-        try:
-            solved = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            solved = None  # some row is singular: solve row by row
-        steps = np.empty_like(g)
-        for r in range(m):
-            if solved is not None:
-                step = solved[r]
-            else:
-                try:
-                    step = np.linalg.solve(H[r], -g[r])
-                except np.linalg.LinAlgError:
-                    step = g[r]
-            step = _clip(step if np.all(np.isfinite(step)) else g[r])  # near-singular
-            if step @ g[r] <= 0:  # not an ascent direction; fall back to gradient
-                step = _clip(g[r])
-            steps[r] = step
+        phi, g, f0, cnt, hold = Phi[rows], g_all[rows], f[rows], counts[rows], held[rows]
+        cut = hold[:, :, None] | hold[:, None, :]
+        steps = _newton_steps(np.where(cut, np.where(eye, -1.0, 0.0), H[rows]), g)
 
         # line search: the full step for every row at once, then the halvings
         # of the rows it fails, each row taking its first scale that does
-        # not decrease f
+        # not decrease f beyond rounding
+        floor = f0 - _ROUNDING * np.abs(f0)
         trial = phi + steps
-        f_new, G_new = _objective_grads(trial, theta, cnt)
-        full = f_new >= f0
+        trial[:, 0] = np.clip(trial[:, 0], lo, hi)
+        f_new, G_new, H_new = _objective_grads(trial, theta, cnt)
+        full = f_new >= floor
         ok = full.copy()
         todo = np.flatnonzero(~full)
         for scales in _HALVINGS:
             if not todo.size:
                 break
             cand = phi[todo, None, :] + scales[:, None] * steps[todo, None, :]
+            cand[..., 0] = np.clip(cand[..., 0], lo, hi)
             f_s = _objective_grads(cand.reshape(-1, n), theta,
                                    np.repeat(cnt[todo], scales.size, axis=0),
                                    grad=False).reshape(todo.size, scales.size)
-            hit = f_s >= f0[todo, None]
+            hit = f_s >= floor[todo, None]
             found = hit.any(axis=1)
             trial[todo[found]] = cand[found, hit[found].argmax(axis=1)]
             ok[todo[found]] = True
@@ -401,9 +481,10 @@ def _newton_block(Phi: np.ndarray, theta: np.ndarray, counts: np.ndarray,
         live[rows[todo]] = False  # no scale accepted: the solve stops here
         redo = np.flatnonzero(ok & ~full)
         if redo.size:
-            f_new[redo], G_new[redo] = _objective_grads(trial[redo], theta, cnt[redo])
+            f_new[redo], G_new[redo], H_new[redo] = _objective_grads(trial[redo], theta,
+                                                                      cnt[redo])
         done = rows[ok]
-        Phi[done], f[done], G[done] = trial[ok], f_new[ok], G_new[ok]
+        Phi[done], f[done], G[done], H[done] = trial[ok], f_new[ok], G_new[ok], H_new[ok]
     return Phi
 
 
@@ -429,9 +510,12 @@ def fit_grm(
     Accepts a visit-flattened ItemDataset (each visit one row) or a raw
     integer response matrix. The EM loop asserts a nondecreasing marginal
     log-likelihood every iteration and converges on a relative change < tol.
-    Its M-step runs one lockstep Newton block per fitted category count. It
-    integrates over the DEFAULT_NODES Gauss-Hermite nodes that eap_scores
-    scores on, so the model is fitted under the prior it is scored with.
+    Its E-step is two matrix products with the rows' category indicators;
+    its M-step runs all items as one lockstep Newton block, each padded to
+    the largest fitted category count. It integrates over the DEFAULT_NODES
+    Gauss-Hermite nodes that eap_scores scores on, so the model is fitted
+    under the prior it is scored with. fit_meta["items_at_bound"] names the
+    items whose discrimination ended on a bound of LOG_A_BOUNDS.
     """
     if isinstance(pooled, ItemDataset):
         y_raw = pooled.flatten_visits()
@@ -476,8 +560,12 @@ def fit_grm(
     thetas, weights = _gauss_hermite(DEFAULT_NODES)
     log_w = np.log(weights)
 
-    # initialize from overall exceedance proportions
-    phis: list[np.ndarray] = []
+    # initialize from overall exceedance proportions; every item is padded
+    # to the largest count with steps of e^PAD_LOG_STEP, whose thresholds
+    # lie far past every node, and its padded coordinates hold still
+    C_max = int(fitted_cats.max())
+    real = np.arange(C_max) < fitted_cats[:, None]  # (items, C_max)
+    Phi = np.full((n_items, C_max), PAD_LOG_STEP)
     for k in range(n_items):
         C = int(fitted_cats[k])
         freq = np.bincount(y[:, k], minlength=C) / n_rows
@@ -485,36 +573,26 @@ def fit_grm(
         p_ge = np.clip(p_ge, 0.5 / n_rows, 1.0 - 0.5 / n_rows)
         b0 = -1.7 * special.ndtri(p_ge)
         b0 = np.maximum.accumulate(b0 + 1e-6 * np.arange(C - 1))
-        phi = np.empty(C)
-        phi[0] = 0.0  # a = 1
-        phi[1] = b0[0]
-        if C > 2:
-            phi[2:] = np.log(np.maximum(np.diff(b0), 1e-3))
-        phis.append(phi)
+        Phi[k, 0] = 0.0  # a = 1
+        Phi[k, 1] = b0[0]
+        Phi[k, 2:C] = np.log(np.maximum(np.diff(b0), 1e-3))
 
-    onehots = [
-        (y[:, k][:, None] == np.arange(fitted_cats[k])[None, :]).astype(float)
-        for k in range(n_items)
-    ]
-
-    def unpack(phi: np.ndarray) -> GrItemParams:
-        a = float(np.exp(phi[0]))
-        b = np.concatenate(([phi[1]], phi[1] + np.cumsum(np.exp(phi[2:]))))
-        return GrItemParams(a, b)
-
-    # items of one fitted category count share one Newton block; items of
-    # different counts are not padded together, which would change the sums
-    blocks = [np.flatnonzero(fitted_cats == c) for c in np.unique(fitted_cats)]
+    # the items' category indicators side by side, in the order of the
+    # real entries of the padded (items, C_max) table
+    onehots = np.zeros((n_rows, int(fitted_cats.sum())))
+    onehots[np.arange(n_rows)[:, None], np.cumsum(fitted_cats) - fitted_cats + y] = 1.0
+    counts = np.zeros((n_items, C_max, thetas.size))  # the padded categories' stay 0
 
     ll_old = -np.inf
     for iteration in range(max_iter):
-        items = [unpack(phi) for phi in phis]
-        model = GrModel(items=items, scheme=scheme,
-                        category_maps=[np.arange(c) for c in fitted_cats])
-        ll_rows = _row_loglik(_transposed(model.log_prob_tables(thetas)), y) + log_w[:, None]
-        top = ll_rows.max(axis=0)
-        post = np.exp(ll_rows - top)
-        norm = post.sum(axis=0)
+        post = onehots @ np.log(_packed_probs(Phi, thetas)[-1][real])  # (rows, Q)
+        post += log_w
+        top = post.max(axis=1, keepdims=True)
+        post -= top
+        # weights below e^-700 of a row's largest are raised to e^-700, too
+        # small to move the sums they enter; exp is slow where it underflows
+        np.exp(np.maximum(post, -700.0, out=post), out=post)
+        norm = post.sum(axis=1, keepdims=True)
         ll = float((np.log(norm) + top).sum())
         if ll < ll_old - 1e-8 * (abs(ll_old) + 1.0):
             raise NonConvergenceError(
@@ -524,15 +602,19 @@ def fit_grm(
             break
         ll_old = ll
         post /= norm
-        for block in blocks:
-            counts = np.stack([post @ onehots[k] for k in block])  # (items, Q, C)
-            fitted = _newton_block(np.stack([phis[k] for k in block]), thetas, counts)
-            for k, phi in zip(block, fitted):
-                phis[k] = phi
+        counts[real] = onehots.T @ post
+        Phi = _newton_block(Phi, thetas, counts, free=real)
     else:
         raise NonConvergenceError(f"EM did not converge in {max_iter} iterations")
 
-    items = [unpack(phi) for phi in phis]
+    items = []
+    for phi, C in zip(Phi, fitted_cats):
+        b = np.concatenate(([phi[1]], phi[1] + np.cumsum(np.exp(phi[2:C]))))
+        items.append(GrItemParams(float(np.exp(phi[0])), b))
+    at_bound = [labels[k] for k in np.flatnonzero(np.isin(Phi[:, 0], LOG_A_BOUNDS))]
+    if at_bound:
+        log.warning("discrimination of %s ended on a bound of %s: a degenerate fit",
+                    ", ".join(at_bound), list(A_BOUNDS))
     return GrModel(
         items=items,
         scheme=scheme,
@@ -544,6 +626,7 @@ def fit_grm(
             "n_nodes": DEFAULT_NODES,
             "tol": tol,
             "merged_items": merged_items,
+            "items_at_bound": at_bound,
         },
     )
 

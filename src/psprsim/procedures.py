@@ -403,7 +403,7 @@ def check_calibration_reps(reps: int, name: str = "reps") -> None:
 CALIBRATION_CHUNK = 8192  # calibration replicates drawn and summed at a time
 
 
-def build_omnibus_calibration(m: int, reps: int = 100_000, seed: int = 0) -> OmnibusCalibration:
+def build_omnibus_calibration(m: int, reps: int, seed: int) -> OmnibusCalibration:
     """Simulate the null tables under independent uniform p-values."""
     if m < 2:
         raise ValidationError(f"need m >= 2, got {m}")
@@ -491,8 +491,8 @@ def load_omnibus_calibration(path: str | Path) -> OmnibusCalibration:
 def get_omnibus_calibration(
     cache_dir: str | Path | None,
     m: int,
-    reps: int = 100_000,
-    seed: int = 0,
+    reps: int,
+    seed: int,
 ) -> OmnibusCalibration:
     """Build or reuse a cached calibration keyed by (m, reps, seed)."""
     if cache_dir is None:

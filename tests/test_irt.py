@@ -15,8 +15,12 @@ from scipy import optimize, special
 import psprsim as ps
 from psprsim.datagen import sample_grm_scores
 from psprsim.errors import NonConvergenceError, ValidationError
+from psprsim import irt
 from psprsim.irt import (
     DEFAULT_NODES,
+    LOG_A_BOUNDS,
+    P_FLOOR,
+    PAD_LOG_STEP,
     PREFIX_ITEMS,
     GrModel,
     _category_probs,
@@ -270,14 +274,15 @@ class TestPaddedKernel:
         assert str(got.value) == str(ref.value)
 
     def test_eap_bits_pinned(self, reference_pool, grm_model):
-        # float.hex of the per-item code's scores of the reference pool
+        # float.hex of the per-item code's scores of the reference pool,
+        # under the model fitted with the analytic Hessian
         theta = eap_scores(grm_model, np.stack([reference_pool.baseline,
                                                 reference_pool.week52]))
         pinned = {
-            (0, 0): "-0x1.4d4fefab84187p+0", (0, 1): "-0x1.abea17bf4ba55p+0",
-            (0, 137): "0x1.8b88dde205bf4p-1", (0, 379): "-0x1.4f6d94d848a04p-2",
-            (1, 0): "-0x1.4db74ce081e25p-1", (1, 1): "-0x1.015b937509a46p-2",
-            (1, 137): "0x1.8d6a0f02a330fp+0", (1, 379): "0x1.5830ee910a9b7p-3",
+            (0, 0): "-0x1.4d4fefab8d5c8p+0", (0, 1): "-0x1.abea17bf56b50p+0",
+            (0, 137): "0x1.8b88dde203b91p-1", (0, 379): "-0x1.4f6d94d85cca1p-2",
+            (1, 0): "-0x1.4db74ce08f378p-1", (1, 1): "-0x1.015b93751cb0cp-2",
+            (1, 137): "0x1.8d6a0f02a5580p+0", (1, 379): "0x1.5830ee90f14a0p-3",
         }
         assert {key: float(theta[key]).hex() for key in pinned} == pinned
 
@@ -289,7 +294,8 @@ class TestPaddedKernel:
 
 def _plain_eap_scores(model, responses):
     """eap_scores as it ran before the prefix table: every item's table rows
-    gathered and added from zeros, then the posterior weighted out of place."""
+    gathered and added from zeros, then the posterior weighted out of place,
+    each block's sums over its own contiguous copy."""
     r = np.asarray(responses, dtype=np.int64)
     k, rows = (1, r.shape[0]) if r.ndim == 2 else r.shape[:2]
     y = model.map_responses(r.reshape(-1, r.shape[-1]))
@@ -301,9 +307,10 @@ def _plain_eap_scores(model, responses):
     ll = np.ascontiguousarray(ll.T)
     ll -= ll.max(axis=0, keepdims=True)
     post = weights[:, None] * np.exp(ll)
-    blocks = post.reshape(DEFAULT_NODES, k, rows)
-    num = np.stack([thetas @ np.ascontiguousarray(blocks[:, j]) for j in range(k)])
-    return (num / post.sum(axis=0).reshape(k, rows)).reshape(r.shape[:-1])
+    blocks = [np.ascontiguousarray(block) for block in post.reshape(DEFAULT_NODES, k, rows)
+              .transpose(1, 0, 2)]
+    num = np.stack([thetas @ block for block in blocks])
+    return (num / np.stack([block.sum(axis=0) for block in blocks])).reshape(r.shape[:-1])
 
 
 @pytest.fixture(scope="module", params=["original", "fda"])
@@ -346,113 +353,136 @@ class TestEapPrefixTable:
                 == _row_loglik(tables_t, y, grm_model._eap_prefix).tobytes())
 
 
-# Per-item reference code: the item M-step as it ran item by item before
-# the items of one category count were solved as one lockstep block. The
-# block forms must reproduce it bit for bit.
+# Per-item reference code: the item M-step solved one item at a time. The
+# lockstep block forms must reproduce it bit for bit.
 
 
-def _ref_item_objective_grad(phi, theta, counts):
+def _ref_item_objective(phi, theta, counts):
+    """f, gradient and analytic Hessian of one item's (C, Q) counts."""
     a = np.exp(phi[0])
     steps = np.exp(phi[2:])
     b = np.concatenate(([phi[1]], phi[1] + np.cumsum(steps)))
-    C = b.size + 1
-    sf = special.expit(a * (theta[:, None] - b))  # (Q, C-1)
-    p = _category_probs(sf)
+    dev = theta - b[:, None]  # (C-1, Q)
+    sf = 1.0 / (1.0 + np.exp(-np.clip(a * dev, -700.0, 700.0)))
+    one, zero = np.ones((1, theta.size)), np.zeros((1, theta.size))
+    p = np.maximum(np.concatenate((one, sf)) - np.concatenate((sf, zero)), P_FLOOR)
     f = float((counts * np.log(p)).sum())
 
-    ratio = np.where(counts > 0, counts / p, 0.0)  # (Q, C)
+    ratio = np.where(p > P_FLOOR, counts / p, 0.0)
     dsf = sf * (1.0 - sf)
-    coef = ratio[:, 1:] - ratio[:, :-1]
-    grad_b = (coef * dsf).sum(axis=0) * (-a)
-    grad_a = float((coef * dsf * (theta[:, None] - b)).sum())
+    g_x = (ratio[1:] - ratio[:-1]) * dsf
+    grad_b = g_x.sum(axis=1) * (-a)
+    below = ratio[:-1] * (dsf / p[:-1])
+    above = ratio[1:] * (dsf / p[1:])
+    diag = g_x * (1.0 - 2.0 * sf) - (below + above) * dsf
+    band = above[:-1] * dsf[1:]
+    Fdev = diag * dev
+    Fdev[1:] += band * dev[:-1]
+    Fdev[:-1] += band * dev[1:]
 
-    g = np.empty_like(phi)
-    g[0] = grad_a * a
-    g[1] = grad_b.sum()
-    if C > 2:
-        tail = np.cumsum(grad_b[::-1])[::-1]
-        g[2:] = tail[1:] * steps
-    return f, g
+    n = phi.size
+    g = np.empty(n)
+    H = np.zeros((n, n))
+    g[0] = (g_x * dev).sum() * a
+    H[0, 0] = g[0] + (Fdev * dev).sum() * (a * a)
+    H_ab = grad_b - Fdev.sum(axis=1) * (a * a)
+    for j in range(n - 1):
+        H[1 + j, 1 + j] = diag[j].sum() * (a * a)
+    for j in range(n - 2):
+        H[1 + j, 2 + j] = H[2 + j, 1 + j] = band[j].sum() * (a * a)
+    scale = np.concatenate(([1.0], steps))
+    g[1:] = np.cumsum(grad_b[::-1])[::-1] * scale
+    H[0, 1:] = H[1:, 0] = np.cumsum(H_ab[::-1])[::-1] * scale
+    tails = np.cumsum(np.cumsum(H[:0:-1, :0:-1], axis=0), axis=1)[::-1, ::-1]
+    H[1:, 1:] = (tails + tails.T) * (0.5 * scale[:, None] * scale[None, :])
+    for i in range(2, n):
+        H[i, i] += g[i]
+    return f, g, H
 
 
-def _ref_item_newton(phi, theta, counts, max_iter=40, gtol=1e-9):
-    f, g = _ref_item_objective_grad(phi, theta, counts)
+def _ref_step(H, g):
+    """The clipped Newton step, or the clipped gradient where the solve
+    fails, is not finite or does not ascend; and whether it fell back."""
+    def clip(s):
+        n = np.abs(s).max()
+        return s * (4.0 / n) if n > 4.0 else s
+
+    try:
+        step = np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:
+        step = g.copy()
+    newton = np.all(np.isfinite(step))
+    step = clip(step if newton else g.copy())
+    if (step * g).sum() <= 0:
+        return clip(g.copy()), True
+    return step, not newton
+
+
+def _ref_item_newton(phi, theta, counts, free=None, max_iter=40, gtol=1e-9):
+    lo, hi = LOG_A_BOUNDS
+    free = np.ones(phi.size, dtype=bool) if free is None else free
+    f, g, H = _ref_item_objective(phi, theta, counts)
     for _ in range(max_iter):
-        if np.abs(g).max() < gtol:
+        # held: the unfree coordinates, and log a on a bound whose gradient
+        # points out of it
+        held = ~free
+        held[0] |= (phi[0] <= lo and g[0] < 0) or (phi[0] >= hi and g[0] > 0)
+        g_free = np.where(held, 0.0, g)
+        if np.abs(g_free).max() < gtol:
             break
-        h = 1e-6
-        H = np.empty((phi.size, phi.size))
-        for i in range(phi.size):
-            e = np.zeros_like(phi)
-            e[i] = h
-            _, gp = _ref_item_objective_grad(phi + e, theta, counts)
-            H[:, i] = (gp - g) / h
-        H = (H + H.T) / 2.0
-        def clip(s):
-            n = np.abs(s).max()
-            return s * (4.0 / n) if n > 4.0 else s
-
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            step = g.copy()
-        if not np.all(np.isfinite(step)):
-            step = g.copy()
-        step = clip(step)
-        if step @ g <= 0:
-            step = clip(g.copy())
-        scale = 1.0
-        improved = False
-        for _ in range(30):
-            f_new, g_new = _ref_item_objective_grad(phi + scale * step, theta, counts)
-            if f_new >= f:
-                phi = phi + scale * step
-                f, g = f_new, g_new
-                improved = True
+        H_free = H.copy()
+        H_free[held, :] = 0.0
+        H_free[:, held] = 0.0
+        H_free[held, held] = -1.0
+        step, _ = _ref_step(H_free, g_free)
+        floor = f - 4.0 * np.finfo(float).eps * abs(f)
+        for i in range(30):
+            cand = phi + 0.5 ** i * step
+            cand[0] = np.clip(cand[0], lo, hi)
+            f_new, g_new, H_new = _ref_item_objective(cand, theta, counts)
+            if f_new >= floor:
+                phi, f, g, H = cand, f_new, g_new, H_new
                 break
-            scale *= 0.5
-        if not improved:
+        else:
             break
     return phi
 
 
 def _ref_first_step_is_gradient(phi, theta, counts):
     """Whether the reference's first step falls back to the gradient."""
-    _, g = _ref_item_objective_grad(phi, theta, counts)
-    H = np.column_stack([(_ref_item_objective_grad(phi + e, theta, counts)[1] - g) / 1e-6
-                         for e in 1e-6 * np.eye(phi.size)])
-    H = (H + H.T) / 2.0
-    try:
-        step = np.linalg.solve(H, -g)
-    except np.linalg.LinAlgError:
-        return True
-    return not np.all(np.isfinite(step)) or step @ g <= 0
+    _, g, H = _ref_item_objective(phi, theta, counts)
+    return _ref_step(H, g)[1]
 
 
-def _item_rows(seed, k, n, q, zero_frac=0.0, spread=1.0):
-    """k start rows of n parameters and their (q, n) expected counts.
+def _item_rows(seed, k, n, q, zero_frac=0.0, spread=1.0, shift=0.0):
+    """k start rows of n parameters and their (n, q) expected counts.
 
     The counts are graded-response expectations of a true item, from 10 to
     10^4 respondents, jittered by +-20% and with a share zero_frac set to 0;
-    the start rows lie about ``spread`` from the true parameters.
+    the true thresholds are centred on ``shift``, and the start rows lie
+    about ``spread`` from the true parameters.
     """
     gen = np.random.default_rng(seed)
     theta, w = _gauss_hermite(q)
-    true = np.column_stack([gen.normal(0.0, 0.5, k), gen.normal(0.0, 1.0, k),
+    true = np.column_stack([gen.normal(0.0, 0.5, k), gen.normal(shift, 1.0, k),
                             gen.normal(-0.5, 0.5, (k, n - 2))])
     a = np.exp(true[:, 0])
     b = np.column_stack([true[:, 1], true[:, 1:2] + np.cumsum(np.exp(true[:, 2:]), axis=1)])
-    p = _category_probs(special.expit(a[:, None, None] * (theta[:, None] - b[:, None, :])))
-    counts = (10 ** gen.uniform(1, 4, k))[:, None, None] * w[:, None] * p
+    sf = special.expit(a[:, None, None] * (theta[:, None] - b[:, None, :]))  # (k, q, n - 1)
+    p = np.ascontiguousarray(_category_probs(sf).transpose(0, 2, 1))
+    counts = (10 ** gen.uniform(1, 4, k))[:, None, None] * w * p
     counts *= gen.uniform(0.8, 1.2, p.shape) * (gen.random(p.shape) >= zero_frac)
     return true + gen.normal(0.0, spread, true.shape), theta, counts
 
 
-def _assert_rows_match_reference(phi, theta, counts, **kw):
-    block = _newton_block(phi, theta, counts, **kw)
+def _assert_rows_match_reference(phi, theta, counts, free=None, **kw):
+    block = _newton_block(phi, theta, counts, free=free, **kw)
     assert block.shape == phi.shape
+    free = np.ones(phi.shape, dtype=bool) if free is None else free
     for j in range(phi.shape[0]):
-        assert block[j].tobytes() == _ref_item_newton(phi[j], theta, counts[j], **kw).tobytes()
+        ref = _ref_item_newton(phi[j], theta, counts[j], free=free[j], **kw)
+        assert block[j].tobytes() == ref.tobytes()
+    return block
 
 
 class TestBlockMStep:
@@ -463,13 +493,33 @@ class TestBlockMStep:
         phi, theta, counts = _item_rows(seed, k, n, q, zero_frac, spread=2.0)
         if empty_row:
             counts[0] = 0.0
-        f, G = _objective_grads(phi, theta, counts)
-        assert f.shape == (k,) and G.shape == (k, n)
+        f, G, H = _objective_grads(phi, theta, counts)
+        assert f.shape == (k,) and G.shape == (k, n) and H.shape == (k, n, n)
         assert _objective_grads(phi, theta, counts, grad=False).tobytes() == f.tobytes()
         for j in range(k):
-            f_ref, g_ref = _ref_item_objective_grad(phi[j], theta, counts[j])
+            f_ref, g_ref, H_ref = _ref_item_objective(phi[j], theta, counts[j])
             assert f[j].tobytes() == np.float64(f_ref).tobytes()
             assert G[j].tobytes() == g_ref.tobytes()
+            assert H[j].tobytes() == H_ref.tobytes()
+            assert np.array_equal(H[j], H[j].T)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+           q=st.sampled_from([7, 21, 101]), zero_frac=st.sampled_from([0.0, 0.5, 0.95]),
+           shift=st.sampled_from([0.0, 4.0, 6.0]), spread=st.sampled_from([0.1, 0.5]))
+    def test_hessian_matches_central_differences(self, seed, n, q, zero_frac, shift, spread):
+        # the analytic Hessian against central differences of the gradient,
+        # with empty categories and thresholds up to 6 above the middle
+        # node. Far below the nodes the gradient itself is noise to central
+        # differences: P(Y >= c) rounds towards 1 and P(Y = c), their
+        # difference, keeps few digits
+        phi, theta, counts = _item_rows(seed, 1, n, q, zero_frac, spread, shift)
+        _, _, H = _objective_grads(phi, theta, counts)
+        h = 1e-4  # a smaller step leaves the gradient's rounding in the result
+        fd = np.column_stack([
+            (_objective_grads(phi + e, theta, counts)[1][0]
+             - _objective_grads(phi - e, theta, counts)[1][0]) / (2 * h)
+            for e in h * np.eye(n)])
+        assert np.abs(fd - H[0]).max() <= 1e-5 * np.abs(H[0]).max()
 
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), n=st.integers(2, 5),
            q=st.sampled_from([7, 21, 101]), spread=st.sampled_from([0.5, 2.0, 4.0]),
@@ -480,20 +530,38 @@ class TestBlockMStep:
 
     def test_rows_stopping_every_way_equal_items_alone(self):
         # one block whose rows stop on the gradient tolerance, at max_iter,
-        # and on an exhausted line search, some after gradient steps
-        phi, theta, counts = _item_rows(1, 24, 5, 101)
+        # and on an exhausted line search, some after gradient steps: rows
+        # started far from their items, with half the counts empty
+        phi, theta, counts = _item_rows(2, 24, 5, 101, zero_frac=0.5, spread=4.0)
         stop = {"gtol": 0, "max_iter": 0, "line search": 0}
         for j in range(24):
             ref = _ref_item_newton(phi[j], theta, counts[j], max_iter=12)
             if ref.tobytes() != _ref_item_newton(phi[j], theta, counts[j], max_iter=11).tobytes():
                 stop["max_iter"] += 1
-            elif np.abs(_ref_item_objective_grad(ref, theta, counts[j])[1]).max() < 1e-9:
+            elif np.abs(_ref_item_objective(ref, theta, counts[j])[1]).max() < 1e-9:
                 stop["gtol"] += 1
             else:
                 stop["line search"] += 1
         assert min(stop.values()) > 0, stop
         assert sum(_ref_first_step_is_gradient(*row) for row in zip(phi, [theta] * 24, counts)) > 0
         _assert_rows_match_reference(phi, theta, counts, max_iter=12)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), n=st.integers(3, 5))
+    def test_held_coordinates_equal_items_alone(self, seed, k, n):
+        # rows padded past their last threshold, and rows starting on or
+        # past a bound of log a: a padded coordinate never moves, log a
+        # never steps out of its bounds, and each row equals its solve alone
+        phi, theta, counts = _item_rows(seed, k, n, 21, spread=0.5)
+        gen = np.random.default_rng(seed)
+        free = np.arange(n) < gen.integers(2, n + 1, k)[:, None]
+        phi[~free] = PAD_LOG_STEP
+        counts[~free] = 0.0
+        lo, hi = LOG_A_BOUNDS
+        phi[:, 0] = gen.choice([lo, hi, lo - 1.0, hi + 1.0, 0.0], k)
+        block = _assert_rows_match_reference(phi, theta, counts, free=free)
+        assert np.array_equal(block[~free], phi[~free])
+        moved = block[:, 0] != phi[:, 0]
+        assert np.all((lo <= block[moved, 0]) & (block[moved, 0] <= hi))
 
     def test_singular_solve_in_stack_falls_back_row_by_row(self):
         # a solve that raises for some Hessians: the stacked solve fails and
@@ -512,6 +580,99 @@ class TestBlockMStep:
         with mock.patch.object(np.linalg, "solve", flaky_solve):
             _assert_rows_match_reference(phi, theta, counts)
         assert raised["stacked"] > 0 and raised["row"] > 0
+
+
+# float.hex of the reference-pool models of both schemes, each item's
+# discrimination and thresholds, as fitted with a finite-difference Hessian
+# and a line search that took only steps with f_new >= f0
+PARENT_FITS = {
+    "original": [
+        ("0x1.b164c87c27e16p+0",
+         ["-0x1.37a884878422bp+0", "0x1.0bedf6e701855p+0",
+          "0x1.0ff699637e482p+2"]),
+        ("0x1.a54d5a254b93cp+0",
+         ["-0x1.223ec6f8eb508p+1", "-0x1.4fb0dbde3d358p-1",
+          "0x1.0fab42e7c9abcp+0", "0x1.6f2c90a3376bcp+1"]),
+        ("0x1.b8bf04c3bba7ep+0",
+         ["-0x1.72b343cfdfeaep+1", "-0x1.4f19543ef593ep+0",
+          "0x1.acb1c1ab981f0p-3", "0x1.8914290b1fda0p+0"]),
+        ("0x1.e4c68d6bbe0f2p+0",
+         ["-0x1.39b739eadf396p+1", "-0x1.e4bbd4a6754ccp-2",
+          "0x1.2719b247772dep+0", "0x1.868e29464ad10p+1"]),
+        ("0x1.b3966292d2914p+0",
+         ["-0x1.30b64c841d74cp+0", "0x1.2c3d0f1870228p-2",
+          "0x1.ddb0427b14100p+0", "0x1.b17b2c573c2eep+1"]),
+        ("0x1.e9528af626597p+0",
+         ["-0x1.3dcd75c6d3830p+1", "-0x1.76a39095d774ep-1",
+          "0x1.b7520835a24c8p-1", "0x1.42fdf69f60032p+1"]),
+        ("0x1.bdcce4091e7b6p+0",
+         ["-0x1.40a5773722da6p+1", "-0x1.35ad20049a1b1p+0",
+          "0x1.64930b7037500p-7", "0x1.2c0b19581b6ccp+0"]),
+        ("0x1.de300d553a5b2p+0",
+         ["-0x1.6af01dfa0fe31p+1", "-0x1.2734bb26f90e5p+0",
+          "0x1.20fcee194bc8cp-1", "0x1.098967f6a1213p+1"]),
+        ("0x1.dc9063cd64449p+0",
+         ["-0x1.78622a4b1225ep+1", "-0x1.5b034e02f22a3p+0",
+          "-0x1.f8ce36ee420c0p-5", "0x1.46f71e00dcea0p+0"]),
+        ("0x1.d50f14d9af218p+0",
+         ["-0x1.3b9b2427dc8bbp+1", "-0x1.8594973a7595ap-1",
+          "0x1.4d875c51e729cp-1", "0x1.0aa228916344dp+1"]),
+    ],
+    "fda": [
+        ("0x1.b0347db55bd6cp+0",
+         ["-0x1.3558b57e777c2p+0", "0x1.0c11044ea4156p+0",
+          "0x1.11d527c946a62p+2"]),
+        ("0x1.a8354c45f8446p+0",
+         ["-0x1.20e53abee5efdp+1", "-0x1.4bf02e1a741eap-1",
+          "0x1.718bfacf0fb61p+1"]),
+        ("0x1.a4d309170f37bp+0",
+         ["-0x1.7d0c0c44b73dap+1", "0x1.92346b6b8f058p+0"]),
+        ("0x1.111f1f7fc4bdep+1",
+         ["-0x1.279624a849145p+1", "0x1.741cf02a7f6e3p+1"]),
+        ("0x1.aa8d98561ef22p+0",
+         ["-0x1.3209462c03fb2p+0", "0x1.25a1605063c7cp-2",
+          "0x1.e61473e5e5cb6p+0", "0x1.bb5bd99854ddbp+1"]),
+        ("0x1.d308fcc1f4c6dp+0",
+         ["-0x1.44d2c69f51161p+1", "0x1.4f0527b56dd19p+1"]),
+        ("0x1.c1d02d15ab006p+0",
+         ["-0x1.c45914c8cab2fp-9", "0x1.28a5a6e5e34d2p+0"]),
+        ("0x1.cf082517ff497p+0",
+         ["-0x1.2664e9b8e2a7dp+0", "0x1.10fe67c73a816p+1"]),
+        ("0x1.c26f6ee1df2e6p+0",
+         ["-0x1.62c9cdb217314p+0", "0x1.4affd1b2be67ep+0"]),
+        ("0x1.041c1f7dd8703p+1",
+         ["-0x1.785a2155adbdbp-1", "0x1.014d8ebcab134p+1"]),
+    ],
+}
+
+
+class TestReferenceFits:
+    def test_parameters_match_the_parent_fits(self, reference_pool):
+        # the rounding-level line search and the analytic Hessian re-baseline
+        # the last digits: no parameter moves by 1e-9, no EM count changes
+        for scheme, items in PARENT_FITS.items():
+            model = ps.fit_grm(ensure_scheme(reference_pool, scheme))
+            assert model.fit_meta["iterations"] == {"original": 22, "fda": 18}[scheme]
+            assert model.fit_meta["items_at_bound"] == []
+            for fit, (a, b) in zip(model.items, items, strict=True):
+                assert abs(fit.discrimination - float.fromhex(a)) <= 1e-9
+                assert np.abs(fit.thresholds - [float.fromhex(t) for t in b]).max() <= 1e-9
+
+    def test_objective_calls_bounded(self, reference_pool):
+        # a cost guard: the two reference fits make 164 objective calls; a
+        # line search that rejected steps a few ulps below f0 made them take
+        # 2,065, and a finite-difference Hessian adds a call per step
+        calls = []
+        real = irt._objective_grads
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        with mock.patch.object(irt, "_objective_grads", counted):
+            for scheme in ("original", "fda"):
+                ps.fit_grm(ensure_scheme(reference_pool, scheme))
+        assert len(calls) <= 1000
 
 
 class TestFitGrm:
@@ -603,6 +764,17 @@ class TestFitGrm:
     def test_bad_raw_matrix_named(self, rows, counts, match):
         with pytest.raises(ValidationError, match=match):
             ps.fit_grm(np.asarray(rows), category_counts=counts)
+
+    def test_degenerate_fit_held_in_bounds_and_named(self):
+        # 24 rows of noise: the estimate does not exist and log a runs to a
+        # bound; exactly the items on a bound are named
+        rows = np.random.default_rng(1).integers(0, 5, size=(24, N_ITEMS))
+        model = ps.fit_grm(rows, category_counts=np.full(N_ITEMS, 5))
+        a = np.array([it.discrimination for it in model.items])
+        bounds = np.exp(LOG_A_BOUNDS)
+        assert np.all((bounds[0] <= a) & (a <= bounds[1]))
+        on_bound = [name for name, hit in zip(ITEM_COLUMNS, np.isin(a, bounds)) if hit]
+        assert on_bound == model.fit_meta["items_at_bound"] != []
 
     def test_loglik_trace_is_clean(self, grm_model):
         assert grm_model.fit_meta["iterations"] < 500

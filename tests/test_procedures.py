@@ -805,7 +805,7 @@ class TestOutcomeContract:
     pytest.param(lambda: ps.estimate_corr(arm_symmetric_dataset(n=20),
                                           item_fits(arm_symmetric_dataset(n=30))),
                  "fits were not computed on this dataset", id="corr-other-dataset"),
-    pytest.param(lambda: ps.build_omnibus_calibration(m=1, reps=100),
+    pytest.param(lambda: ps.build_omnibus_calibration(m=1, reps=100, seed=0),
                  "need m >= 2, got 1", id="calibration-m-1"),
     pytest.param(lambda: ps.StudyPlan("mvn", scenarios=[3]),
                  "bad scenario entry 3", id="plan-scenario-number"),

@@ -535,13 +535,13 @@ class TestCli:
         assert data.n_subjects == 120
 
     def test_fit_irt_outputs_pinned(self, tmp_path):
-        # sha256 of the model files the per-item M-step wrote for the
-        # reference pool; the lockstep M-step must write the same bytes
+        # sha256 of the model files fit-irt writes for the reference pool,
+        # fitted with the analytic Hessian and the rounding-level line search
         pool = tmp_path / "pool.csv"
         assert main(["make-reference", "--seed", "1", "--out", str(pool)]) == 0
         pinned = {
-            "original": "c9568ab8f39080be9eccd09a3db4c2f45ac336b918051df5a5685fdbd8257ece",
-            "fda": "d4261728ce7cfe68ab4d613d43b36bb4c2f03fbe4b7fb1997f990377f7ac4fff",
+            "original": "c2c943820066d97257b57bc3b09299894bae4dfd2d24080d6db09f0ee2576334",
+            "fda": "c30efc38296453e111003bc11a1c34962435269b3de07ad48aa0a2eb6ec1e468",
         }
         for tag, digest in pinned.items():
             out = tmp_path / f"{tag}.json"
@@ -647,6 +647,16 @@ class TestCli:
         monkeypatch.setattr(ps.procedures, "build_omnibus_calibration", build)
         calib = get_omnibus_calibration(cache, m=3, reps=1000, seed=2)
         assert calib.tables.tobytes() == built.tables.tobytes()
+
+    def test_calibrate_omnibus_help_names_each_commands_seed(self, capsys):
+        # a cache is keyed by its seed, and the two readers default to
+        # different seeds
+        with pytest.raises(SystemExit):
+            main(["calibrate-omnibus", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "analyze reads its --seed (default 0)" in help_text
+        assert "simulate its plan's calibration_seed (default 7)" in help_text
+        assert ps.StudyPlan(generator="mvn", scenarios=["d0"]).calibration_seed == 7
 
     def test_simulate_plan(self, tmp_path):
         plan = ps.StudyPlan(generator="mvn", scenarios=["d0"], schemes=["original"],
@@ -935,12 +945,21 @@ class TestCli:
         rc = main(["analyze", str(path), "--arm-a", "drug", "--arm-b", "placebo",
                    "--out", str(tmp_path / "y"), "--calibration-reps", "2000"])
         assert rc == 3
-        # the self-fitted models (189 and 238 EM iterations) are byte for
-        # byte those of the per-item M-step
+        # the self-fitted models (188 and 246 EM iterations), with log a
+        # held in [log 0.01, log 50]
         assert fitted == [
-            "eb5953df54e06040183bcd7649531151de823255e6ff4955f8283781e6fe975c",
-            "0426af33cbd82b536251fb276981246684fae8c71a11c4c7c3022c2964a401c6",
+            "8e789ff1bd17dd9cc1a470abdfc4acc7d7441c20c52e1e256db0541298e588b0",
+            "f050b9780cbf1d062f927860c5de21b552da2f7cb4821f43c9cf15ab2810bfba",
         ]
+        # the estimate does not exist on 12 subjects: a note per scheme names
+        # the items whose discrimination ended on the bound, and the IRT and
+        # LM rows still report their p-values
+        results = json.loads((tmp_path / "y" / "analysis_results.json").read_text())
+        bound_notes = [n for n in results["notes"] if "ended on a bound" in n]
+        assert [n.split(":")[0] for n in bound_notes] == ["original", "fda"]
+        assert "item03" in bound_notes[0]
+        assert all(r["p_one_sided"] is not None for r in results["results"]
+                   if r["method"] in ("IRT", "LM"))
 
     def test_self_fit_scores_each_visit_once(self, reference_csv, tmp_path, monkeypatch):
         # without --model/--approx the LM self-fit and the IRT row share one
@@ -962,7 +981,7 @@ class TestCli:
         assert shapes == [(2, 120, N_ITEMS)] * 2
         results = (tmp_path / "out" / "analysis_results.json").read_bytes()
         assert hashlib.sha256(results).hexdigest() == (
-            "fe56f168703e6012814c3d56e3398826e4d07c2d618f60e73d4579ac93dfe6db")
+            "506fae134271c9bf33448fd7d0044fe973b51daccb317501222772e0466d8eed")
 
     def test_self_fit_approx_equals_fit_approx(self, tmp_path, monkeypatch):
         # with an odd subject count, scoring the visits as one block rounds
